@@ -65,7 +65,7 @@ from .kahler import (
     zero_module_evidence,
 )
 from .oracle import maps_probably_equal, replay_evidence
-from .polycore import NN, QQ, ZZ, VariableContext, poly_parse, prime_field
+from .polycore import NN, PRIME_TEST_LIMIT, QQ, ZZ, VariableContext, poly_parse, prime_field
 from .presentations import free_algebra, morphism, present
 
 
@@ -135,8 +135,14 @@ def _domain_from_spec(spec, ln):
         if not rest:
             raise ParseError("Fp needs a prime, e.g. `Fp 5`", line=ln)
         try:
-            return prime_field(int(rest))
-        except (ValueError, TangentError) as e:
+            p = int(rest)
+        except ValueError as e:
+            raise ParseError(str(e), line=ln)
+        if p >= PRIME_TEST_LIMIT:
+            return prime_field(p)  # UnsupportedDomain: a semantic error, exit 3
+        try:
+            return prime_field(p)
+        except TangentError as e:
             raise ParseError(str(e), line=ln)
     raise ParseError(f"unknown coefficient domain {spec!r}", line=ln)
 

@@ -1,14 +1,23 @@
 """Deterministic Buchberger engine for ideals and submodules of free modules.
 
-Every run over the same input produces the same output: S-pairs are
-processed in (lcm-degree, lcm, index) order, reducers are tried in basis
-order, and finished bases are interreduced, made monic, and sorted by
-leading term.  Free modules carry the position-over-term order in which
-position 0 is greatest.
+One loop, ``module_buchberger``, computes every basis.  Free modules carry
+the position-over-term order in which position 0 is greatest; an ideal is
+the rank-1 case, and cofactor (extended) bases and syzygies run on vectors
+extended by unit tag columns.
+
+S-pairs wait in a heap keyed (lcm degree, lcm, position, i, j), and each
+basis element's leading position and monomial is stored once, on insert.
+Inserting an element applies the Gebauer-Moeller criteria M, F and B
+(Gebauer & Moeller 1988) to the pairs in its position; the product
+criterion for coprime leading monomials applies only at rank 1, where it
+is sound.  Reducers are tried in basis order, and finished bases are
+minimalized, tail-reduced, made monic, and sorted by leading term, so every
+run over the same input produces the same, unique reduced basis.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -132,154 +141,31 @@ class GroebnerBasis:
         return tuple(g.leading_term(self.order)[0] for g in self.generators)
 
 
-def _pair_key(g1, g2, order, i, j):
-    lcm = mono_lcm(g1.leading_term(order)[0], g2.leading_term(order)[0])
-    return (mono_deg(lcm), lcm, i, j)
-
-
-def _buchberger_core(gens, order, cap, track):
-    gens = [g for g in gens if not g.is_zero()]
-    assert gens, "caller handles the empty ideal"
-    ctx, dom = gens[0].context, gens[0].domain
-    if not dom.is_field:
-        raise UnsupportedDomain("Groebner bases require a field domain")
-    for g in gens:
-        if g.context != ctx or g.domain != dom:
-            raise ContextMismatch("generators disagree on context or domain")
-        _check_cap(g, cap)
-
-    basis = []
-    reprs = []
-    n_in = len(gens)
-
-    def unit_row(i, scale):
-        row = [Polynomial.zero(ctx, dom) for _ in range(n_in)]
-        row[i] = Polynomial.constant(ctx, dom, scale)
-        return row
-
-    for i, g in enumerate(gens):
-        lc = g.leading_term(order)[1]
-        basis.append(g.monic(order))
-        if track:
-            reprs.append(unit_row(i, dom.div(dom.one(), lc)))
-
-    def reduce_tracked(p, prepr):
-        quotients, r = division(p, basis, order)
-        if track:
-            rrepr = list(prepr)
-            for q, brepr in zip(quotients, reprs):
-                if q.is_zero():
-                    continue
-                for k in range(n_in):
-                    rrepr[k] = rrepr[k] - q * brepr[k]
-            return r, rrepr
-        return r, None
-
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        pairs.sort(key=lambda ij: _pair_key(basis[ij[0]], basis[ij[1]], order, *ij))
-        i, j = pairs.pop(0)
-        mi = basis[i].leading_term(order)[0]
-        mj = basis[j].leading_term(order)[0]
-        if mono_lcm(mi, mj) == tuple(a + b for a, b in zip(mi, mj)):
-            continue  # coprime leading monomials reduce to zero
-        s = spoly(basis[i], basis[j], order)
-        if track:
-            srepr = [Polynomial.zero(ctx, dom) for _ in range(n_in)]
-            dmi = mono_div(mono_lcm(mi, mj), mi)
-            dmj = mono_div(mono_lcm(mi, mj), mj)
-            for k in range(n_in):
-                srepr[k] = reprs[i][k] * _term(ctx, dom, dmi, dom.one()) - reprs[j][
-                    k
-                ] * _term(ctx, dom, dmj, dom.one())
-        else:
-            srepr = None
-        r, rrepr = reduce_tracked(s, srepr)
-        if r.is_zero():
-            continue
-        _check_cap(r, cap)
-        lc = r.leading_term(order)[1]
-        inv = dom.div(dom.one(), lc)
-        basis.append(r.scale(inv))
-        if track:
-            reprs.append([c * Polynomial.constant(ctx, dom, inv) for c in rrepr])
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
-
-    # minimalize: drop generators whose leading term another one divides
-    keep = []
-    for i, g in enumerate(basis):
-        m = g.leading_term(order)[0]
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            mh = h.leading_term(order)[0]
-            if mono_div(m, mh) is not None and (mh != m or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    basis = [basis[i] for i in keep]
-    if track:
-        reprs = [reprs[i] for i in keep]
-
-    # interreduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            quotients, r = division(basis[i], others, order)
-            if r != basis[i]:
-                changed = True
-                assert not r.is_zero(), "minimal basis element reduced to zero"
-                if track:
-                    rrepr = list(reprs[i])
-                    other_reprs = reprs[:i] + reprs[i + 1 :]
-                    for q, brepr in zip(quotients, other_reprs):
-                        if q.is_zero():
-                            continue
-                        for k in range(n_in):
-                            rrepr[k] = rrepr[k] - q * brepr[k]
-                    lc = r.leading_term(order)[1]
-                    inv = dom.div(dom.one(), lc)
-                    reprs[i] = [c * Polynomial.constant(ctx, dom, inv) for c in rrepr]
-                basis[i] = r.monic(order)
-
-    perm = sorted(range(len(basis)), key=lambda i: order.key(basis[i].leading_term(order)[0]))
-    basis = [basis[i] for i in perm]
-    if track:
-        reprs = [tuple(reprs[i]) for i in perm]
-    gb = GroebnerBasis(tuple(basis), order, ctx, dom)
-    return (gb, tuple(reprs)) if track else (gb, None)
-
-
-def buchberger(gens, order=GREVLEX, cap=None):
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ShapeMismatch("cannot infer context for an empty generator list")
-    gb, _ = _buchberger_core(gens, order, resolve_cap(cap), track=False)
-    return gb
-
-
 def buchberger_extended(gens, order=GREVLEX, cap=None):
     """Reduced basis plus, for each element, its cofactors over the inputs.
 
-    Returns (gb, rows) with gb.generators[k] == sum(rows[k][i] * gens[i]).
+    Returns (gb, rows) with gb.generators[k] == sum(rows[k][i] * gens[i]);
+    zero generators get zero cofactors.  The engine runs on the tagged
+    vectors (g_i, e_i) of rank 1 + len(gens): the basis elements led in
+    position 0 carry an ideal basis element followed by its cofactors.
     """
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
+    gens = list(gens)
+    nonzero = [g for g in gens if not g.is_zero()]
+    if not nonzero:
         raise ShapeMismatch("cannot infer context for an empty generator list")
-    gb, rows = _buchberger_core(list(gens), order, resolve_cap(cap), track=True)
-    return gb, rows
+    ctx, dom = nonzero[0].context, nonzero[0].domain
+    tagged = _tagged([(g,) for g in gens], ctx, dom)
+    mgb = module_buchberger(tagged, 1 + len(gens), ctx, dom, order, cap)
+    led = [w for w in mgb.generators if not w[0].is_zero()]
+    gb = GroebnerBasis(tuple(w[0] for w in led), order, ctx, dom)
+    return gb, tuple(w[1:] for w in led)
 
 
 @lru_cache(maxsize=None)
 def _cached_gb(gens, order, cap):
-    gb, _ = _buchberger_core(list(gens), order, cap, track=False)
-    return gb
+    ctx, dom = gens[0].context, gens[0].domain
+    mgb = module_buchberger([(g,) for g in gens], 1, ctx, dom, order, cap)
+    return GroebnerBasis(tuple(v[0] for v in mgb.generators), order, ctx, dom)
 
 
 def groebner_basis(gens, order=GREVLEX, cap=None):
@@ -476,11 +362,6 @@ def module_lt(v, order):
     return None
 
 
-def module_key(v, order):
-    pos, m, _ = module_lt(v, order)
-    return (pos, order.key(m))
-
-
 def _vec_check(vectors):
     ranks = {len(v) for v in vectors}
     if len(ranks) != 1:
@@ -494,27 +375,36 @@ def _vec_check(vectors):
     return ranks.pop(), ctx, dom
 
 
-def module_normal_form(v, basis, order=GREVLEX):
-    """Complete normal form of a vector against module generators."""
+def module_normal_form(v, basis, order=GREVLEX, leads=None):
+    """Complete normal form of a vector against module generators.
+
+    ``leads`` may give each generator's ``module_lt``, for callers that
+    keep them; it is computed here otherwise.
+    """
     if not basis:
         return v
     ctx, dom = basis[0][0].context, basis[0][0].domain
-    lts = [(b, module_lt(b, order)) for b in basis if not vec_is_zero(b)]
-    rem = list(Polynomial.zero(ctx, dom) for _ in v)
+    if leads is None:
+        leads = [module_lt(b, order) for b in basis]
+    reducers = [[] for _ in v]
+    for b, lt in zip(basis, leads):
+        if lt is not None:
+            reducers[lt[0]].append((b, lt[1], lt[2]))
+    rem = [Polynomial.zero(ctx, dom)] * len(v)
     work = list(v)
-    while True:
-        lt = module_lt(tuple(work), order)
-        if lt is None:
-            break
-        pos, m, c = lt
-        for b, (bpos, bm, bc) in lts:
-            if bpos != pos:
-                continue
+    pos = 0  # the leading position never moves back: reducers vanish before theirs
+    while pos < len(work):
+        if work[pos].is_zero():
+            pos += 1
+            continue
+        m, c = work[pos].leading_term(order)
+        for b, bm, bc in reducers[pos]:
             q = mono_div(m, bm)
             if q is not None:
-                step = vec_term_mul(b, dom.div(c, bc), q)
-                for k in range(len(work)):
-                    work[k] = work[k] - step[k]
+                t = _term(ctx, dom, q, dom.div(c, bc))
+                for k in range(pos, len(work)):
+                    if not b[k].is_zero():
+                        work[k] = work[k] - b[k] * t
                 break
         else:
             t = _term(ctx, dom, m, c)
@@ -545,13 +435,6 @@ class ModuleGroebnerBasis:
         return tuple(module_lt(v, self.order)[:2] for v in self.generators)
 
 
-def _module_pair_key(v1, v2, order, i, j):
-    p1, m1, _ = module_lt(v1, order)
-    _, m2, _ = module_lt(v2, order)
-    lcm = mono_lcm(m1, m2)
-    return (mono_deg(lcm), lcm, p1, i, j)
-
-
 def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX, cap=None):
     """Reduced module Groebner basis under position-over-term order."""
     cap = resolve_cap(cap)
@@ -562,78 +445,92 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX, cap=None):
     if vrank != rank or vctx != ctx or vdom != dom:
         raise ShapeMismatch("vectors do not match the declared module shape")
     if not dom.is_field:
-        raise UnsupportedDomain("module Groebner bases require a field domain")
+        raise UnsupportedDomain("Groebner bases require a field domain")
 
-    def vec_monic(v):
-        _, _, c = module_lt(v, order)
-        inv = dom.div(dom.one(), c)
-        return tuple(comp.scale(inv) for comp in v)
+    one = dom.one()
+    basis, leads = [], []  # monic vectors and their (position, monomial, 1)
+    live = []  # elements whose leading term no later element's divides
+    pairs = []  # heap of (deg lcm, lcm, position, i, j)
 
-    def check(v):
+    def insert(v):
+        nonlocal pairs
         for comp in v:
             _check_cap(comp, cap)
+        pos, m, c = module_lt(v, order)
+        inv = dom.div(one, c)
+        new = len(basis)
+        basis.append(tuple(comp.scale(inv) for comp in v))
+        leads.append((pos, m, one))
+        # criterion B: drop (i, j) when m divides their lcm and the lcms of
+        # (i, new) and (j, new) both differ from it; those two pairs cover it
+        kept = [
+            key for key in pairs
+            if key[2] != pos
+            or mono_div(key[1], m) is None
+            or mono_lcm(leads[key[3]][1], m) == key[1]
+            or mono_lcm(leads[key[4]][1], m) == key[1]
+        ]
+        if len(kept) != len(pairs):
+            heapq.heapify(kept)
+            pairs = kept
+        # criteria M and F: of the new pairs, keep one per minimal lcm; the
+        # product criterion (coprime leading monomials) holds for rank 1 only
+        todo = []
+        for i in live:
+            ipos, mi, _ = leads[i]
+            if ipos == pos:
+                lcm = mono_lcm(mi, m)
+                coprime = rank == 1 and mono_deg(lcm) == mono_deg(mi) + mono_deg(m)
+                todo.append((lcm, i, coprime))
+        done = []
+        while todo:
+            lcm, i, coprime = cand = todo.pop(0)
+            if coprime or all(mono_div(lcm, other[0]) is None for other in todo + done):
+                done.append(cand)
+        for lcm, i, coprime in done:
+            if not coprime:
+                heapq.heappush(pairs, (mono_deg(lcm), lcm, pos, i, new))
+        live[:] = [i for i in live if leads[i][0] != pos or mono_div(leads[i][1], m) is None]
+        live.append(new)
 
-    basis = []
     for v in vectors:
-        check(v)
-        basis.append(vec_monic(v))
-
-    pairs = [
-        (i, j)
-        for i in range(len(basis))
-        for j in range(i + 1, len(basis))
-        if module_lt(basis[i], order)[0] == module_lt(basis[j], order)[0]
-    ]
+        insert(v)
     while pairs:
-        pairs.sort(key=lambda ij: _module_pair_key(basis[ij[0]], basis[ij[1]], order, *ij))
-        i, j = pairs.pop(0)
-        _, mi, _ = module_lt(basis[i], order)
-        _, mj, _ = module_lt(basis[j], order)
-        lcm = mono_lcm(mi, mj)
+        _, lcm, _, i, j = heapq.heappop(pairs)
         s = vec_sub(
-            vec_term_mul(basis[i], dom.one(), mono_div(lcm, mi)),
-            vec_term_mul(basis[j], dom.one(), mono_div(lcm, mj)),
+            vec_term_mul(basis[i], one, mono_div(lcm, leads[i][1])),
+            vec_term_mul(basis[j], one, mono_div(lcm, leads[j][1])),
         )
-        r = module_normal_form(s, basis, order)
-        if vec_is_zero(r):
-            continue
-        check(r)
-        basis.append(vec_monic(r))
-        new = len(basis) - 1
-        pairs.extend(
-            (k, new)
-            for k in range(new)
-            if module_lt(basis[k], order)[0] == module_lt(basis[new], order)[0]
+        # superseded elements still reduce: their short tails keep
+        # coefficients small, where reducing by survivors alone swells them
+        r = module_normal_form(s, basis, order, leads)
+        if not vec_is_zero(r):
+            insert(r)
+
+    # minimalize, then tail-reduce each element once against the others:
+    # the leading terms of a minimal basis stay fixed, so one pass suffices
+    minimal = [
+        i for i in live
+        if not any(
+            j != i and leads[j][0] == leads[i][0] and mono_div(leads[i][1], leads[j][1]) is not None
+            for j in live
         )
+    ]
+    minimal.sort(key=lambda i: (leads[i][0], order.key(leads[i][1])))
+    reduced = []
+    for i in minimal:
+        others = [k for k in minimal if k != i]
+        reduced.append(
+            module_normal_form(basis[i], [basis[k] for k in others], order, [leads[k] for k in others])
+        )
+    return ModuleGroebnerBasis(tuple(reduced), rank, order, ctx, dom)
 
-    keep = []
-    for i, v in enumerate(basis):
-        pos, m, _ = module_lt(v, order)
-        redundant = False
-        for j, w in enumerate(basis):
-            if i == j:
-                continue
-            wpos, wm, _ = module_lt(w, order)
-            if wpos == pos and mono_div(m, wm) is not None and (wm != m or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    basis = [basis[i] for i in keep]
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            r = module_normal_form(basis[i], others, order)
-            if r != basis[i]:
-                changed = True
-                assert not vec_is_zero(r)
-                basis[i] = vec_monic(r)
-
-    basis.sort(key=lambda v: module_key(v, order))
-    return ModuleGroebnerBasis(tuple(basis), rank, order, ctx, dom)
+def _tagged(vectors, ctx, dom):
+    """Each vector followed by a unit tag e_i, one tag column per vector."""
+    zero, one = Polynomial.zero(ctx, dom), Polynomial.one(ctx, dom)
+    s = len(vectors)
+    return [tuple(v) + tuple(one if k == i else zero for k in range(s)) for i, v in enumerate(vectors)]
 
 
 def syzygy_basis(vectors, rank, ctx, dom, order=GREVLEX, cap=None):
@@ -642,18 +539,7 @@ def syzygy_basis(vectors, rank, ctx, dom, order=GREVLEX, cap=None):
     Returns coefficient vectors c with sum(c_i * vectors_i) == 0, computed
     by eliminating the leading block of an extended free module.
     """
-    vectors = [tuple(v) for v in vectors]
-    s = len(vectors)
-    if s == 0:
+    if not vectors:
         return []
-    ext = []
-    for i, v in enumerate(vectors):
-        tag = [Polynomial.zero(ctx, dom) for _ in range(s)]
-        tag[i] = Polynomial.one(ctx, dom)
-        ext.append(tuple(v) + tuple(tag))
-    mgb = module_buchberger(ext, rank + s, ctx, dom, order, cap)
-    out = []
-    for w in mgb.generators:
-        if vec_is_zero(w[:rank]):
-            out.append(w[rank:])
-    return out
+    mgb = module_buchberger(_tagged(vectors, ctx, dom), rank + len(vectors), ctx, dom, order, cap)
+    return [w[rank:] for w in mgb.generators if vec_is_zero(w[:rank])]

@@ -21,14 +21,37 @@ from .errors import (
 )
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below the
+# smallest strong pseudoprime to all of them (Sorenson & Webster 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; moduli past PRIME_TEST_LIMIT are unsupported."""
+    if n >= PRIME_TEST_LIMIT:
+        raise UnsupportedDomain(
+            f"Fp moduli must be below {PRIME_TEST_LIMIT}, where primality is decided exactly"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

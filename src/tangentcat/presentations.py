@@ -135,11 +135,6 @@ def free_algebra(domain, names):
     return present(domain, tuple(names), ())
 
 
-def as_base_algebra(base):
-    """The base itself, viewed as an algebra over the base."""
-    return present(base.domain, (), (), base=base)
-
-
 def fresh_names(taken, wanted):
     """Deterministically rename ``wanted`` away from ``taken``."""
     taken = set(taken)

@@ -77,6 +77,23 @@ class TestWorkspaceParsing:
         err = capsys.readouterr().err
         assert "algebra coefficients must form a field" in err
 
+    @pytest.mark.parametrize(
+        "modulus,code",
+        [
+            ("2305843009213693951", 0),  # 2^61 - 1, the oracle's prime
+            ("2305843009213693953", 2),  # 2^61 + 1 = 3 * 768614336404564651
+            ("561", 2),  # a Carmichael number
+            ("3317044064679887385961981", 3),  # past the exact prime test
+        ],
+    )
+    def test_field_modulus_exit_codes(
+        self, tmp_path: Path, modulus: str, code: int
+    ) -> None:
+        """Composite moduli are parse errors; unsupported ones exit 3."""
+        ws = tmp_path / "field.tgc"
+        ws.write_text(f"field Fp {modulus}\nalgebra A = vars(x) / (x^2)\n")
+        assert main(["kahler", "--workspace", str(ws), "--algebra", "A"]) == code
+
     def test_ill_defined_morphism_reports_the_residue(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:

@@ -4,6 +4,9 @@ The worked values here were frozen from an independent computer-algebra
 run before this engine existed; the tests assert byte-equal results.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from tangentcat.errors import ResourceLimit, ShapeMismatch
@@ -17,12 +20,15 @@ from tangentcat.groebner import (
     ideal_intersection,
     ideal_quotient,
     module_buchberger,
+    module_lt,
     ring_map_kernel,
     spoly,
     syzygy_basis,
     vec_is_zero,
+    vec_sub,
+    vec_term_mul,
 )
-from tangentcat.polycore import LEX, QQ, Polynomial, context, poly_parse
+from tangentcat.polycore import LEX, QQ, Polynomial, context, mono_div, mono_lcm, poly_parse
 
 XY = context("x", "y")
 
@@ -166,3 +172,107 @@ def test_module_basis_is_deterministic():
     assert [[str(c) for c in v] for v in a.generators] == [
         [str(c) for c in v] for v in b.generators
     ]
+
+
+def test_module_bases_skip_the_product_criterion():
+    # coprime leading monomials x and y in one position, yet the S-vector
+    # y*(x, 1) - x*(y, 0) = (0, y) is a new module element
+    x, y, one = qq("x"), qq("y"), qq("1")
+    mgb = module_buchberger([(x, one), (y, qq("0"))], 2, XY, QQ)
+    assert mgb.contains((qq("0"), y))
+
+
+# --- properties on random inputs --------------------------------------------
+
+def random_poly(rng, ctx, nterms, degree):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * len(ctx)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(ctx))] += 1
+        terms[tuple(exps)] = Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
+    return Polynomial(ctx, QQ, terms)
+
+
+def random_vector(rng, rank):
+    zero = Polynomial.zero(XY, QQ)
+    return tuple(
+        zero if rng.random() < 0.3 else random_poly(rng, XY, rng.randint(1, 3), 2)
+        for _ in range(rank)
+    )
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_module_basis_is_a_reduced_groebner_basis(rank, seed):
+    rng = random.Random(seed)
+    vectors = [random_vector(rng, rank) for _ in range(rng.randint(rank, rank + 2))]
+    mgb = module_buchberger(vectors, rank, XY, QQ)
+    for v in vectors:
+        assert vec_is_zero(mgb.normal_form(v))
+    gens = mgb.generators
+    leads = [module_lt(g, GREVLEX) for g in gens]
+    for (_, _, c), g in zip(leads, gens):
+        assert c == 1
+        for (opos, om, _), h in zip(leads, gens):
+            if h is g:
+                continue
+            # reduced: no term of g is divisible by another leading term
+            assert all(mono_div(t, om) is None for t in g[opos].terms)
+    # Buchberger's criterion: every same-position S-vector reduces to zero
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            (pa, ma, _), (pb, mb, _) = leads[a], leads[b]
+            if pa != pb:
+                continue
+            lcm = mono_lcm(ma, mb)
+            s = vec_sub(
+                vec_term_mul(gens[a], QQ.one(), mono_div(lcm, ma)),
+                vec_term_mul(gens[b], QQ.one(), mono_div(lcm, mb)),
+            )
+            assert vec_is_zero(mgb.normal_form(s))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("seed", range(20))
+def test_extended_basis_cofactor_identity(order, seed):
+    rng = random.Random(seed)
+    gens = [random_poly(rng, XY, rng.randint(1, 3), 3) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 2)):
+        gens.insert(rng.randint(0, len(gens)), Polynomial.zero(XY, QQ))
+    gb, rows = buchberger_extended(gens, order)
+    assert gb.generators == groebner_basis(gens, order).generators
+    assert len(rows) == len(gb.generators)
+    for g, row in zip(gb.generators, rows):
+        assert len(row) == len(gens)
+        acc = Polynomial.zero(XY, QQ)
+        for c, src in zip(row, gens):
+            acc = acc + c * src
+        assert acc == g
+
+
+# --- differential check against sympy ---------------------------------------
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("seed", range(20))
+def test_reduced_basis_matches_sympy(order, seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ctx = context(*("x", "y", "z")[: rng.randint(2, 3)])
+    gens = [random_poly(rng, ctx, rng.randint(2, 3), 3) for _ in range(rng.randint(2, len(ctx)))]
+    syms = sympy.symbols(ctx.names)
+
+    def to_sympy(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(syms, m)))
+            for m, c in p.terms.items()
+        )
+
+    def from_sympy(poly):
+        terms = {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+        return Polynomial(ctx, QQ, terms).monic(order)
+
+    theirs = sympy.groebner([to_sympy(g) for g in gens], *syms, order=order.kind, domain="QQ")
+    ours = groebner_basis(gens, order)
+    assert set(ours.generators) == {from_sympy(p) for p in theirs.polys}
+    assert all(g == g.monic(order) for g in ours.generators)

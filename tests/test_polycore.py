@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: domains, term orders, parsing, calculus."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tangentcat.polycore import (
     GREVLEX,
     LEX,
     NN,
+    PRIME_TEST_LIMIT,
     QQ,
     ZZ,
     Polynomial,
@@ -19,6 +21,7 @@ from tangentcat.polycore import (
     poly_parse,
     prime_field,
     variables,
+    _is_prime,
 )
 
 XY = context("x", "y")
@@ -49,6 +52,41 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite_modulus():
     with pytest.raises(UnsupportedDomain):
         prime_field(6)
+
+
+def test_prime_test_is_exact_on_small_moduli():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if _is_prime(n)] == [
+        n for n in range(5000) if trial_division(n)
+    ]
+
+
+def test_large_prime_modulus_is_accepted_at_once():
+    start = time.perf_counter()
+    field = prime_field(2**61 - 1)  # the oracle's own modulus
+    assert time.perf_counter() - start < 1.0
+    assert field.div(field.one(), field.from_int(2)) == 2**60
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        2**61 + 1,  # divisible by 3
+        561,  # the smallest Carmichael number: a Fermat test passes it
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+    ],
+)
+def test_composite_moduli_are_rejected(modulus):
+    with pytest.raises(UnsupportedDomain, match="needs a prime"):
+        prime_field(modulus)
+
+
+def test_moduli_past_the_exact_range_are_unsupported():
+    with pytest.raises(UnsupportedDomain, match="must be below"):
+        prime_field(PRIME_TEST_LIMIT)
 
 
 def test_integer_domains_reject_division():
