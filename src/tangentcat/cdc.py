@@ -557,6 +557,7 @@ def classify_linear(rows, domain, name="f", arity_in=None):
             split_status = fails(surj_ev)
         submersion_status = surj_status
         etale_status = and3(inj_status, surj_status)
+        unram_status = inj_status
     elif domain.kind == "Z":
         rr = rational_rank(rows)
         inj = rr == n
@@ -584,6 +585,7 @@ def classify_linear(rows, domain, name="f", arity_in=None):
             etale_status = from_bool(det in (1, -1), {"determinant": det}, {"determinant": det})
         else:
             etale_status = fails({"rows": m, "columns": n, "note": "shape is not square"})
+        unram_status = inj_status
     elif domain.kind == "N":
         zero_cols = [j for j in range(n) if all(row[j] == 0 for row in rows)]
         unram_ev = {"zero_columns": zero_cols}
@@ -595,38 +597,19 @@ def classify_linear(rows, domain, name="f", arity_in=None):
         submersion_status = undetermined(reason)
         split_status = undetermined(reason)
         etale_status = undetermined(reason)
-        predicates = {
-            "T_monic": inj_status,
-            "T_immersion": inj_status,
-            "T_unramified": unram_status,
-            "T_submersion": submersion_status,
-            "split_T_submersion": split_status,
-            "T_etale": etale_status,
-        }
-        predicates["monic_T_etale"] = and3(inj_status, split_status)
-        coherence = coherence_check(predicates, has_negation=False)
-        return ClassificationReport(
-            instance="cdc-linear",
-            morphism=name,
-            base=None,
-            predicates=predicates,
-            coherence=coherence,
-            annotations=_linear_annotations(rows, domain),
-            timings_ms={},
-        )
     else:
         raise UnsupportedDomain(f"no linear classification over {domain.kind}")
 
     predicates = {
         "T_monic": inj_status,
         "T_immersion": inj_status,
-        "T_unramified": inj_status,
+        "T_unramified": unram_status,
         "T_submersion": submersion_status,
         "split_T_submersion": split_status,
         "T_etale": etale_status,
     }
     predicates["monic_T_etale"] = and3(inj_status, split_status)
-    coherence = coherence_check(predicates, has_negation=True)
+    coherence = coherence_check(predicates, has_negation=domain.has_negation)
     return ClassificationReport(
         instance="cdc-linear",
         morphism=name,

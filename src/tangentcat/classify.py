@@ -250,7 +250,7 @@ def classify_calg(f, name="f", base_name=None):
 # ---------------------------------------------------------------------------
 # affine instance: differentials of the opposite morphism
 
-def classify_affine(f, name="f", base_name=None, regime="auto"):
+def classify_affine(f, name="f", base_name=None):
     """Classify the affine-side morphism opposite to an algebra map f: A -> B.
 
     Monic means f is an epimorphism of algebras (self-pushout codiagonal has
@@ -269,7 +269,7 @@ def classify_affine(f, name="f", base_name=None, regime="auto"):
     monic_status = from_bool(len(mu_kernel) == 0, monic_ev, monic_ev)
 
     seq = cotangent_map(f)
-    verdicts = classify_cotangent(seq, regime)
+    verdicts = classify_cotangent(seq)
     immersion_status = from_bool(
         verdicts.cokernel_zero[0], verdicts.cokernel_zero[1], verdicts.cokernel_zero[1]
     )

@@ -46,6 +46,7 @@ from .cdc import (
     verify_tangent_identities,
 )
 from .errors import (
+    DomainMismatch,
     DuplicateName,
     EvidenceMismatch,
     IllDefinedMorphism,
@@ -484,7 +485,7 @@ def _cmd_classify(args):
         if args.instance == "calg":
             report = classify_calg(f, args.morphism, base_name)
         else:
-            report = classify_affine(f, args.morphism, base_name, args.regime)
+            report = classify_affine(f, args.morphism, base_name)
         oracle_target = f
     else:
         if args.morphism not in ws.cdcmaps:
@@ -535,7 +536,7 @@ def _cmd_cotangent(args):
         raise UnresolvedReference(f"unknown morphism {args.morphism!r}")
     f = ws.morphisms[args.morphism]
     seq = cotangent_map(f)
-    verdicts = classify_cotangent(seq, args.regime)
+    verdicts = classify_cotangent(seq)
     doc = {
         "schema_version": "1",
         "command": "cotangent",
@@ -747,7 +748,6 @@ def build_parser():
     p.add_argument("--workspace", required=True)
     p.add_argument("--instance", required=True, choices=("calg", "affine", "cdc-linear"))
     p.add_argument("--morphism", required=True)
-    p.add_argument("--regime", choices=("auto", "finite", "general"), default="auto")
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("kahler", parents=[common], help="differentials of one algebra")
@@ -758,7 +758,6 @@ def build_parser():
     p = sub.add_parser("cotangent", parents=[common], help="comparison map of a morphism")
     p.add_argument("--workspace", required=True)
     p.add_argument("--morphism", required=True)
-    p.add_argument("--regime", choices=("auto", "finite", "general"), default="auto")
     p.set_defaults(run=_cmd_cotangent)
 
     p = sub.add_parser("cdc", help="polynomial-map commands")
@@ -785,17 +784,20 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    cap = args.degree_cap
+    if cap is None:
+        return _dispatch(args)
+    if cap < 0:
+        parser.error(f"--degree-cap must be 0 or more, got {cap}")
     saved_cap = os.environ.get("TGC_DEGREE_CAP")
-    if getattr(args, "degree_cap", None):
-        os.environ["TGC_DEGREE_CAP"] = str(args.degree_cap)
+    os.environ["TGC_DEGREE_CAP"] = str(cap)
     try:
         return _dispatch(args)
     finally:
-        if getattr(args, "degree_cap", None):
-            if saved_cap is None:
-                os.environ.pop("TGC_DEGREE_CAP", None)
-            else:
-                os.environ["TGC_DEGREE_CAP"] = saved_cap
+        if saved_cap is None:
+            os.environ.pop("TGC_DEGREE_CAP", None)
+        else:
+            os.environ["TGC_DEGREE_CAP"] = saved_cap
 
 
 def _dispatch(args):
@@ -809,7 +811,7 @@ def _dispatch(args):
                 where += f", column {e.column}"
         print(f"tgc: parse error{where}: {e}", file=sys.stderr)
         return 2
-    except (IllDefinedMorphism, NotASection, UnsupportedDomain) as e:
+    except (DomainMismatch, IllDefinedMorphism, NotASection, UnsupportedDomain) as e:
         print(f"tgc: {e}", file=sys.stderr)
         return 3
     except ResourceLimit as e:

@@ -28,8 +28,8 @@ from .groebner import (
     vec_is_zero,
 )
 from .modlin import (
+    matrix_on_basis,
     matrix_rank,
-    module_coords,
     module_fd_basis,
     retraction_solve_matrices,
 )
@@ -68,6 +68,12 @@ class ModulePresentation:
     def unit_vector(self, i):
         z = self.algebra.zero()
         return tuple(self.algebra.one() if j == i else z for j in range(self.rank))
+
+    def monomial_vector(self, pos, mono):
+        """The vector with the monomial ``mono`` at ``pos`` and zeros elsewhere."""
+        A = self.algebra
+        m = Polynomial(A.context, A.domain, {mono: A.domain.one()})
+        return tuple(m if j == pos else A.zero() for j in range(self.rank))
 
     def gb(self):
         return _module_gb(self)
@@ -144,6 +150,12 @@ class ModuleMap:
 
     def column(self, j):
         return tuple(self.matrix[i][j] for i in range(self.target.rank))
+
+    def matrix_on(self, basis_s, basis_t):
+        """Field matrix of the map on staircase bases of its source and target."""
+        S, T = self.source, self.target
+        images = [T.reduce(self.apply(S.monomial_vector(*pm))) for pm in basis_s]
+        return matrix_on_basis(images, basis_t, S.algebra.domain)
 
 
 def module_map(source, target, matrix, check=True):
@@ -283,41 +295,9 @@ def relative_kahler(f):
 # ---------------------------------------------------------------------------
 # finite-dimensional machinery
 
-def module_action_matrices(M, basis):
-    """Multiplication matrices of every context variable on a module basis."""
-    A = M.algebra
-    dom = A.domain
-    index = {pm: i for i, pm in enumerate(basis)}
-    gb = M.gb()
-    out = []
-    for v in range(len(A.context)):
-        cols = []
-        for pos, mono in basis:
-            shifted = tuple(
-                e + 1 if k == v else e for k, e in enumerate(mono)
-            )
-            vec = list(M.zero_vector())
-            vec[pos] = Polynomial(A.context, dom, {shifted: dom.one()})
-            nf = gb.normal_form(tuple(vec))
-            cols.append(module_coords(nf, index, dom))
-        out.append([[cols[j][i] for j in range(len(basis))] for i in range(len(basis))])
-    return out
-
-
-def matrix_of_module_map(phi, basis_s, basis_t):
-    """Field matrix of a module map on standard module bases."""
-    A = phi.source.algebra
-    dom = A.domain
-    index_t = {pm: i for i, pm in enumerate(basis_t)}
-    tgb = phi.target.gb()
-    cols = []
-    for pos, mono in basis_s:
-        vec = list(phi.source.zero_vector())
-        vec[pos] = Polynomial(A.context, dom, {mono: dom.one()})
-        image = phi.apply(tuple(vec))
-        nf = tgb.normal_form(image)
-        cols.append(module_coords(nf, index_t, dom))
-    return [[cols[j][i] for j in range(len(basis_s))] for i in range(len(basis_t))]
+def _shift(mono, v):
+    """The monomial ``mono`` multiplied by the variable with index ``v``."""
+    return mono[:v] + (mono[v] + 1,) + mono[v + 1 :]
 
 
 @dataclass(frozen=True)
@@ -344,11 +324,22 @@ def retraction_solve(phi):
     if not basis_t:
         # a nonzero module cannot retract through the zero module
         return RetractionResult(False, None, basis_s, basis_t)
-    dom = phi.source.algebra.domain
-    vmat = matrix_of_module_map(phi, basis_s, basis_t)
-    act_s = module_action_matrices(phi.source, basis_s)
-    act_t = module_action_matrices(phi.target, basis_t)
-    r = retraction_solve_matrices(vmat, act_s, act_t, dom)
+    S, T = phi.source, phi.target
+    dom = S.algebra.domain
+    vmat = phi.matrix_on(basis_s, basis_t)
+
+    def actions(M, basis):
+        """Matrices of multiplication by each variable on a staircase basis."""
+        return [
+            matrix_on_basis(
+                [M.reduce(M.monomial_vector(pos, _shift(mono, v))) for pos, mono in basis],
+                basis,
+                dom,
+            )
+            for v in range(len(S.algebra.context))
+        ]
+
+    r = retraction_solve_matrices(vmat, actions(S, basis_s), actions(T, basis_t), dom)
     if r is None:
         return RetractionResult(False, None, basis_s, basis_t)
     return RetractionResult(True, r, basis_s, basis_t)
@@ -390,31 +381,25 @@ class CotangentVerdicts:
     regime: str
 
 
-def classify_cotangent(seq, regime="auto"):
+def classify_cotangent(seq):
     """Decide injectivity, surjectivity-onto, and splitting of v.
 
-    ``regime`` is "finite" (exact linear algebra on staircase bases;
-    raises NotFiniteDimensional when unavailable), "general" (syzygy
-    kernels; splitting may stay undetermined), or "auto".
+    When both modules are finite-dimensional every verdict is exact linear
+    algebra on staircase bases; otherwise the kernel comes from syzygies
+    and splitting may stay undetermined.
     """
-    if regime not in ("auto", "finite", "general"):
-        raise ShapeMismatch(f"unknown regime {regime!r}")
     S, T = seq.pullback, seq.middle
     dom = S.algebra.domain
     basis_s = S.finite_basis()
     basis_t = T.finite_basis()
-    finite_ok = basis_s is not None and basis_t is not None
-    if regime == "finite" and not finite_ok:
-        raise NotFiniteDimensional("the finite regime needs finite-dimensional modules")
-    use_finite = regime == "finite" or (regime == "auto" and finite_ok)
+    finite = basis_s is not None and basis_t is not None
 
     coker_zero, coker_ev = zero_module_evidence(seq.cokernel)
     coker_ev = dict(coker_ev)
     coker_ev["module"] = "cokernel"
 
-    if use_finite:
-        vmat = matrix_of_module_map(seq.v, basis_s, basis_t)
-        rank = matrix_rank(vmat, dom) if basis_s else 0
+    if finite:
+        rank = matrix_rank(seq.v.matrix_on(basis_s, basis_t), dom)
         monic = rank == len(basis_s)
         monic_ev = {
             "route": "finite",
@@ -428,13 +413,10 @@ def classify_cotangent(seq, regime="auto"):
             [str(c) for c in v] for v in kernel
         ]}
 
-    if S.rank == 0 or (basis_s is not None and not basis_s):
+    if basis_s == []:
         split = True
         split_ev = {"route": "trivial", "reason": "the pulled-back module is zero"}
-    elif S.is_zero_module():
-        split = True
-        split_ev = {"route": "trivial", "reason": "the pulled-back module is zero"}
-    elif finite_ok and regime != "general":
+    elif finite:
         ret = retraction_solve(seq.v)
         split = ret.exists
         if ret.exists:
@@ -464,7 +446,7 @@ def classify_cotangent(seq, regime="auto"):
         (coker_zero, coker_ev),
         (split, split_ev),
         (iso, iso_ev),
-        "finite" if use_finite else "general",
+        "finite" if finite else "general",
     )
 
 
@@ -516,15 +498,8 @@ def base_change_check(f, g):
         return BaseChangeResult(True, 0, 0, "both differential modules vanish")
     # canonical map: generator d<y_j> of the pushed-forward side to the same
     # generator of the pushout side (B's relative variables prefix P's)
-    matrix = []
-    for i in range(side1.rank):
-        row = [P.zero()] * side2.rank
-        if i < side2.rank:
-            row[i] = P.one()
-        matrix.append(row)
-    psi = module_map(side2, side1, matrix, check=False)
-    mat = matrix_of_module_map(psi, b2, b1)
-    rank = matrix_rank(mat, P.domain)
+    images = [side1.reduce(side1.monomial_vector(*pm)) for pm in b2]
+    rank = matrix_rank(matrix_on_basis(images, b1, P.domain), P.domain)
     ok = rank == len(b1)
     return BaseChangeResult(
         ok,

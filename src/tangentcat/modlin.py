@@ -13,7 +13,7 @@ from itertools import product
 from math import gcd
 
 from .errors import RankMismatch, ShapeMismatch, UnsupportedDomain
-from .polycore import GREVLEX, mono_deg, mono_div
+from .polycore import GREVLEX, QQ, mono_deg, mono_div
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +101,7 @@ def matrix_rank(rows, dom):
 
 def rational_rank(rows):
     """Rank of an integer (or rational) matrix over Q."""
-    if not rows or not rows[0]:
-        return 0
-    return len(_echelon_q(rows)[1])
+    return len(_echelon(rows, QQ)[1])
 
 
 def _back_substitute(mat, pivots, free_col, dom):
@@ -151,19 +149,11 @@ def solve_linear(rows, rhs, dom):
     if not rows:
         return []
     n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = _echelon(aug, dom)
+    # [rows | -rhs] has the kernel vector (x, 1) exactly when rows·x = rhs
+    mat, pivots = _echelon([list(r) + [-b] for r, b in zip(rows, rhs)], dom)
     if pivots and pivots[-1] == n:
         return None
-    sol = [dom.zero()] * n
-    for i in reversed(range(len(pivots))):
-        col = pivots[i]
-        acc = dom.normalize(mat[i][n])
-        for j in range(col + 1, n):
-            if sol[j] != dom.zero():
-                acc = dom.sub(acc, dom.mul(dom.normalize(mat[i][j]), sol[j]))
-        sol[col] = dom.div(acc, dom.normalize(mat[i][col]))
-    return sol
+    return _back_substitute(mat, pivots, n, dom)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +220,22 @@ def coords(p, index, dom):
     return vec
 
 
-def module_coords(v, index, dom):
-    """Coordinates of a normal-form vector on indexed (position, monomial) pairs."""
-    out = [dom.zero()] * len(index)
-    for pos, comp in enumerate(v):
-        for mono, c in comp.terms.items():
-            key = (pos, mono)
-            if key not in index:
-                raise ShapeMismatch(f"{key} is not a standard module monomial")
-            out[index[key]] = c
-    return out
+def matrix_on_basis(images, basis, dom):
+    """Matrix whose column j holds the coordinates of ``images[j]``.
+
+    Each image is a normal-form vector (an algebra element is a vector of
+    length one) and ``basis`` lists the standard (position, monomial) pairs
+    that index the rows.
+    """
+    index = {pm: i for i, pm in enumerate(basis)}
+    mat = [[dom.zero()] * len(images) for _ in basis]
+    for j, v in enumerate(images):
+        for pos, comp in enumerate(v):
+            for mono, c in comp.terms.items():
+                if (pos, mono) not in index:
+                    raise ShapeMismatch(f"{(pos, mono)} is not a standard module monomial")
+                mat[index[pos, mono]][j] = c
+    return mat
 
 
 # ---------------------------------------------------------------------------

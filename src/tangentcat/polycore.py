@@ -55,6 +55,11 @@ def _is_prime(n):
     return True
 
 
+# Fractions are immutable, so every zero and one over Q can be the same object
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class CoefficientDomain:
     """One of the four supported coefficient domains: Q, F_p, Z, or N."""
@@ -80,10 +85,10 @@ class CoefficientDomain:
         return self.kind != "N"
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return _Q_ZERO if self.kind == "Q" else 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return _Q_ONE if self.kind == "Q" else 1
 
     def from_int(self, n):
         """Coerce a Python int into this domain."""
@@ -255,6 +260,7 @@ class Polynomial:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "domain", domain)
         n = len(context)
+        zero = domain.zero()
         clean = {}
         for mono, coeff in terms.items():
             if len(mono) != n:
@@ -262,7 +268,7 @@ class Polynomial:
                     f"exponent vector {mono} does not fit a {n}-variable context"
                 )
             c = domain.normalize(coeff)
-            if c != domain.zero():
+            if c != zero:
                 clean[mono] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)

@@ -33,7 +33,7 @@ from .groebner import (
     morphism_graph,
     ring_map_kernel,
 )
-from .modlin import fd_basis, kernel_basis, solve_linear
+from .modlin import fd_basis, kernel_basis, matrix_on_basis, solve_linear
 from .polycore import Polynomial, VariableContext
 
 
@@ -372,35 +372,6 @@ class SectionResult:
     route: str
 
 
-def linear_matrix_of_morphism(f, basis_a, basis_b):
-    """Columns: coordinates of f(monomial) for each source basis monomial."""
-    A, B = f.source, f.target
-    index_b = {m: i for i, m in enumerate(basis_b)}
-    cols = []
-    for mono in basis_a:
-        p = Polynomial(A.context, A.domain, {mono: A.domain.one()})
-        q = f.apply(p)
-        col = [A.domain.zero()] * len(basis_b)
-        for m, c in q.terms.items():
-            col[index_b[m]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(basis_a))] for i in range(len(basis_b))]
-
-
-def multiplication_matrix(A, p, basis):
-    """Matrix of multiplication by ``p`` on a finite monomial basis."""
-    index = {m: i for i, m in enumerate(basis)}
-    dom = A.domain
-    cols = []
-    for mono in basis:
-        q = A.reduce(p * Polynomial(A.context, dom, {mono: dom.one()}))
-        col = [dom.zero()] * len(basis)
-        for m, c in q.terms.items():
-            col[index[m]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-
-
 def _verify_section_witness(f, kernel, witness):
     A = f.source
     ok_image = (f.apply(witness) - f.target.reduce(f.target.one())).is_zero()
@@ -435,24 +406,22 @@ def linear_section_exists(f):
     basis_a = A.finite_basis()
     basis_b = B.finite_basis()
     if basis_a is not None and basis_b is not None:
-        fmat = linear_matrix_of_morphism(f, basis_a, basis_b)
-        klin = kernel_basis(fmat, dom, ncols=len(basis_a)) if basis_a else []
-        rows = [row[:] for row in fmat]
-        rhs_one = [dom.zero()] * len(basis_b)
-        one_red = B.reduce(B.one())
-        index_b = {m: i for i, m in enumerate(basis_b)}
-        for m, c in one_red.terms.items():
-            rhs_one[index_b[m]] = c
-        rhs = list(rhs_one)
+        std_a = [(0, m) for m in basis_a]
+        monos = [Polynomial(A.context, dom, {m: dom.one()}) for m in basis_a]
+        # [matrix of f | coordinates of 1]: solve f(a) = 1 for a on basis_a
+        aug = matrix_on_basis(
+            [(f.apply(p),) for p in monos] + [(B.reduce(B.one()),)],
+            [(0, m) for m in basis_b],
+            dom,
+        )
+        rows = [row[:-1] for row in aug]
+        rhs = [row[-1] for row in aug]
+        klin = kernel_basis(rows, dom, ncols=len(basis_a))
+        # ... subject to kappa·a = 0 for each kappa in a basis of Ker(f)
         for kvec in klin:
-            kappa = Polynomial(
-                A.context,
-                dom,
-                {basis_a[i]: kvec[i] for i in range(len(basis_a))},
-            )
-            mult = multiplication_matrix(A, kappa, basis_a)
-            rows.extend(mult)
-            rhs.extend([dom.zero()] * len(basis_a))
+            kappa = Polynomial(A.context, dom, dict(zip(basis_a, kvec)))
+            rows += matrix_on_basis([(A.reduce(kappa * p),) for p in monos], std_a, dom)
+            rhs += [dom.zero()] * len(basis_a)
         sol = solve_linear(rows, rhs, dom)
         if sol is None:
             return SectionResult(
@@ -461,9 +430,7 @@ def linear_section_exists(f):
                 "no a with f(a) = 1 and Ker(f)·a = 0: the exact linear system is infeasible",
                 "finite",
             )
-        witness = A.reduce(
-            Polynomial(A.context, dom, {basis_a[i]: sol[i] for i in range(len(basis_a))})
-        )
+        witness = A.reduce(Polynomial(A.context, dom, dict(zip(basis_a, sol))))
         _verify_section_witness(f, kernel, witness)
         return SectionResult(
             True,

@@ -40,10 +40,11 @@ from tangentcat.groebner import ideal_basis
 from tangentcat.kahler import (
     base_change_check,
     cotangent_map,
+    module_map_kernel,
     relative_kahler,
     zero_module_evidence,
 )
-from tangentcat.modlin import coords, fd_basis, solve_linear
+from tangentcat.modlin import coords, fd_basis, matrix_rank, solve_linear
 from tangentcat.oracle import maps_probably_equal
 from tangentcat.polycore import QQ, NN, Polynomial, context, poly_parse
 from tangentcat.presentations import (
@@ -273,6 +274,18 @@ def test_criterion_05_immersion_iff_unramified(random_suite):
     for f, _seq, immersion, unramified in random_suite:
         assert immersion == unramified, f.var_images
     verdicts = {row[2] for row in random_suite}
+    assert verdicts == {True, False}  # both outcomes are exercised
+
+
+def test_finite_and_general_monic_routes_agree(random_suite):
+    """The rank on staircase bases and the syzygy kernel agree on v."""
+    verdicts = set()
+    for f, seq, _imm, _unr in random_suite[::5]:
+        basis_s = seq.pullback.finite_basis()
+        rank = matrix_rank(seq.v.matrix_on(basis_s, seq.middle.finite_basis()), QQ)
+        monic = rank == len(basis_s)
+        assert monic == (len(module_map_kernel(seq.v)) == 0), f.var_images
+        verdicts.add(monic)
     assert verdicts == {True, False}  # both outcomes are exercised
 
 

@@ -108,6 +108,21 @@ class TestWorkspaceParsing:
         assert code == 3
         assert "relation t^2 maps to nonzero residue x^2" in capsys.readouterr().err
 
+    def test_axiom_partner_over_another_domain(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """A --with partner over Z for a map over Q is a semantic error."""
+        ws = tmp_path / "mixed.tgc"
+        ws.write_text(
+            "cdcmap f : 1 -> 1 over Q = (x1^2)\n"
+            "cdcmap g : 1 -> 1 over Z = (2*x1)\n"
+        )
+        code = main(["cdc", "axioms", "--workspace", str(ws),
+                     "--map", "f", "--with", "g"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "tgc: polynomials live over different domains\n"
+
 
 GOLDEN = [
     ("calg_point.json",
@@ -223,6 +238,28 @@ class TestExitCodes:
         assert code == 5
         err = capsys.readouterr().err
         assert "resource limit: polynomial degree 2 exceeds the degree cap 1" in err
+
+    def test_degree_cap_zero_is_honoured(
+        self, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """A cap of 0 is a cap, not the default."""
+        code = main(["classify", "--workspace", WORKSPACE,
+                     "--instance", "calg", "--morphism", "point",
+                     "--degree-cap", "0"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "resource limit: polynomial degree 1 exceeds the degree cap 0" in err
+
+    def test_negative_degree_cap_is_a_usage_error(
+        self, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """A negative cap is rejected before any computation."""
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--workspace", WORKSPACE,
+                  "--instance", "calg", "--morphism", "point",
+                  "--degree-cap", "-1"])
+        assert exc.value.code == 2
+        assert "--degree-cap must be 0 or more, got -1" in capsys.readouterr().err
 
     def test_degree_cap_does_not_leak_into_the_environment(self) -> None:
         """The cap is restored after the command finishes."""

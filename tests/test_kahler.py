@@ -107,7 +107,7 @@ def test_retraction_solver_both_ways():
 def test_truncation_cotangent_sequence():
     seq = cotangent_map(truncation_map())
     assert [[str(e) for e in row] for row in seq.v.matrix] == [["1"]]
-    v = classify_cotangent(seq, regime="finite")
+    v = classify_cotangent(seq)
     assert v.regime == "finite"
     monic, ev = v.monic
     assert monic is False
@@ -124,7 +124,7 @@ def test_truncation_cotangent_sequence():
 def test_invertible_comparison_map_splits():
     A = free_algebra(QQ, ("u",))
     ident = morphism(A, A, (poly_parse("u", context("u"), QQ),))
-    v = classify_cotangent(cotangent_map(ident), regime="auto")
+    v = classify_cotangent(cotangent_map(ident))
     assert v.regime == "general"
     assert v.monic[0] and v.cokernel_zero[0] and v.iso[0]
     split, ev = v.split_monic
