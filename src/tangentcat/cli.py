@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -58,6 +57,7 @@ from .errors import (
     UnresolvedReference,
     UnsupportedDomain,
 )
+from .groebner import degree_cap
 from .kahler import (
     base_change_check,
     classify_cotangent,
@@ -789,15 +789,11 @@ def main(argv=None):
         return _dispatch(args)
     if cap < 0:
         parser.error(f"--degree-cap must be 0 or more, got {cap}")
-    saved_cap = os.environ.get("TGC_DEGREE_CAP")
-    os.environ["TGC_DEGREE_CAP"] = str(cap)
+    token = degree_cap.set(cap)
     try:
         return _dispatch(args)
     finally:
-        if saved_cap is None:
-            os.environ.pop("TGC_DEGREE_CAP", None)
-        else:
-            os.environ["TGC_DEGREE_CAP"] = saved_cap
+        degree_cap.reset(token)
 
 
 def _dispatch(args):

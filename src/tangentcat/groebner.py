@@ -1,9 +1,10 @@
 """Deterministic Buchberger engine for ideals and submodules of free modules.
 
-One loop, ``module_buchberger``, computes every basis.  Free modules carry
-the position-over-term order in which position 0 is greatest; an ideal is
-the rank-1 case, and cofactor (extended) bases and syzygies run on vectors
-extended by unit tag columns.
+One loop, ``module_buchberger``, computes every basis, and one loop,
+``module_normal_form``, reduces every element.  Free modules carry the
+position-over-term order in which position 0 is greatest; an ideal is the
+rank-1 case, and cofactor (extended) bases, syzygies and division with
+quotients run on vectors extended by unit tag columns.
 
 S-pairs wait in a heap keyed (lcm degree, lcm, position, i, j), and each
 basis element's leading position and monomial is stored once, on insert.
@@ -18,7 +19,7 @@ run over the same input produces the same, unique reduced basis.
 from __future__ import annotations
 
 import heapq
-import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,14 +39,12 @@ from .polycore import (
     mono_lcm,
 )
 
-DEFAULT_DEGREE_CAP = 64
-
-
-def resolve_cap(cap=None):
-    """Effective degree cap: explicit argument, else TGC_DEGREE_CAP, else 64."""
-    if cap is not None:
-        return cap
-    return int(os.environ.get("TGC_DEGREE_CAP", DEFAULT_DEGREE_CAP))
+# The degree budget: every basis element entering a Buchberger run must stay
+# at or below it.  Callers set it for a scope with ``token =
+# degree_cap.set(n)`` and restore it with ``degree_cap.reset(token)``; the
+# basis caches key on it, so a basis found under one budget is not handed
+# out under a lower one.
+degree_cap = ContextVar("degree_cap", default=64)
 
 
 def _check_cap(p, cap):
@@ -62,64 +61,24 @@ def _term(ctx, dom, mono, coeff):
     return Polynomial(ctx, dom, {mono: coeff})
 
 
-def spoly(f, g, order):
-    """S-polynomial of two monic polynomials."""
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
-    lcm = mono_lcm(mf, mg)
-    dom = f.domain
-    tf = _term(f.context, dom, mono_div(lcm, mf), dom.div(dom.one(), cf))
-    tg = _term(g.context, dom, mono_div(lcm, mg), dom.div(dom.one(), cg))
-    return f * tf - g * tg
-
-
 def division(p, divisors, order=GREVLEX):
     """Divide ``p`` by a list of polynomials; return (quotients, remainder).
 
     Complete reduction: no remainder term is divisible by any divisor's
-    leading term, and p = sum(q_i * divisors_i) + remainder.
+    leading term, and p = sum(q_i * divisors_i) + remainder.  This is the
+    module normal form of (p, 0, ..., 0) against the tagged rows (d_i, e_i):
+    each step by row i subtracts its term from tag column i, so the tag
+    columns end as the negated quotients.
     """
-    ctx, dom = p.context, p.domain
-    lts = [d.leading_term(order) for d in divisors]
-    quotients = [Polynomial.zero(ctx, dom) for _ in divisors]
-    remainder = Polynomial.zero(ctx, dom)
-    work = p
-    while not work.is_zero():
-        m, c = work.leading_term(order)
-        for i, lt in enumerate(lts):
-            if lt is None:
-                continue
-            q = mono_div(m, lt[0])
-            if q is not None:
-                t = _term(ctx, dom, q, dom.div(c, lt[1]))
-                quotients[i] = quotients[i] + t
-                work = work - divisors[i] * t
-                break
-        else:
-            t = _term(ctx, dom, m, c)
-            remainder = remainder + t
-            work = work - t
-    return quotients, remainder
+    zero = Polynomial.zero(p.context, p.domain)
+    rows = _tagged([(d,) for d in divisors], p.context, p.domain)
+    r = module_normal_form((p,) + (zero,) * len(divisors), rows, order)
+    return [-q for q in r[1:]], r[0]
 
 
 def normal_form(p, basis, order=GREVLEX):
-    """Remainder of ``p`` on complete division by ``basis``."""
-    ctx, dom = p.context, p.domain
-    lts = [(b, b.leading_term(order)) for b in basis if not b.is_zero()]
-    remainder = Polynomial.zero(ctx, dom)
-    work = p
-    while not work.is_zero():
-        m, c = work.leading_term(order)
-        for b, (bm, bc) in lts:
-            q = mono_div(m, bm)
-            if q is not None:
-                work = work - b * _term(ctx, dom, q, dom.div(c, bc))
-                break
-        else:
-            t = _term(ctx, dom, m, c)
-            remainder = remainder + t
-            work = work - t
-    return remainder
+    """Remainder of ``p`` on complete division by ``basis`` (rank 1)."""
+    return module_normal_form((p,), [(b,) for b in basis], order)[0]
 
 
 @dataclass(frozen=True)
@@ -141,7 +100,7 @@ class GroebnerBasis:
         return tuple(g.leading_term(self.order)[0] for g in self.generators)
 
 
-def buchberger_extended(gens, order=GREVLEX, cap=None):
+def buchberger_extended(gens, order=GREVLEX):
     """Reduced basis plus, for each element, its cofactors over the inputs.
 
     Returns (gb, rows) with gb.generators[k] == sum(rows[k][i] * gens[i]);
@@ -155,40 +114,41 @@ def buchberger_extended(gens, order=GREVLEX, cap=None):
         raise ShapeMismatch("cannot infer context for an empty generator list")
     ctx, dom = nonzero[0].context, nonzero[0].domain
     tagged = _tagged([(g,) for g in gens], ctx, dom)
-    mgb = module_buchberger(tagged, 1 + len(gens), ctx, dom, order, cap)
+    mgb = module_buchberger(tagged, 1 + len(gens), ctx, dom, order)
     led = [w for w in mgb.generators if not w[0].is_zero()]
     gb = GroebnerBasis(tuple(w[0] for w in led), order, ctx, dom)
     return gb, tuple(w[1:] for w in led)
 
 
 @lru_cache(maxsize=None)
-def _cached_gb(gens, order, cap):
+def _cached_gb(gens, order, budget):
+    """``budget`` is the current degree cap; it only keys the cache."""
     ctx, dom = gens[0].context, gens[0].domain
-    mgb = module_buchberger([(g,) for g in gens], 1, ctx, dom, order, cap)
+    mgb = module_buchberger([(g,) for g in gens], 1, ctx, dom, order)
     return GroebnerBasis(tuple(v[0] for v in mgb.generators), order, ctx, dom)
 
 
-def groebner_basis(gens, order=GREVLEX, cap=None):
+def groebner_basis(gens, order=GREVLEX):
     """Cached reduced Groebner basis; the empty ideal yields an empty basis."""
     gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
         raise ShapeMismatch("cannot infer context for an empty generator list")
-    return _cached_gb(gens, order, resolve_cap(cap))
+    return _cached_gb(gens, order, degree_cap.get())
 
 
 def empty_basis(ctx, domain, order=GREVLEX):
     return GroebnerBasis((), order, ctx, domain)
 
 
-def ideal_basis(gens, ctx, domain, order=GREVLEX, cap=None):
+def ideal_basis(gens, ctx, domain, order=GREVLEX):
     """Like :func:`groebner_basis` but tolerates an empty generator list."""
     gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
         return empty_basis(ctx, domain, order)
-    return _cached_gb(gens, order, resolve_cap(cap))
+    return _cached_gb(gens, order, degree_cap.get())
 
 
-def elimination_ideal(gens, neliminate, tail_context=None, cap=None):
+def elimination_ideal(gens, neliminate, tail_context=None):
     """Generators of (ideal) ∩ k[trailing variables], in the tail context.
 
     The first ``neliminate`` variables of the shared context are eliminated.
@@ -200,7 +160,7 @@ def elimination_ideal(gens, neliminate, tail_context=None, cap=None):
     if tail_context is None:
         tail_context = VariableContext(ctx.names[neliminate:])
     order = elimination_order(neliminate)
-    gb = groebner_basis(tuple(gens), order, cap)
+    gb = groebner_basis(tuple(gens), order)
     index_map = [0] * len(ctx)
     for i in range(neliminate, len(ctx)):
         index_map[i] = i - neliminate
@@ -212,7 +172,7 @@ def elimination_ideal(gens, neliminate, tail_context=None, cap=None):
     return out
 
 
-def ideal_intersection(gens1, gens2, cap=None):
+def ideal_intersection(gens1, gens2):
     """Generators of the intersection of two ideals over the same context."""
     if not gens1 or not gens2:
         return []
@@ -229,7 +189,7 @@ def ideal_intersection(gens1, gens2, cap=None):
     one = Polynomial.one(ext, dom)
     mixed = [t * g.rename(ext, shift) for g in gens1]
     mixed += [(one - t) * g.rename(ext, shift) for g in gens2]
-    return elimination_ideal(mixed, 1, tail_context=ctx, cap=cap)
+    return elimination_ideal(mixed, 1, tail_context=ctx)
 
 
 def exact_quotient(p, h, order=GREVLEX):
@@ -240,14 +200,14 @@ def exact_quotient(p, h, order=GREVLEX):
     return quotients[0]
 
 
-def ideal_quotient(gens, h, cap=None):
+def ideal_quotient(gens, h):
     """Generators of the colon ideal (gens) : (h)."""
     if h.is_zero():
         raise ShapeMismatch("colon by the zero element")
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    meet = ideal_intersection(gens, [h], cap=cap)
+    meet = ideal_intersection(gens, [h])
     return [exact_quotient(g, h) for g in meet]
 
 
@@ -262,7 +222,7 @@ class MorphismGraph:
     target block, so normal forms expose kernels and preimages.
     """
 
-    def __init__(self, f, cap=None):
+    def __init__(self, f):
         A, B = f.source, f.target
         dom = A.domain
         nA, nB = len(A.context), len(B.context)
@@ -280,7 +240,7 @@ class MorphismGraph:
             gens.append(lhs - rhs)
         gens += [g.rename(ctx, self._embed_a) for g in A.ideal]
         order = elimination_order(nB)
-        self.gb = ideal_basis(tuple(gens), ctx, dom, order, cap)
+        self.gb = ideal_basis(tuple(gens), ctx, dom, order)
         self.order = order
 
     def embed_target(self, p):
@@ -306,27 +266,28 @@ class MorphismGraph:
 
 
 @lru_cache(maxsize=None)
-def _cached_graph(f, cap):
-    return MorphismGraph(f, cap)
+def _cached_graph(f, budget):
+    """``budget`` is the current degree cap; it only keys the cache."""
+    return MorphismGraph(f)
 
 
-def morphism_graph(f, cap=None):
-    return _cached_graph(f, resolve_cap(cap))
+def morphism_graph(f):
+    return _cached_graph(f, degree_cap.get())
 
 
-def ring_map_kernel(f, cap=None):
+def ring_map_kernel(f):
     """Generators of the kernel ideal of an algebra morphism.
 
     The result is reduced modulo the source ideal; an empty list means the
     morphism is injective.
     """
-    graph = morphism_graph(f, cap)
+    graph = morphism_graph(f)
     A = f.source
     raw = []
     for g in graph.gb.generators:
         if graph.order.eliminates(g.leading_term(graph.order)[0]):
             raw.append(graph.to_source(g))
-    source_gb = ideal_basis(A.ideal, A.context, A.domain, GREVLEX, cap)
+    source_gb = ideal_basis(A.ideal, A.context, A.domain, GREVLEX)
     out = []
     for g in raw:
         r = source_gb.normal_form(g)
@@ -435,9 +396,12 @@ class ModuleGroebnerBasis:
         return tuple(module_lt(v, self.order)[:2] for v in self.generators)
 
 
-def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX, cap=None):
-    """Reduced module Groebner basis under position-over-term order."""
-    cap = resolve_cap(cap)
+def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
+    """Reduced module Groebner basis under position-over-term order.
+
+    Raises ResourceLimit when an element's degree exceeds ``degree_cap``.
+    """
+    cap = degree_cap.get()
     vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
     if not vectors:
         return ModuleGroebnerBasis((), rank, order, ctx, dom)
@@ -533,7 +497,7 @@ def _tagged(vectors, ctx, dom):
     return [tuple(v) + tuple(one if k == i else zero for k in range(s)) for i, v in enumerate(vectors)]
 
 
-def syzygy_basis(vectors, rank, ctx, dom, order=GREVLEX, cap=None):
+def syzygy_basis(vectors, rank, ctx, dom, order=GREVLEX):
     """Generators of the syzygy module of a list of vectors.
 
     Returns coefficient vectors c with sum(c_i * vectors_i) == 0, computed
@@ -541,5 +505,5 @@ def syzygy_basis(vectors, rank, ctx, dom, order=GREVLEX, cap=None):
     """
     if not vectors:
         return []
-    mgb = module_buchberger(_tagged(vectors, ctx, dom), rank + len(vectors), ctx, dom, order, cap)
+    mgb = module_buchberger(_tagged(vectors, ctx, dom), rank + len(vectors), ctx, dom, order)
     return [w[rank:] for w in mgb.generators if vec_is_zero(w[:rank])]

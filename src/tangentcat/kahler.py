@@ -23,6 +23,7 @@ from .errors import (
 )
 from .groebner import (
     GREVLEX,
+    degree_cap,
     module_buchberger,
     syzygy_basis,
     vec_is_zero,
@@ -76,7 +77,7 @@ class ModulePresentation:
         return tuple(m if j == pos else A.zero() for j in range(self.rank))
 
     def gb(self):
-        return _module_gb(self)
+        return _module_gb(self, degree_cap.get())
 
     def reduce(self, v):
         if len(v) != self.rank:
@@ -100,7 +101,8 @@ class ModulePresentation:
 
 
 @lru_cache(maxsize=None)
-def _module_gb(M):
+def _module_gb(M, budget):
+    """``budget`` is the current degree cap; it only keys the cache."""
     A = M.algebra
     vectors = [tuple(rel) for rel in M.relations]
     for g in A.ideal:

@@ -8,7 +8,6 @@ explicit monomial basis whenever the quotient is finite-dimensional.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -28,7 +27,7 @@ def _clear_row(row):
 
 def _echelon_q(rows):
     """Fraction-free Bareiss echelon form; returns (integer rows, pivot cols)."""
-    mat = [_clear_row([Fraction(x) for x in row]) for row in rows]
+    mat = [_clear_row(row) for row in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
     pivots = []
@@ -54,7 +53,7 @@ def _echelon_q(rows):
     for i in range(r, m):
         for j in range(n):
             mat[i][j] = 0
-    return [[Fraction(x) for x in row] for row in mat], pivots
+    return mat, pivots
 
 
 def _echelon_fp(rows, p):

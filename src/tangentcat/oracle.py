@@ -63,12 +63,16 @@ def identity_check(p, q, config=DEFAULT_CONFIG):
     Returns "definitely_unequal" on the first differing sample and
     "probably_equal" when all samples agree.  Polynomials over F_p are
     sampled modulo their own prime, everything else modulo config.prime.
+    Once the degree reaches the modulus, sampling proves nothing (x^p - x
+    vanishes on all of F_p), so the coefficients are compared instead.
     """
     if p.context != q.context:
         raise ContextMismatch("cannot compare across contexts")
     if p.domain != q.domain:
         raise DomainMismatch("cannot compare across domains")
     modulus = p.domain.p if p.domain.kind == "Fp" else config.prime
+    if max(p.degree(), q.degree()) >= modulus:
+        return "probably_equal" if p == q else "definitely_unequal"
     rng = random.Random(config.seed)
     nvars = len(p.context)
     for _ in range(config.samples):

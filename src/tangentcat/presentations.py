@@ -27,6 +27,7 @@ from .errors import (
 from .groebner import (
     GREVLEX,
     buchberger_extended,
+    division,
     ideal_basis,
     ideal_intersection,
     ideal_quotient,
@@ -466,7 +467,7 @@ def linear_section_exists(f):
             "general",
         )
     gb, rows = buchberger_extended(gens, GREVLEX)
-    quotients, rem = _divide_for_witness(B.one(), gb)
+    quotients, rem = division(B.one(), list(gb.generators), gb.order)
     if not rem.is_zero():
         return SectionResult(
             False,
@@ -498,12 +499,6 @@ def linear_section_exists(f):
         "1 lies in the ideal generated by the image of (relations : kernel)",
         "general",
     )
-
-
-def _divide_for_witness(p, gb):
-    from .groebner import division
-
-    return division(p, list(gb.generators), gb.order)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tangentcat.cli import _dispatch, main
+from tangentcat.cdc import cdc_context, random_polynomial, section_context
+from tangentcat.cli import _dispatch, domain_label, emit_workspace, main, parse_workspace
 from tangentcat.errors import InconsistentClassification
+from tangentcat.groebner import degree_cap
+from tangentcat.polycore import NN, QQ, ZZ, VariableContext, prime_field
 
 from conftest import DATA, run_cli, scrub_timings
 
@@ -145,6 +150,61 @@ GOLDEN = [
 ]
 
 
+def _random_poly(rng, names, dom):
+    """Polynomial text over ``names``, with proper fractions over Q."""
+    p = random_polynomial(rng, VariableContext(tuple(names)), dom, max_degree=2)
+    if dom == QQ:
+        p = p.scale(Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3, 7))))
+    return str(p)
+
+
+def _random_workspace(seed):
+    """Workspace text with every declaration kind, drawn from ``seed``."""
+    rng = random.Random(seed)
+    lines = []
+    for k in range(rng.randint(1, 3)):
+        dom = rng.choice((QQ, prime_field(2), prime_field(5), prime_field(7)))
+        rels = ", ".join(_random_poly(rng, "ab", dom) for _ in range(rng.randint(1, 2)))
+        images = ", ".join(f"{v} -> {_random_poly(rng, 'ab', dom)}" for v in "ab")
+        lines += [
+            f"field {domain_label(dom)}",
+            f"algebra F{k} = vars(a, b)",
+            f"algebra Q{k} = vars(a, b) / ({rels})",
+            f"morphism q{k} : F{k} -> Q{k} = {{ {images} }}",
+            f"algebra P{k} = vars()",
+            f"morphism e{k} : P{k} -> F{k} = {{}}",
+            f"base R{k} = vars(t)" + rng.choice(("", " / (t^3)")),
+            f"algebra AR{k} over R{k} = vars(s)",
+            f"algebra BR{k} over R{k} = vars(s) / ({_random_poly(rng, 'ts', dom)})",
+            f"morphism m{k} : AR{k} -> BR{k} over R{k} = {{ s -> {_random_poly(rng, 'ts', dom)} }}",
+        ]
+    for k in range(rng.randint(1, 3)):
+        dom = rng.choice((QQ, ZZ, NN, prime_field(3)))
+        n, m = rng.randint(1, 3), rng.randint(0, 2)
+        comps = [_random_poly(rng, cdc_context(n).names, dom) for _ in range(m)]
+        fibre = [_random_poly(rng, section_context(n, m).names, dom) for _ in range(n)]
+        lines += [
+            f"cdcmap c{k} : {n} -> {m} over {domain_label(dom)} = ({', '.join(comps)})",
+            f"section s{k} for c{k} = ({', '.join(fibre)})",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(DATA / "figure1.tgc").read_text()] + [_random_workspace(seed) for seed in range(12)],
+    ids=["figure1"] + [f"seed{seed}" for seed in range(12)],
+)
+def test_emit_workspace_round_trips(text: str) -> None:
+    """parse -> emit -> parse -> emit is a fixed point on text and objects."""
+    first = parse_workspace(text)
+    emitted = emit_workspace(first)
+    second = parse_workspace(emitted)
+    assert emit_workspace(second) == emitted
+    for table in ("algebras", "morphisms", "cdcmaps", "sections"):
+        assert getattr(second, table) == getattr(first, table), table
+
+
 class TestGoldenReports:
     """Byte-compare JSON output against the stored expectation files."""
 
@@ -263,12 +323,10 @@ class TestExitCodes:
 
     def test_degree_cap_does_not_leak_into_the_environment(self) -> None:
         """The cap is restored after the command finishes."""
-        import os
-
         main(["classify", "--workspace", WORKSPACE,
               "--instance", "calg", "--morphism", "point",
               "--degree-cap", "1"])
-        assert os.environ.get("TGC_DEGREE_CAP") is None
+        assert degree_cap.get() == 64
 
     def test_inconsistency_exit_code(
         self, capsys: pytest.CaptureFixture[str]

@@ -13,6 +13,7 @@ from tangentcat.errors import ResourceLimit, ShapeMismatch
 from tangentcat.groebner import (
     GREVLEX,
     buchberger_extended,
+    degree_cap,
     division,
     elimination_ideal,
     groebner_basis,
@@ -22,7 +23,6 @@ from tangentcat.groebner import (
     module_buchberger,
     module_lt,
     ring_map_kernel,
-    spoly,
     syzygy_basis,
     vec_is_zero,
     vec_sub,
@@ -77,6 +77,10 @@ def test_division_certificate():
     assert rebuilt == p
     # the remainder is irreducible by the divisor's leading term
     assert str(remainder) == "x*y + y"
+    # a zero divisor divides nothing and gets a zero quotient
+    quotients, again = division(p, divisors + [Polynomial.zero(XY, QQ)], GREVLEX)
+    assert again == remainder and quotients[0] * divisors[0] + again == p
+    assert quotients[1].is_zero()
 
 
 def test_extended_basis_cofactors():
@@ -87,12 +91,6 @@ def test_extended_basis_cofactors():
         for c, src in zip(rows[k], gens):
             acc = acc + c * src
         assert acc == g
-
-
-def test_spoly_cancels_leading_terms():
-    f, g = qq("x^2 - y"), qq("x*y - 1")
-    s = spoly(f, g, GREVLEX)
-    assert s.leading_term(GREVLEX)[0] not in ((2, 1),)
 
 
 def test_empty_generator_lists():
@@ -139,14 +137,12 @@ def test_ideal_quotient_and_intersection():
 # --- resource limits --------------------------------------------------------
 
 def test_degree_cap_raises():
-    with pytest.raises(ResourceLimit, match="degree cap"):
-        groebner_basis((qq("x^9 - y"),), LEX, cap=3)
-
-
-def test_degree_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("TGC_DEGREE_CAP", "3")
-    with pytest.raises(ResourceLimit):
-        groebner_basis((qq("x^9 - y"),), LEX)
+    token = degree_cap.set(3)
+    try:
+        with pytest.raises(ResourceLimit, match="degree cap"):
+            groebner_basis((qq("x^9 - y"),), LEX)
+    finally:
+        degree_cap.reset(token)
 
 
 # --- module layer -----------------------------------------------------------

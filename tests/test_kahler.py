@@ -2,7 +2,8 @@
 
 import pytest
 
-from tangentcat.errors import ShapeMismatch
+from tangentcat.errors import ResourceLimit, ShapeMismatch
+from tangentcat.groebner import degree_cap
 from tangentcat.kahler import (
     ModulePresentation,
     base_change_check,
@@ -68,6 +69,20 @@ def test_empty_presentation_is_the_zero_module():
     B = nilpotent_line()
     M = ModulePresentation(B, (), ())
     assert zero_module_evidence(M) == (True, {"generators": 0})
+
+
+def test_degree_cap_reaches_a_cached_module_basis():
+    # a basis cached under the default cap must not be handed out under a
+    # lower one: the relation x^3 exceeds a cap of 2 whatever the cache holds
+    A = free_algebra(QQ, ("x",))
+    M = ModulePresentation(A, ("e",), ((A.parse("x^3"),),))
+    M.gb()
+    token = degree_cap.set(2)
+    try:
+        with pytest.raises(ResourceLimit):
+            M.gb()
+    finally:
+        degree_cap.reset(token)
 
 
 # --- module maps ------------------------------------------------------------

@@ -35,14 +35,20 @@ def test_identity_check_separates_distinct_polynomials():
     ) == "definitely_unequal"
 
 
-def test_identity_check_is_a_function_oracle_over_small_fields():
-    # x^5 and x agree as functions on F_5, so sampling cannot tell them
-    # apart; coefficient identity is the engine's job, not the oracle's.
-    F5 = prime_field(5)
-    p = poly_parse("x^5", X, F5)
-    q = poly_parse("x", X, F5)
-    assert not (p - q).is_zero()
-    assert identity_check(p, q) == "probably_equal"
+@pytest.mark.parametrize(
+    "prime, lhs, rhs, verdict",
+    [
+        # x^p and x agree as functions on F_p, so no sample tells them apart
+        (2, "x^2", "x", "definitely_unequal"),
+        (5, "x^5", "x", "definitely_unequal"),
+        (2, "(x+1)^2", "x^2 + 1", "probably_equal"),
+    ],
+    ids=["F2-unequal", "F5-unequal", "F2-equal"],
+)
+def test_identity_check_compares_exactly_over_small_fields(prime, lhs, rhs, verdict):
+    F = prime_field(prime)
+    p, q = poly_parse(lhs, X, F), poly_parse(rhs, X, F)
+    assert identity_check(p, q) == verdict
 
 
 def test_identity_check_refuses_mixed_contexts():
