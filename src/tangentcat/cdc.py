@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .classify import (
@@ -504,8 +503,7 @@ def linear_matrix(f):
 def _first_kernel_vector(rows, dom, ncols):
     if not dom.is_field:
         # solve over Q, then clear denominators to land back in Z
-        qrows = [[Fraction(x) for x in row] for row in rows]
-        basis = kernel_basis(qrows, QQ, ncols=ncols)
+        basis = kernel_basis(rows, QQ, ncols=ncols)
         if not basis:
             return None
         scale = math.lcm(*(x.denominator for x in basis[0]))

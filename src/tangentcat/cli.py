@@ -17,6 +17,7 @@ verdict under --strict, 5 resource limit, 6 inconsistent results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -731,7 +732,9 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache
 def build_parser():
+    """The ``tgc`` argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write a JSON report (- for stdout)")
     common.add_argument("--oracle", action="store_true", help="replay evidence and sample identities")

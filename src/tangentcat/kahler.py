@@ -323,12 +323,13 @@ def retraction_solve(phi):
         raise NotFiniteDimensional("retraction solving needs finite-dimensional modules")
     if not basis_s:
         return RetractionResult(True, [], [], basis_t)
-    if not basis_t:
-        # a nonzero module cannot retract through the zero module
-        return RetractionResult(False, None, basis_s, basis_t)
     S, T = phi.source, phi.target
     dom = S.algebra.domain
     vmat = phi.matrix_on(basis_s, basis_t)
+    if matrix_rank(vmat, dom) < len(basis_s):
+        # R·V = I needs an injective V (so a nonzero module cannot retract
+        # through the zero module), and the system would have no solution
+        return RetractionResult(False, None, basis_s, basis_t)
 
     def actions(M, basis):
         """Matrices of multiplication by each variable on a staircase basis."""

@@ -1,15 +1,17 @@
 """Exact linear algebra and staircase bases for finite-dimensional quotients.
 
-Rational systems are eliminated fraction-free (denominators cleared per row,
-then Bareiss pivoting over the integers); prime fields use modular Gaussian
-elimination.  Staircase enumeration turns a reduced Groebner basis into an
-explicit monomial basis whenever the quotient is finite-dimensional.
+Every solve, kernel and rank over a field runs through one sparse Gaussian
+elimination: rows are dicts {column: nonzero}, taken sparsest first, kept
+as primitive integer rows over Q (fraction-free) and as integers mod p over
+F_p.  Integer matrices get the Smith form instead.  Staircase enumeration turns a reduced
+Groebner basis into an explicit monomial basis whenever the quotient is
+finite-dimensional.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .errors import RankMismatch, ShapeMismatch, UnsupportedDomain
 from .polycore import GREVLEX, QQ, mono_deg, mono_div
@@ -18,104 +20,103 @@ from .polycore import GREVLEX, QQ, mono_deg, mono_div
 # ---------------------------------------------------------------------------
 # exact elimination
 
-def _clear_row(row):
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in row]
+def _sparse_rows(rows, dom):
+    """Each dense row as a dict {column: nonzero}, entries normalized once."""
+    normalized = ([dom.normalize(x) for x in row] for row in rows)
+    return [{j: x for j, x in enumerate(row) if x} for row in normalized]
 
 
-def _echelon_q(rows):
-    """Fraction-free Bareiss echelon form; returns (integer rows, pivot cols)."""
-    mat = [_clear_row(row) for row in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots = []
-    r = 0
-    prev = 1
-    for col in range(n):
-        sel = None
-        for i in range(r, m):
-            if mat[i][col] != 0:
-                sel = i
+def _eliminate(rows, dom):
+    """Echelon form of sparse rows over the field ``dom``: {pivot column: row}.
+
+    Rows are taken sparsest first.  Each is reduced by the pivot row at its
+    leading column until that column is new, and then becomes the pivot row
+    there.  Over F_p a pivot row is scaled to a leading 1.  Over Q every row
+    is kept as a primitive integer row (its entries have gcd 1): integer
+    arithmetic is several times faster than Fraction arithmetic, and
+    dividing out the content after each scaling keeps the entries small.
+    The pivot columns of any echelon form of a row space are the same, so
+    the order of the rows changes no result below.
+    """
+    if not dom.is_field:
+        raise UnsupportedDomain(f"linear solving over {dom} needs a field")
+    p = dom.p
+    pivots = {}
+    for row in sorted(rows, key=len):
+        if p is None and row:
+            den = lcm(*(x.denominator for x in row.values()))
+            row = _primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+        else:
+            row = dict(row)
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
                 break
-        if sel is None:
+            c = row[col]
+            if p is None:
+                # lead·row - c·piv cancels the leading entry
+                g = gcd(piv[col], c)
+                lead, c = piv[col] // g, c // g
+                if lead != 1:
+                    row = {j: lead * x for j, x in row.items()}
+            for j, y in piv.items():
+                v = row.get(j, 0) - c * y
+                if p is not None:
+                    v %= p
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+            if p is None and lead != 1 and row:
+                row = _primitive(row)  # the scaling is what makes entries grow
+        if not row:
             continue
-        if sel != r:
-            mat[r], mat[sel] = mat[sel], mat[r]
-        for i in range(r + 1, m):
-            for j in range(col + 1, n):
-                mat[i][j] = (mat[r][col] * mat[i][j] - mat[i][col] * mat[r][j]) // prev
-            mat[i][col] = 0
-        prev = mat[r][col]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        for j in range(n):
-            mat[i][j] = 0
-    return mat, pivots
+        if p is None:
+            row = _primitive(row)
+        else:
+            inv = pow(row[col], p - 2, p)
+            row = {j: x * inv % p for j, x in row.items()}
+        pivots[col] = row
+    return pivots
 
 
-def _echelon_fp(rows, p):
-    mat = [[x % p for x in row] for row in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, m):
-            if mat[i][col] % p != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][col], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(r + 1, m):
-            c = mat[i][col]
-            if c:
-                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat, pivots
+def _primitive(row):
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _echelon(rows, dom):
-    if not rows or not rows[0]:
-        return [list(r) for r in rows], []
-    if dom.kind == "Q":
-        return _echelon_q(rows)
-    if dom.kind == "Fp":
-        return _echelon_fp(rows, dom.p)
-    raise UnsupportedDomain(f"linear solving over {dom} needs a field")
+def _back_substitute(pivots, n, free_col, dom):
+    """The dense solution with ``free_col`` at 1 and other free columns at 0."""
+    p = dom.p
+    x = {free_col: dom.one()}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        acc = sum(y * x[j] for j, y in row.items() if j in x)
+        if p is not None:
+            acc %= p
+        if acc:
+            x[col] = -acc / row[col] if p is None else p - acc
+    zero = dom.zero()
+    return [x.get(j, zero) for j in range(n)]
+
+
+def _solve(rows, n, dom):
+    """x with rows·(x, 1) = 0 for sparse rows over n + 1 columns, or None."""
+    pivots = _eliminate(rows, dom)
+    if n in pivots:
+        return None
+    return _back_substitute(pivots, n + 1, n, dom)[:n]
 
 
 def matrix_rank(rows, dom):
     """Rank of a matrix of domain elements (field domains only)."""
-    return len(_echelon(rows, dom)[1])
+    return len(_eliminate(_sparse_rows(rows, dom), dom)) if rows else 0
 
 
 def rational_rank(rows):
     """Rank of an integer (or rational) matrix over Q."""
-    return len(_echelon(rows, QQ)[1])
-
-
-def _back_substitute(mat, pivots, free_col, dom):
-    n = len(mat[0])
-    x = [dom.zero()] * n
-    if free_col is not None:
-        x[free_col] = dom.one()
-    for i in reversed(range(len(pivots))):
-        col = pivots[i]
-        acc = dom.zero()
-        for j in range(col + 1, n):
-            if x[j] != dom.zero():
-                acc = dom.add(acc, dom.mul(dom.normalize(mat[i][j]), x[j]))
-        x[col] = dom.div(dom.neg(acc), dom.normalize(mat[i][col]))
-    return x
+    return matrix_rank(rows, QQ)
 
 
 def kernel_basis(rows, dom, ncols=None):
@@ -124,35 +125,28 @@ def kernel_basis(rows, dom, ncols=None):
     ``ncols`` is only needed when ``rows`` is empty (no constraints), in
     which case the unit vectors come back.
     """
-    if not rows:
-        if ncols is None:
-            raise RankMismatch("empty system needs an explicit column count")
-        return [
-            [dom.one() if j == i else dom.zero() for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    n = len(rows[0])
-    mat, pivots = _echelon(rows, dom)
-    pivot_set = set(pivots)
+    if not rows and ncols is None:
+        raise RankMismatch("empty system needs an explicit column count")
+    n = len(rows[0]) if rows else ncols
+    pivots = _eliminate(_sparse_rows(rows, dom), dom)
     return [
-        _back_substitute(mat, pivots, col, dom)
+        _back_substitute(pivots, n, col, dom)
         for col in range(n)
-        if col not in pivot_set
+        if col not in pivots
     ]
 
 
 def solve_linear(rows, rhs, dom):
-    """One solution x of rows·x = rhs, or None when the system is infeasible."""
+    """One solution x of rows·x = rhs, or None when the system is infeasible.
+
+    The free columns of the solution are zero.
+    """
     if len(rows) != len(rhs):
         raise RankMismatch(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if not rows:
         return []
     n = len(rows[0])
-    # [rows | -rhs] has the kernel vector (x, 1) exactly when rows·x = rhs
-    mat, pivots = _echelon([list(r) + [-b] for r, b in zip(rows, rhs)], dom)
-    if pivots and pivots[-1] == n:
-        return None
-    return _back_substitute(mat, pivots, n, dom)[:n]
+    return _solve(_sparse_rows([list(r) + [-b] for r, b in zip(rows, rhs)], dom), n, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -257,38 +251,39 @@ def retraction_solve_matrices(vmat, act_source, act_target, dom):
         d_s = 0
     if len(act_source) != len(act_target):
         raise RankMismatch("action lists have different lengths")
-    if d_s == 0:
-        return []
-    if d_t == 0:
+    if d_t == 0 and d_s:
         # R has no columns, so R.V = I is unsatisfiable on a nonzero source
         return None
     nunk = d_s * d_t
-
-    def unk(a, t):
-        return a * d_t + t
-
-    rows, rhs = [], []
+    minus_one = dom.neg(dom.one())
+    # unknown a * d_t + t is R[a][t] and column nunk holds minus the right-hand
+    # side; rows come straight from the nonzeros of V and the action matrices
+    v_cols = _sparse_rows(zip(*vmat), dom)
+    rows = []
     for a in range(d_s):
-        for b in range(d_s):
-            row = [dom.zero()] * nunk
-            for t in range(d_t):
-                row[unk(a, t)] = dom.normalize(vmat[t][b])
+        for b, col in enumerate(v_cols):
+            row = {a * d_t + t: c for t, c in col.items()}
+            if a == b:
+                row[nunk] = minus_one
             rows.append(row)
-            rhs.append(dom.one() if a == b else dom.zero())
     for acts, actt in zip(act_source, act_target):
+        src_rows = _sparse_rows(acts, dom)
+        tgt_cols = _sparse_rows(zip(*actt), dom)
         for a in range(d_s):
             for t in range(d_t):
-                row = [dom.zero()] * nunk
-                for u in range(d_t):
-                    row[unk(a, u)] = dom.add(row[unk(a, u)], dom.normalize(actt[u][t]))
-                for b in range(d_s):
-                    row[unk(b, t)] = dom.sub(row[unk(b, t)], dom.normalize(acts[a][b]))
+                row = {a * d_t + u: c for u, c in tgt_cols[t].items()}
+                for b, c in src_rows[a].items():
+                    k = b * d_t + t
+                    v = dom.sub(row.get(k, dom.zero()), c)
+                    if v:
+                        row[k] = v
+                    else:
+                        row.pop(k, None)
                 rows.append(row)
-                rhs.append(dom.zero())
-    sol = solve_linear(rows, rhs, dom)
+    sol = _solve(rows, nunk, dom)
     if sol is None:
         return None
-    return [[sol[unk(a, t)] for t in range(d_t)] for a in range(d_s)]
+    return [sol[a * d_t : (a + 1) * d_t] for a in range(d_s)]
 
 
 # ---------------------------------------------------------------------------

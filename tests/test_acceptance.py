@@ -18,6 +18,7 @@ Everything is seeded; the whole module stays well under a minute.
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -39,12 +40,22 @@ from tangentcat.cli import _parabola_case, _suite_base_change, load_workspace
 from tangentcat.groebner import ideal_basis
 from tangentcat.kahler import (
     base_change_check,
+    classify_cotangent,
+    conormal_sequence,
     cotangent_map,
+    jacobian_split_verdict,
     module_map_kernel,
     relative_kahler,
     zero_module_evidence,
 )
-from tangentcat.modlin import coords, fd_basis, matrix_rank, solve_linear
+from tangentcat.modlin import (
+    coords,
+    fd_basis,
+    matrix_on_basis,
+    matrix_rank,
+    retraction_solve_matrices,
+    solve_linear,
+)
 from tangentcat.oracle import maps_probably_equal
 from tangentcat.polycore import QQ, NN, Polynomial, context, poly_parse
 from tangentcat.presentations import (
@@ -287,6 +298,71 @@ def test_finite_and_general_monic_routes_agree(random_suite):
         assert monic == (len(module_map_kernel(seq.v)) == 0), f.var_images
         verdicts.add(monic)
     assert verdicts == {True, False}  # both outcomes are exercised
+
+
+def _action_matrices(M, basis):
+    """Multiplication by each variable on a staircase basis of M."""
+    def times(mono, v):
+        return tuple(e + (i == v) for i, e in enumerate(mono))
+
+    return [
+        matrix_on_basis(
+            [M.reduce(M.monomial_vector(pos, times(mono, v))) for pos, mono in basis], basis, QQ
+        )
+        for v in range(len(M.algebra.context))
+    ]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _module_map_matrices(phi):
+    """V and the actions of source and target, rebuilt on staircase bases."""
+    S, T = phi.source, phi.target
+    basis_s, basis_t = S.finite_basis(), T.finite_basis()
+    images = [T.reduce(phi.apply(S.monomial_vector(*pm))) for pm in basis_s]
+    v = matrix_on_basis(images, basis_t, QQ)
+    return v, _action_matrices(S, basis_s), _action_matrices(T, basis_t)
+
+
+def _assert_module_retraction(evidence, phi):
+    r = [[Fraction(x) for x in row] for row in evidence]
+    v, acts_s, acts_t = _module_map_matrices(phi)
+    assert _matmul(r, v) == [[int(i == j) for j in range(len(r))] for i in range(len(r))]
+    for a_s, a_t in zip(acts_s, acts_t):
+        assert _matmul(r, a_t) == _matmul(a_s, r)
+
+
+def test_retraction_evidence_is_a_module_retraction(random_suite):
+    """R·V = I and R commutes with every action, on matrices rebuilt here."""
+    checked = 0
+    for f, seq, _imm, _unr in random_suite[::5]:
+        split, ev = classify_cotangent(seq).split_monic
+        if split and ev["route"] == "finite":
+            assert ev["source_basis"] == [[p, list(m)] for p, m in seq.pullback.finite_basis()]
+            assert ev["target_basis"] == [[p, list(m)] for p, m in seq.middle.finite_basis()]
+            _assert_module_retraction(ev["retraction"], seq.v)
+            checked += 1
+    assert checked >= 5
+
+    ctx = context("x", "y")
+    # six reduced points: the conormal differential has a retraction
+    smooth = present(QQ, ("x", "y"), (poly_parse("x^2 - 1", ctx, QQ), poly_parse("y^3 - y", ctx, QQ)))
+    ok, ev = jacobian_split_verdict(smooth)
+    assert ok is True
+    _assert_module_retraction(ev["retraction"], conormal_sequence(smooth).delta)
+
+    # Q[x,y]/(x^3, y^3): the 972 x 324 system has no solution, because
+    # x·[x^3] maps to 3x^3 dx = 0, so V has a kernel
+    cubes = present(QQ, ("x", "y"), (poly_parse("x^3", ctx, QQ), poly_parse("y^3", ctx, QQ)))
+    delta = conormal_sequence(cubes).delta
+    v, acts_s, acts_t = _module_map_matrices(delta)
+    assert (len(v), len(v[0]), len(acts_s)) == (18, 18, 2)
+    column = delta.source.finite_basis().index((0, (1, 0)))
+    assert all(row[column] == 0 for row in v)
+    assert retraction_solve_matrices(v, acts_s, acts_t, QQ) is None
+    assert jacobian_split_verdict(cubes)[0] is False
 
 
 def test_criterion_06_theta_laws():

@@ -11,8 +11,13 @@ Tests for CLI functionality including:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +31,7 @@ from tangentcat.polycore import NN, QQ, ZZ, VariableContext, prime_field
 
 from conftest import DATA, run_cli, scrub_timings
 
+ROOT = Path(__file__).resolve().parent.parent
 WORKSPACE = str(DATA / "figure1.tgc")
 
 
@@ -360,3 +366,36 @@ class TestDeterminism:
         _, second = tgc(*argv)
         assert first == second
         assert json.loads(first)["failures"] == []
+
+    def test_one_parser_serves_every_call_in_a_process(self) -> None:
+        """Repeated calls of main match a fresh process per command.
+
+        The parser is built once per process, so options set by one call
+        (a seed, a degree cap, --strict) must not carry over to the next.
+        """
+        commands = [
+            ("verify", "--suite", "theta-laws", "--count", "2", "--seed", "3", "--json", "-"),
+            ("classify", "--workspace", WORKSPACE, "--instance", "calg",
+             "--morphism", "point", "--degree-cap", "1"),
+            ("classify", "--workspace", WORKSPACE, "--instance", "cdc-linear",
+             "--morphism", "fold", "--strict"),
+            ("verify", "--suite", "theta-laws", "--count", "2", "--json", "-"),
+            ("classify", "--workspace", WORKSPACE, "--instance", "calg", "--morphism", "point"),
+            ("cotangent", "--workspace", WORKSPACE, "--morphism", "trunc", "--json", "-"),
+            ("cdc", "axioms", "--workspace", WORKSPACE, "--map", "cube",
+             "--with", "fold", "--oracle"),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        fresh = []
+        for argv in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "tangentcat.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            fresh.append((done.returncode, scrub_timings(done.stdout), done.stderr))
+        for _ in range(2):
+            for argv, expected in zip(commands, fresh):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(list(argv))
+                assert (code, scrub_timings(out.getvalue()), err.getvalue()) == expected, argv

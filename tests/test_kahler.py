@@ -115,6 +115,9 @@ def test_retraction_solver_both_ways():
     ident = retraction_solve(module_map(N, N, ((B.one(),),)))
     assert ident.exists
     assert ident.matrix is not None
+    # a nonzero module does not retract through the zero module
+    Z = ModulePresentation(B, ("z",), ((B.one(),),))
+    assert not retraction_solve(module_map(N, Z, ((B.one(),),))).exists
 
 
 # --- cotangent sequence -----------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact linear algebra: echelon forms, staircase bases, Smith form."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from tangentcat.modlin import (
 from tangentcat.polycore import QQ, context, poly_parse, prime_field
 
 F2 = prime_field(2)
+F7 = prime_field(7)
 
 
 def frac(rows):
@@ -74,6 +77,102 @@ def test_solve_then_substitute(mat, xs):
     sol = solve_linear(rows, rhs, QQ)
     assert sol is not None
     assert [sum(r[j] * sol[j] for j in range(3)) for r in rows] == rhs
+
+
+# --- differential checks of the elimination layer --------------------------
+
+def random_system(rng, entry, max_cols=6):
+    """A small seeded system with zero rows and columns, low rank and an
+    infeasible right-hand side among the draws."""
+    m, n = rng.randint(0, 6), rng.randint(0, max_cols)
+    if m and n and rng.random() < 0.3:
+        r = rng.randint(0, min(m, n))
+        a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+    else:
+        density = rng.choice((0.2, 0.5, 0.9))
+        rows = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+    if m and rng.random() < 0.3:
+        rows[rng.randrange(m)] = [0] * n
+    if n and rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    if rng.random() < 0.5:
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        rhs = [sum(c * v for c, v in zip(row, x)) for row in rows]
+    else:
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
+    return [[entry(rng, c) for c in row] for row in rows], [entry(rng, c) for c in rhs], n
+
+
+def _int_entry(_rng, c):
+    return c
+
+
+def _fraction_entry(rng, c):
+    return Fraction(c, rng.choice((1, 1, 2, 3, 5)))
+
+
+@pytest.mark.parametrize("entry", [_int_entry, _fraction_entry], ids=["int", "Fraction"])
+def test_elimination_matches_sympy_over_q(entry):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(150):
+        rows, rhs, n = random_system(rng, entry)
+        m = len(rows)
+        A = sympy.Matrix(m, n, [sympy.Rational(c.numerator, c.denominator) for row in rows for c in row])
+        b = sympy.Matrix(m, 1, [sympy.Rational(c.numerator, c.denominator) for c in rhs])
+        rank = A.rank()
+        assert matrix_rank(rows, QQ) == rank
+        assert rational_rank(rows) == rank
+        theirs = [[Fraction(int(c.p), int(c.q)) for c in v] for v in A.nullspace()]
+        assert kernel_basis(rows, QQ, ncols=n) == theirs
+        sol = solve_linear(rows, rhs, QQ)
+        if not rows:
+            assert sol == []  # no equation gives the column count
+            continue
+        if A.row_join(b).rank() > rank:
+            assert sol is None
+            continue
+        assert [sum(c * v for c, v in zip(row, sol)) for row in rows] == rhs
+        pivots = A.rref()[1]
+        assert all(sol[j] == 0 for j in range(n) if j not in pivots)
+
+
+@pytest.mark.parametrize("dom", [F2, F7], ids=["F2", "F7"])
+def test_elimination_over_prime_fields_by_enumeration(dom):
+    p = dom.p
+    rng = random.Random(11)
+    for _ in range(150):
+        rows, rhs, n = random_system(rng, _int_entry, max_cols=3)
+        vectors = list(itertools.product(range(p), repeat=n))
+
+        def image(x):
+            return [sum(c * v for c, v in zip(row, x)) % p for row in rows]
+
+        kernel = [x for x in vectors if not any(image(x))]
+        rank = matrix_rank(rows, dom)
+        assert len(kernel) == p ** (n - rank)
+        basis = kernel_basis(rows, dom, ncols=n)
+        assert len(basis) == n - rank
+        # the unit of each basis vector sits at its free column, its last nonzero
+        free = [max(j for j, c in enumerate(v) if c) for v in basis]
+        for v, j in zip(basis, free):
+            assert not any(image(v))
+            assert [v[k] for k in free] == [1 if k == j else 0 for k in free]
+        sol = solve_linear(rows, rhs, dom)
+        if not rows:
+            assert sol == []
+            continue
+        target = [c % p for c in rhs]
+        if not any(image(x) == target for x in vectors):
+            assert sol is None
+            continue
+        assert image(sol) == target
+        assert all(sol[j] == 0 for j in free)
 
 
 # --- staircase bases --------------------------------------------------------
