@@ -1,7 +1,10 @@
 """Deterministic Buchberger engine for ideals and submodules of free modules.
 
 One loop, ``module_buchberger``, computes every basis, and one loop,
-``module_normal_form``, reduces every element.  Free modules carry the
+``module_normal_form``, reduces every element.  Reduction runs on mutable
+``{monomial: coefficient}`` dicts, one per position, subtracting each
+reducer's multiple term by term in place; the result's Polynomials are
+built once, at the end.  Free modules carry the
 position-over-term order in which position 0 is greatest; an ideal is the
 rank-1 case, and cofactor (extended) bases, syzygies and division with
 quotients run on vectors extended by unit tag columns.
@@ -37,6 +40,7 @@ from .polycore import (
     mono_deg,
     mono_div,
     mono_lcm,
+    mono_mul,
 )
 
 # The degree budget: every basis element entering a Buchberger run must stay
@@ -55,10 +59,6 @@ def _check_cap(p, cap):
             degree=d,
             cap=cap,
         )
-
-
-def _term(ctx, dom, mono, coeff):
-    return Polynomial(ctx, dom, {mono: coeff})
 
 
 def division(p, divisors, order=GREVLEX):
@@ -309,8 +309,7 @@ def vec_sub(u, v):
 
 
 def vec_term_mul(v, coeff, mono):
-    ctx, dom = v[0].context, v[0].domain
-    t = _term(ctx, dom, mono, coeff)
+    t = Polynomial(v[0].context, v[0].domain, {mono: coeff})
     return tuple(c * t for c in v)
 
 
@@ -350,28 +349,35 @@ def module_normal_form(v, basis, order=GREVLEX, leads=None):
     reducers = [[] for _ in v]
     for b, lt in zip(basis, leads):
         if lt is not None:
-            reducers[lt[0]].append((b, lt[1], lt[2]))
-    rem = [Polynomial.zero(ctx, dom)] * len(v)
-    work = list(v)
-    pos = 0  # the leading position never moves back: reducers vanish before theirs
-    while pos < len(work):
-        if work[pos].is_zero():
-            pos += 1
-            continue
-        m, c = work[pos].leading_term(order)
-        for b, bm, bc in reducers[pos]:
-            q = mono_div(m, bm)
-            if q is not None:
-                t = _term(ctx, dom, q, dom.div(c, bc))
-                for k in range(pos, len(work)):
-                    if not b[k].is_zero():
-                        work[k] = work[k] - b[k] * t
-                break
-        else:
-            t = _term(ctx, dom, m, c)
-            rem[pos] = rem[pos] + t
-            work[pos] = work[pos] - t
-    return tuple(rem)
+            reducers[lt[0]].append((lt[1], lt[2], [c.terms for c in b]))
+    key = lru_cache(maxsize=None)(order.key)  # each monomial's key once per call
+    mul, sub = dom.mul, dom.sub
+    zero = dom.zero()
+    work = [dict(c.terms) for c in v]  # mutable term dicts, reduced in place
+    rem = [{} for _ in v]
+    # the leading position never moves back: reducers vanish before theirs
+    for pos, w in enumerate(work):
+        while w:
+            m = max(w, key=key)
+            c = w[m]
+            for bm, bc, bterms in reducers[pos]:
+                q = mono_div(m, bm)
+                if q is not None:
+                    t = dom.div(c, bc)
+                    for k in range(pos, len(work)):
+                        wk = work[k]
+                        for bm2, bc2 in bterms[k].items():
+                            mq = mono_mul(bm2, q)
+                            s = sub(wk.get(mq, zero), mul(bc2, t))
+                            if s:
+                                wk[mq] = s
+                            else:
+                                del wk[mq]
+                    break
+            else:
+                rem[pos][m] = c
+                del w[m]
+    return tuple(Polynomial._clean(ctx, dom, r) for r in rem)
 
 
 @dataclass(frozen=True)

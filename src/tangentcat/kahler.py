@@ -420,9 +420,10 @@ def classify_cotangent(seq):
         split = True
         split_ev = {"route": "trivial", "reason": "the pulled-back module is zero"}
     elif finite:
-        ret = retraction_solve(seq.v)
-        split = ret.exists
-        if ret.exists:
+        # R·V = I needs an injective V: without one the system is infeasible
+        ret = retraction_solve(seq.v) if monic else None
+        split = ret is not None and ret.exists
+        if split:
             split_ev = {
                 "route": "finite",
                 "retraction": [[dom.coeff_str(dom.normalize(x)) for x in row] for row in ret.matrix],

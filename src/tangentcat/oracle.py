@@ -37,19 +37,21 @@ class OracleConfig:
 DEFAULT_CONFIG = OracleConfig()
 
 
-def _eval_mod(poly, point, p):
-    """Evaluate with coefficients embedded in F_p."""
-    total = 0
+def _residues(poly, p):
+    """The terms of a polynomial with coefficients embedded in F_p."""
+    out = []
     for mono, coeff in poly.terms.items():
-        if isinstance(coeff, Fraction):
-            den = coeff.denominator % p
-            if den == 0:
-                raise EmbeddingFailure(
-                    f"denominator {coeff.denominator} vanishes modulo {p}"
-                )
-            c = coeff.numerator % p * pow(den, -1, p) % p
-        else:
-            c = coeff % p
+        den = coeff.denominator % p  # 1 for the integer domains
+        if den == 0:
+            raise EmbeddingFailure(f"denominator {coeff.denominator} vanishes modulo {p}")
+        out.append((mono, coeff.numerator % p * pow(den, -1, p) % p))
+    return out
+
+
+def _eval_mod(residues, point, p):
+    """Evaluate terms from ``_residues`` at a point of F_p."""
+    total = 0
+    for mono, c in residues:
         for v, e in zip(point, mono):
             if e:
                 c = c * pow(v, e, p) % p
@@ -75,9 +77,10 @@ def identity_check(p, q, config=DEFAULT_CONFIG):
         return "probably_equal" if p == q else "definitely_unequal"
     rng = random.Random(config.seed)
     nvars = len(p.context)
+    rp, rq = _residues(p, modulus), _residues(q, modulus)
     for _ in range(config.samples):
         point = [rng.randrange(modulus) for _ in range(nvars)]
-        if _eval_mod(p, point, modulus) != _eval_mod(q, point, modulus):
+        if _eval_mod(rp, point, modulus) != _eval_mod(rq, point, modulus):
             return "definitely_unequal"
     return "probably_equal"
 

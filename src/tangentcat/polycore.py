@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import (
     ArityMismatch,
@@ -191,13 +192,13 @@ def context(*names):
 # monomials: plain exponent tuples
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
     """Return a/b as an exponent vector, or None when b does not divide a."""
-    q = tuple(x - y for x, y in zip(a, b))
-    return None if any(e < 0 for e in q) else q
+    q = tuple(map(sub, a, b))
+    return q if min(q, default=0) >= 0 else None
 
 
 def mono_lcm(a, b):
@@ -226,15 +227,15 @@ class TermOrder:
     def key(self, mono):
         """Sort key; larger key means larger monomial."""
         if self.kind == "grevlex":
-            return (mono_deg(mono), tuple(-e for e in reversed(mono)))
+            return (mono_deg(mono), tuple(map(neg, reversed(mono))))
         if self.kind == "lex":
             return mono
         head, tail = mono[: self.nblock], mono[self.nblock :]
         return (
             mono_deg(head),
-            tuple(-e for e in reversed(head)),
+            tuple(map(neg, reversed(head))),
             mono_deg(tail),
-            tuple(-e for e in reversed(tail)),
+            tuple(map(neg, reversed(tail))),
         )
 
     def eliminates(self, mono):
@@ -272,6 +273,16 @@ class Polynomial:
                 clean[mono] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _clean(cls, context, domain, terms):
+        """Trusted constructor: ``terms`` must already be canonical and nonzero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "context", context)
+        object.__setattr__(p, "domain", domain)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -345,11 +356,11 @@ class Polynomial:
         zero = dom.zero()
         for m, c in other.terms.items():
             s = dom.add(terms.get(m, zero), c)
-            if s == zero:
-                terms.pop(m, None)
-            else:
+            if s:
                 terms[m] = s
-        return Polynomial(self.context, dom, terms)
+            else:
+                del terms[m]
+        return Polynomial._clean(self.context, dom, terms)
 
     def __sub__(self, other):
         self._check(other)
@@ -358,11 +369,11 @@ class Polynomial:
         zero = dom.zero()
         for m, c in other.terms.items():
             s = dom.sub(terms.get(m, zero), c)
-            if s == zero:
-                terms.pop(m, None)
-            else:
+            if s:
                 terms[m] = s
-        return Polynomial(self.context, dom, terms)
+            else:
+                del terms[m]
+        return Polynomial._clean(self.context, dom, terms)
 
     def __neg__(self):
         dom = self.domain
@@ -377,11 +388,11 @@ class Polynomial:
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
                 s = dom.add(terms.get(m, zero), dom.mul(c1, c2))
-                if s == zero:
-                    terms.pop(m, None)
-                else:
+                if s:
                     terms[m] = s
-        return Polynomial(self.context, dom, terms)
+                else:
+                    del terms[m]
+        return Polynomial._clean(self.context, dom, terms)
 
     def __pow__(self, e):
         if e < 0:
@@ -462,7 +473,8 @@ class Polynomial:
                 raise DomainMismatch("substitution images disagree on domain")
         if dom != self.domain:
             raise DomainMismatch("substitution across domains is not defined")
-        powers = [{0: Polynomial.one(ctx, dom)} for _ in images]
+        one = Polynomial.one(ctx, dom)
+        powers = [{0: one} for _ in images]
 
         def power(i, e):
             cache = powers[i]
@@ -470,14 +482,20 @@ class Polynomial:
                 cache[e] = power(i, e - 1) * images[i]
             return cache[e]
 
-        total = Polynomial.zero(ctx, dom)
+        zero = dom.zero()
+        total = {}
         for m, c in self.terms.items():
-            acc = Polynomial.constant(ctx, dom, c)
+            acc = one
             for i, e in enumerate(m):
                 if e:
-                    acc = acc * power(i, e)
-            total = total + acc
-        return total
+                    acc = power(i, e) if acc is one else acc * power(i, e)
+            for m2, c2 in acc.terms.items():
+                s = dom.add(total.get(m2, zero), dom.mul(c, c2))
+                if s:
+                    total[m2] = s
+                else:
+                    del total[m2]
+        return Polynomial._clean(ctx, dom, total)
 
     def rename(self, new_context, index_map):
         """Transport into ``new_context``, sending old variable i to index_map[i]."""

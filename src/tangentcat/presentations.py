@@ -34,7 +34,7 @@ from .groebner import (
     morphism_graph,
     ring_map_kernel,
 )
-from .modlin import fd_basis, kernel_basis, matrix_on_basis, solve_linear
+from .modlin import fd_basis, matrix_on_basis, solve_linear
 from .polycore import Polynomial, VariableContext
 
 
@@ -417,10 +417,9 @@ def linear_section_exists(f):
         )
         rows = [row[:-1] for row in aug]
         rhs = [row[-1] for row in aug]
-        klin = kernel_basis(rows, dom, ncols=len(basis_a))
-        # ... subject to kappa·a = 0 for each kappa in a basis of Ker(f)
-        for kvec in klin:
-            kappa = Polynomial(A.context, dom, dict(zip(basis_a, kvec)))
+        # ... subject to kappa·a = 0 for each generator kappa of the ideal
+        # Ker(f): the same solutions as for every kappa in a k-basis of it
+        for kappa in kernel:
             rows += matrix_on_basis([(A.reduce(kappa * p),) for p in monos], std_a, dom)
             rhs += [dom.zero()] * len(basis_a)
         sol = solve_linear(rows, rhs, dom)

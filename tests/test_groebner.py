@@ -22,13 +22,25 @@ from tangentcat.groebner import (
     ideal_quotient,
     module_buchberger,
     module_lt,
+    module_normal_form,
+    normal_form,
     ring_map_kernel,
     syzygy_basis,
     vec_is_zero,
     vec_sub,
     vec_term_mul,
 )
-from tangentcat.polycore import LEX, QQ, Polynomial, context, mono_div, mono_lcm, poly_parse
+from tangentcat.polycore import (
+    LEX,
+    QQ,
+    Polynomial,
+    context,
+    elimination_order,
+    mono_div,
+    mono_lcm,
+    poly_parse,
+    prime_field,
+)
 
 XY = context("x", "y")
 
@@ -245,6 +257,108 @@ def test_extended_basis_cofactor_identity(order, seed):
         for c, src in zip(row, gens):
             acc = acc + c * src
         assert acc == g
+
+
+# --- differential check against the polynomial-at-a-time loop -------------
+
+def reference_normal_form(v, basis, order):
+    """The reduction loop as it ran on Polynomial objects, one step at a time."""
+    ctx, dom = basis[0][0].context, basis[0][0].domain
+    reducers = [[] for _ in v]
+    for b in basis:
+        lt = module_lt(b, order)
+        if lt is not None:
+            reducers[lt[0]].append((b, lt[1], lt[2]))
+    rem = [Polynomial.zero(ctx, dom)] * len(v)
+    work = list(v)
+    pos = 0
+    while pos < len(work):
+        if work[pos].is_zero():
+            pos += 1
+            continue
+        m, c = work[pos].leading_term(order)
+        for b, bm, bc in reducers[pos]:
+            q = mono_div(m, bm)
+            if q is not None:
+                t = Polynomial(ctx, dom, {q: dom.div(c, bc)})
+                for k in range(pos, len(work)):
+                    work[k] = work[k] - b[k] * t
+                break
+        else:
+            t = Polynomial(ctx, dom, {m: c})
+            rem[pos] = rem[pos] + t
+            work[pos] = work[pos] - t
+    return tuple(rem)
+
+
+def reference_division(p, divisors, order):
+    ctx, dom = p.context, p.domain
+    zero, one = Polynomial.zero(ctx, dom), Polynomial.one(ctx, dom)
+    n = len(divisors)
+    rows = [(d,) + tuple(one if k == i else zero for k in range(n)) for i, d in enumerate(divisors)]
+    r = reference_normal_form((p,) + (zero,) * n, rows, order)
+    return [-q for q in r[1:]], r[0]
+
+
+def exact(polys):
+    """Terms with coefficient types, so that Fraction(2) and 2 differ."""
+    return [sorted((m, type(c).__name__, c) for m, c in p.terms.items()) for p in polys]
+
+
+def random_poly_over(rng, ctx, dom, nterms, degree):
+    if dom == QQ:
+        return random_poly(rng, ctx, nterms, degree)
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * len(ctx)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(ctx))] += 1
+        terms[tuple(exps)] = rng.randint(1, dom.p - 1)
+    return Polynomial(ctx, dom, terms)
+
+
+@pytest.mark.parametrize("dom", [QQ, prime_field(2), prime_field(7)], ids=str)
+@pytest.mark.parametrize("seed", range(12))
+def test_reduction_matches_the_reference_loop(dom, seed):
+    rng = random.Random(seed)
+    ctx = context(*("x", "y", "z")[: rng.randint(2, 3)])
+    zero = Polynomial.zero(ctx, dom)
+    for order in (GREVLEX, LEX, elimination_order(1)):
+        rank = rng.randint(1, 3)
+        rows = [
+            tuple(zero if rng.random() < 0.3 else random_poly_over(rng, ctx, dom, rng.randint(1, 3), 2)
+                  for _ in range(rank))
+            for _ in range(rng.randint(1, rank + 2))
+        ]
+        rows.insert(rng.randint(0, len(rows)), (zero,) * rank)  # a zero row reduces nothing
+        v = tuple(random_poly_over(rng, ctx, dom, rng.randint(1, 5), 4) for _ in range(rank))
+        assert exact(module_normal_form(v, rows, order)) == exact(reference_normal_form(v, rows, order))
+        gens = module_buchberger(rows, rank, ctx, dom, order).generators
+        if gens:
+            assert exact(module_normal_form(v, gens, order)) == exact(reference_normal_form(v, gens, order))
+        divisors = [random_poly_over(rng, ctx, dom, rng.randint(1, 3), 3) for _ in range(rng.randint(1, 3))]
+        divisors.insert(rng.randint(0, len(divisors)), zero)
+        p = random_poly_over(rng, ctx, dom, rng.randint(1, 6), 5)
+        quotients, r = division(p, divisors, order)
+        ref_quotients, ref_r = reference_division(p, divisors, order)
+        assert exact(quotients + [r]) == exact(ref_quotients + [ref_r])
+        assert exact([normal_form(p, divisors, order)]) == exact([ref_r])
+
+
+def test_reduction_in_a_context_without_variables():
+    E = context()
+
+    def c(n):
+        return Polynomial.constant(E, QQ, QQ.from_int(n))
+
+    zero = Polynomial.zero(E, QQ)
+    assert normal_form(c(3), [c(2)]).is_zero()  # (2) is the unit ideal of Q[]
+    quotients, r = division(c(3), [c(2)])
+    assert r.is_zero() and quotients == [Polynomial.constant(E, QQ, Fraction(3, 2))]
+    rows = [(c(2), c(1)), (zero, c(3))]
+    assert vec_is_zero(module_normal_form((c(3), c(4)), rows))
+    assert module_normal_form((c(3), c(4)), rows[1:]) == (c(3), zero)
+    assert exact(module_normal_form((c(3), c(4)), rows)) == exact(reference_normal_form((c(3), c(4)), rows, GREVLEX))
 
 
 # --- differential check against sympy ---------------------------------------

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: domains, term orders, parsing, calculus."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -195,6 +196,34 @@ def test_evaluation_is_a_ring_map(a, b, v0, v1):
 @given(polys(XY, QQ))
 def test_parse_print_round_trip_property(p):
     assert poly_parse(p.to_str(), XY, QQ) == p
+
+
+@pytest.mark.parametrize("dom", [QQ, F5, ZZ, NN], ids=str)
+@pytest.mark.parametrize("seed", range(10))
+def test_arithmetic_results_are_clean(dom, seed):
+    """Sums, differences, products and substitutions skip normalization."""
+    rng = random.Random(seed)
+
+    def rand():
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            c = rng.randint(0 if dom == NN else -3, 3)
+            terms[(rng.randint(0, 2), rng.randint(0, 2))] = Fraction(c, rng.randint(1, 2)) if dom == QQ else c
+        return Polynomial(XY, dom, terms)
+
+    a, b = rand(), rand()
+    results = [a + b, a * b, (a + b) * (a + b), a.substitute((b, rand()))]
+    if dom.has_negation:
+        results += [a - b, (a - b) * (a + b), a - a]
+    for r in results:
+        for c in r.terms.values():
+            if dom == QQ:
+                assert type(c) is Fraction and c != 0
+            else:
+                assert type(c) is int and c != 0
+                assert dom != F5 or 0 < c < 5
+                assert dom != NN or c > 0
+        assert r == Polynomial(XY, dom, r.terms)
 
 
 # --- substitution and renaming ----------------------------------------------

@@ -1,10 +1,13 @@
 """Presented algebras, morphisms, dual numbers, sections, pushouts."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangentcat.errors import IllDefinedMorphism
+from tangentcat.modlin import coords, kernel_basis
 from tangentcat.polycore import QQ, Polynomial, context, poly_parse, prime_field
 from tangentcat.presentations import (
     codiagonal,
@@ -201,6 +204,55 @@ def test_finite_and_general_routes_agree():
     assert f.target.reduce(f.apply(w) - f.target.one()).is_zero()
     for k in relative_tangent_calg(f):
         assert f.source.reduce(k * w).is_zero()
+
+
+def crt_projection(rng):
+    """Q[u, v]/(a(u), b(v)) -> Q[u, v]/(a1(u), b1(v)), identity on u and v.
+
+    Each relation is a1·a2 with a1 = (u - r1)^k1 and a2 = (u - r2)^k2, so
+    the map splits exactly when r1 != r2 for every variable (the Chinese
+    remainder theorem); then the section picks the product of idempotents.
+    """
+    names = ("u", "v")[: rng.randint(1, 2)]
+    ctx = context(*names)
+    src, tgt, coprime = [], [], True
+    for i in range(len(names)):
+        x = Polynomial.variable(ctx, QQ, i)
+        r1, r2 = rng.randint(-2, 2), rng.randint(-2, 2)
+        a1 = (x - Polynomial.constant(ctx, QQ, QQ.from_int(r1))) ** rng.randint(1, 2)
+        a2 = (x - Polynomial.constant(ctx, QQ, QQ.from_int(r2))) ** rng.randint(1, 2)
+        src.append(a1 * a2)
+        tgt.append(a1)
+        coprime = coprime and r1 != r2
+    A, B = present(QQ, names, tuple(src)), present(QQ, names, tuple(tgt))
+    return morphism(A, B, tuple(B.var(i) for i in range(len(names)))), coprime
+
+
+def test_section_witness_annihilates_a_basis_of_the_kernel():
+    """The solver imposes kappa·a = 0 only for the ideal generators of Ker(f).
+
+    The witness must still annihilate every vector of a k-basis of Ker(f),
+    which is the condition the finite route imposed before.
+    """
+    rng = random.Random(0)
+    outcomes = []
+    for _ in range(40):
+        f, coprime = crt_projection(rng)
+        sec = linear_section_exists(f)
+        assert sec.route == "finite" and sec.holds == coprime
+        outcomes.append(sec.holds)
+        if not sec.holds:
+            continue
+        A, B = f.source, f.target
+        basis_a = A.finite_basis()
+        index_b = {m: i for i, m in enumerate(B.finite_basis())}
+        columns = [coords(f.apply(Polynomial(A.context, QQ, {m: QQ.one()})), index_b, QQ) for m in basis_a]
+        klin = kernel_basis([list(row) for row in zip(*columns)], QQ, ncols=len(basis_a))
+        assert len(klin) == len(basis_a) - len(index_b)
+        for kvec in klin:
+            kappa = Polynomial(A.context, QQ, dict(zip(basis_a, kvec)))
+            assert A.reduce(kappa * sec.witness).is_zero()
+    assert outcomes.count(True) >= 10 and False in outcomes
 
 
 # --- pushouts ---------------------------------------------------------------
