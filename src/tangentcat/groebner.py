@@ -1,10 +1,11 @@
 """Deterministic Buchberger engine for ideals and submodules of free modules.
 
 One loop, ``module_buchberger``, computes every basis, and one loop,
-``module_normal_form``, reduces every element.  Reduction runs on mutable
-``{monomial: coefficient}`` dicts, one per position, subtracting each
-reducer's multiple term by term in place; the result's Polynomials are
-built once, at the end.  Free modules carry the
+``_reduce`` (public as ``module_normal_form``), reduces every element.
+Both run on mutable ``{monomial: coefficient}`` dicts, one per position: a
+basis stays in dicts from its first insert to its tail reduction, S-vectors
+and each reducer's multiple are subtracted term by term in place, and
+Polynomials are built once, for the result.  Free modules carry the
 position-over-term order in which position 0 is greatest; an ideal is the
 rank-1 case, and cofactor (extended) bases, syzygies and division with
 quotients run on vectors extended by unit tag columns.
@@ -49,16 +50,6 @@ from .polycore import (
 # basis caches key on it, so a basis found under one budget is not handed
 # out under a lower one.
 degree_cap = ContextVar("degree_cap", default=64)
-
-
-def _check_cap(p, cap):
-    d = p.degree()
-    if d > cap:
-        raise ResourceLimit(
-            f"polynomial degree {d} exceeds the degree cap {cap}",
-            degree=d,
-            cap=cap,
-        )
 
 
 def division(p, divisors, order=GREVLEX):
@@ -304,15 +295,6 @@ def vec_is_zero(v):
     return all(c.is_zero() for c in v)
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_term_mul(v, coeff, mono):
-    t = Polynomial(v[0].context, v[0].domain, {mono: coeff})
-    return tuple(c * t for c in v)
-
-
 def module_lt(v, order):
     """Leading (position, monomial, coefficient) of a vector, or None."""
     for i, c in enumerate(v):
@@ -335,26 +317,15 @@ def _vec_check(vectors):
     return ranks.pop(), ctx, dom
 
 
-def module_normal_form(v, basis, order=GREVLEX, leads=None):
-    """Complete normal form of a vector against module generators.
+def _reduce(work, reducers, key, dom, monic=False):
+    """Reduce term dicts completely, in place; return the remainder dicts.
 
-    ``leads`` may give each generator's ``module_lt``, for callers that
-    keep them; it is computed here otherwise.
+    ``reducers[pos]`` lists (leading monomial, leading coefficient, term
+    dicts) of the elements led in position ``pos``, in the order tried.
+    ``monic`` promises monic reducers over a field: no division per step.
     """
-    if not basis:
-        return v
-    ctx, dom = basis[0][0].context, basis[0][0].domain
-    if leads is None:
-        leads = [module_lt(b, order) for b in basis]
-    reducers = [[] for _ in v]
-    for b, lt in zip(basis, leads):
-        if lt is not None:
-            reducers[lt[0]].append((lt[1], lt[2], [c.terms for c in b]))
-    key = lru_cache(maxsize=None)(order.key)  # each monomial's key once per call
-    mul, sub = dom.mul, dom.sub
-    zero = dom.zero()
-    work = [dict(c.terms) for c in v]  # mutable term dicts, reduced in place
-    rem = [{} for _ in v]
+    zero, p = dom.zero(), dom.p
+    rem = [{} for _ in work]
     # the leading position never moves back: reducers vanish before theirs
     for pos, w in enumerate(work):
         while w:
@@ -363,12 +334,14 @@ def module_normal_form(v, basis, order=GREVLEX, leads=None):
             for bm, bc, bterms in reducers[pos]:
                 q = mono_div(m, bm)
                 if q is not None:
-                    t = dom.div(c, bc)
+                    t = c if monic else dom.div(c, bc)
                     for k in range(pos, len(work)):
                         wk = work[k]
                         for bm2, bc2 in bterms[k].items():
                             mq = mono_mul(bm2, q)
-                            s = sub(wk.get(mq, zero), mul(bc2, t))
+                            s = wk.get(mq, zero) - bc2 * t
+                            if p:
+                                s %= p
                             if s:
                                 wk[mq] = s
                             else:
@@ -377,6 +350,21 @@ def module_normal_form(v, basis, order=GREVLEX, leads=None):
             else:
                 rem[pos][m] = c
                 del w[m]
+    return rem
+
+
+def module_normal_form(v, basis, order=GREVLEX):
+    """Complete normal form of a vector against module generators."""
+    if not basis:
+        return v
+    ctx, dom = basis[0][0].context, basis[0][0].domain
+    reducers = [[] for _ in v]
+    for b in basis:
+        lt = module_lt(b, order)
+        if lt is not None:
+            reducers[lt[0]].append((lt[1], lt[2], [c.terms for c in b]))
+    key = lru_cache(maxsize=None)(order.key)  # each monomial's key once per call
+    rem = _reduce([dict(c.terms) for c in v], reducers, key, dom)
     return tuple(Polynomial._clean(ctx, dom, r) for r in rem)
 
 
@@ -417,28 +405,37 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
     if not dom.is_field:
         raise UnsupportedDomain("Groebner bases require a field domain")
 
-    one = dom.one()
-    basis, leads = [], []  # monic vectors and their (position, monomial, 1)
+    key = lru_cache(maxsize=None)(order.key)  # each monomial's key once per run
+    one, zero, p = dom.one(), dom.zero(), dom.p
+    basis, leads = [], []  # monic term-dict vectors and their (position, monomial)
+    reducers = [[] for _ in range(rank)]  # (monomial, 1, terms) per position, in basis order
     live = []  # elements whose leading term no later element's divides
     pairs = []  # heap of (deg lcm, lcm, position, i, j)
 
     def insert(v):
         nonlocal pairs
         for comp in v:
-            _check_cap(comp, cap)
-        pos, m, c = module_lt(v, order)
-        inv = dom.div(one, c)
+            d = max(map(mono_deg, comp), default=-1)
+            if d > cap:
+                raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
+        pos = next(k for k, comp in enumerate(v) if comp)
+        m = max(v[pos], key=key)
+        c = v[pos][m]
+        if c != one:
+            inv = dom.div(one, c)
+            v = [{mono: dom.mul(a, inv) for mono, a in comp.items()} for comp in v]
         new = len(basis)
-        basis.append(tuple(comp.scale(inv) for comp in v))
-        leads.append((pos, m, one))
+        basis.append(v)
+        leads.append((pos, m))
+        reducers[pos].append((m, one, v))
         # criterion B: drop (i, j) when m divides their lcm and the lcms of
         # (i, new) and (j, new) both differ from it; those two pairs cover it
         kept = [
-            key for key in pairs
-            if key[2] != pos
-            or mono_div(key[1], m) is None
-            or mono_lcm(leads[key[3]][1], m) == key[1]
-            or mono_lcm(leads[key[4]][1], m) == key[1]
+            pair for pair in pairs
+            if pair[2] != pos
+            or mono_div(pair[1], m) is None
+            or mono_lcm(leads[pair[3]][1], m) == pair[1]
+            or mono_lcm(leads[pair[4]][1], m) == pair[1]
         ]
         if len(kept) != len(pairs):
             heapq.heapify(kept)
@@ -447,7 +444,7 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
         # product criterion (coprime leading monomials) holds for rank 1 only
         todo = []
         for i in live:
-            ipos, mi, _ = leads[i]
+            ipos, mi = leads[i]
             if ipos == pos:
                 lcm = mono_lcm(mi, m)
                 coprime = rank == 1 and mono_deg(lcm) == mono_deg(mi) + mono_deg(m)
@@ -464,17 +461,26 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
         live.append(new)
 
     for v in vectors:
-        insert(v)
+        insert([comp.terms for comp in v])
     while pairs:
         _, lcm, _, i, j = heapq.heappop(pairs)
-        s = vec_sub(
-            vec_term_mul(basis[i], one, mono_div(lcm, leads[i][1])),
-            vec_term_mul(basis[j], one, mono_div(lcm, leads[j][1])),
-        )
+        # the S-vector x^a*b_i - x^b*b_j of two monic elements
+        qi, qj = mono_div(lcm, leads[i][1]), mono_div(lcm, leads[j][1])
+        s = [{mono_mul(mono, qi): a for mono, a in comp.items()} for comp in basis[i]]
+        for d, comp in zip(s, basis[j]):
+            for mono, a in comp.items():
+                mono = mono_mul(mono, qj)
+                a = d.get(mono, zero) - a
+                if p:
+                    a %= p
+                if a:
+                    d[mono] = a
+                else:
+                    del d[mono]
         # superseded elements still reduce: their short tails keep
         # coefficients small, where reducing by survivors alone swells them
-        r = module_normal_form(s, basis, order, leads)
-        if not vec_is_zero(r):
+        r = _reduce(s, reducers, key, dom, monic=True)
+        if any(r):
             insert(r)
 
     # minimalize, then tail-reduce each element once against the others:
@@ -486,13 +492,15 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
             for j in live
         )
     ]
-    minimal.sort(key=lambda i: (leads[i][0], order.key(leads[i][1])))
+    minimal.sort(key=lambda i: (leads[i][0], key(leads[i][1])))
     reduced = []
     for i in minimal:
-        others = [k for k in minimal if k != i]
-        reduced.append(
-            module_normal_form(basis[i], [basis[k] for k in others], order, [leads[k] for k in others])
-        )
+        r = basis[i]
+        if len(minimal) > 1:
+            others = [[(leads[k][1], one, basis[k]) for k in minimal if k != i and leads[k][0] == pos]
+                      for pos in range(rank)]
+            r = _reduce([dict(comp) for comp in r], others, key, dom, monic=True)
+        reduced.append(tuple(Polynomial._clean(ctx, dom, comp) for comp in r))
     return ModuleGroebnerBasis(tuple(reduced), rank, order, ctx, dom)
 
 

@@ -78,8 +78,13 @@ def identity_check(p, q, config=DEFAULT_CONFIG):
     rng = random.Random(config.seed)
     nvars = len(p.context)
     rp, rq = _residues(p, modulus), _residues(q, modulus)
+    k = modulus.bit_length()  # randrange(modulus)'s draws, minus its per-call checks
     for _ in range(config.samples):
-        point = [rng.randrange(modulus) for _ in range(nvars)]
+        point = []
+        while len(point) < nvars:
+            r = rng.getrandbits(k)
+            if r < modulus:
+                point.append(r)
         if _eval_mod(rp, point, modulus) != _eval_mod(rq, point, modulus):
             return "definitely_unequal"
     return "probably_equal"

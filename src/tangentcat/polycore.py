@@ -349,31 +349,29 @@ class Polynomial:
         if self.domain != other.domain:
             raise DomainMismatch("polynomials live over different domains")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """Add or subtract (``op``) term by term: canonical terms need only mod p."""
         self._check(other)
-        terms = dict(self.terms)
         dom = self.domain
-        zero = dom.zero()
+        if op is sub and other.terms and not dom.has_negation:
+            raise UnsupportedDomain("subtraction is not available over N")
+        terms = dict(self.terms)
+        zero, p = dom.zero(), dom.p
         for m, c in other.terms.items():
-            s = dom.add(terms.get(m, zero), c)
+            s = op(terms.get(m, zero), c)
+            if p:
+                s %= p
             if s:
                 terms[m] = s
             else:
                 del terms[m]
         return Polynomial._clean(self.context, dom, terms)
 
+    def __add__(self, other):
+        return self._combine(other, add)
+
     def __sub__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        dom = self.domain
-        zero = dom.zero()
-        for m, c in other.terms.items():
-            s = dom.sub(terms.get(m, zero), c)
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-        return Polynomial._clean(self.context, dom, terms)
+        return self._combine(other, sub)
 
     def __neg__(self):
         dom = self.domain
@@ -382,12 +380,14 @@ class Polynomial:
     def __mul__(self, other):
         self._check(other)
         dom = self.domain
-        zero = dom.zero()
+        zero, p = dom.zero(), dom.p
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = dom.add(terms.get(m, zero), dom.mul(c1, c2))
+                s = terms.get(m, zero) + c1 * c2
+                if p:
+                    s %= p
                 if s:
                     terms[m] = s
                 else:
@@ -482,7 +482,7 @@ class Polynomial:
                 cache[e] = power(i, e - 1) * images[i]
             return cache[e]
 
-        zero = dom.zero()
+        zero, p = dom.zero(), dom.p
         total = {}
         for m, c in self.terms.items():
             acc = one
@@ -490,7 +490,9 @@ class Polynomial:
                 if e:
                     acc = power(i, e) if acc is one else acc * power(i, e)
             for m2, c2 in acc.terms.items():
-                s = dom.add(total.get(m2, zero), dom.mul(c, c2))
+                s = total.get(m2, zero) + c * c2
+                if p:
+                    s %= p
                 if s:
                     total[m2] = s
                 else:

@@ -4,14 +4,19 @@ The worked values here were frozen from an independent computer-algebra
 run before this engine existed; the tests assert byte-equal results.
 """
 
+import hashlib
+import heapq
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tangentcat.errors import ResourceLimit, ShapeMismatch
+from tangentcat.errors import ResourceLimit, ShapeMismatch, UnsupportedDomain
 from tangentcat.groebner import (
     GREVLEX,
+    ModuleGroebnerBasis,
     buchberger_extended,
     degree_cap,
     division,
@@ -27,8 +32,6 @@ from tangentcat.groebner import (
     ring_map_kernel,
     syzygy_basis,
     vec_is_zero,
-    vec_sub,
-    vec_term_mul,
 )
 from tangentcat.polycore import (
     LEX,
@@ -36,6 +39,7 @@ from tangentcat.polycore import (
     Polynomial,
     context,
     elimination_order,
+    mono_deg,
     mono_div,
     mono_lcm,
     poly_parse,
@@ -43,6 +47,15 @@ from tangentcat.polycore import (
 )
 
 XY = context("x", "y")
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_term_mul(v, coeff, mono):
+    t = Polynomial(v[0].context, v[0].domain, {mono: coeff})
+    return tuple(c * t for c in v)
 
 
 def qq(text, ctx=XY):
@@ -291,12 +304,16 @@ def reference_normal_form(v, basis, order):
     return tuple(rem)
 
 
-def reference_division(p, divisors, order):
-    ctx, dom = p.context, p.domain
+def tagged(vectors, ctx, dom):
     zero, one = Polynomial.zero(ctx, dom), Polynomial.one(ctx, dom)
-    n = len(divisors)
-    rows = [(d,) + tuple(one if k == i else zero for k in range(n)) for i, d in enumerate(divisors)]
-    r = reference_normal_form((p,) + (zero,) * n, rows, order)
+    n = len(vectors)
+    return [tuple(v) + tuple(one if k == i else zero for k in range(n)) for i, v in enumerate(vectors)]
+
+
+def reference_division(p, divisors, order):
+    zero = Polynomial.zero(p.context, p.domain)
+    rows = tagged([(d,) for d in divisors], p.context, p.domain)
+    r = reference_normal_form((p,) + (zero,) * len(divisors), rows, order)
     return [-q for q in r[1:]], r[0]
 
 
@@ -359,6 +376,213 @@ def test_reduction_in_a_context_without_variables():
     assert vec_is_zero(module_normal_form((c(3), c(4)), rows))
     assert module_normal_form((c(3), c(4)), rows[1:]) == (c(3), zero)
     assert exact(module_normal_form((c(3), c(4)), rows)) == exact(reference_normal_form((c(3), c(4)), rows, GREVLEX))
+
+
+def reference_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
+    """The module Buchberger loop as it ran on Polynomial objects: S-vectors
+    by term multiplication and subtraction, monic scaling by ``scale``."""
+    cap = degree_cap.get()
+    vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
+    if not vectors:
+        return ModuleGroebnerBasis((), rank, order, ctx, dom)
+    if not dom.is_field:
+        raise UnsupportedDomain("Groebner bases require a field domain")
+    one = dom.one()
+    basis, leads, live, pairs = [], [], [], []
+
+    def insert(v):
+        nonlocal pairs
+        for comp in v:
+            d = comp.degree()
+            if d > cap:
+                raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
+        pos, m, c = module_lt(v, order)
+        inv = dom.div(one, c)
+        new = len(basis)
+        basis.append(tuple(comp.scale(inv) for comp in v))
+        leads.append((pos, m, one))
+        kept = [
+            key for key in pairs
+            if key[2] != pos
+            or mono_div(key[1], m) is None
+            or mono_lcm(leads[key[3]][1], m) == key[1]
+            or mono_lcm(leads[key[4]][1], m) == key[1]
+        ]
+        if len(kept) != len(pairs):
+            heapq.heapify(kept)
+            pairs = kept
+        todo = []
+        for i in live:
+            ipos, mi, _ = leads[i]
+            if ipos == pos:
+                lcm = mono_lcm(mi, m)
+                coprime = rank == 1 and mono_deg(lcm) == mono_deg(mi) + mono_deg(m)
+                todo.append((lcm, i, coprime))
+        done = []
+        while todo:
+            lcm, i, coprime = cand = todo.pop(0)
+            if coprime or all(mono_div(lcm, other[0]) is None for other in todo + done):
+                done.append(cand)
+        for lcm, i, coprime in done:
+            if not coprime:
+                heapq.heappush(pairs, (mono_deg(lcm), lcm, pos, i, new))
+        live[:] = [i for i in live if leads[i][0] != pos or mono_div(leads[i][1], m) is None]
+        live.append(new)
+
+    for v in vectors:
+        insert(v)
+    while pairs:
+        _, lcm, _, i, j = heapq.heappop(pairs)
+        s = vec_sub(
+            vec_term_mul(basis[i], one, mono_div(lcm, leads[i][1])),
+            vec_term_mul(basis[j], one, mono_div(lcm, leads[j][1])),
+        )
+        r = reference_normal_form(s, basis, order)
+        if not vec_is_zero(r):
+            insert(r)
+    minimal = [
+        i for i in live
+        if not any(
+            j != i and leads[j][0] == leads[i][0] and mono_div(leads[i][1], leads[j][1]) is not None
+            for j in live
+        )
+    ]
+    minimal.sort(key=lambda i: (leads[i][0], order.key(leads[i][1])))
+    reduced = []
+    for i in minimal:
+        others = [basis[k] for k in minimal if k != i]
+        reduced.append(reference_normal_form(basis[i], others, order) if others else basis[i])
+    return ModuleGroebnerBasis(tuple(reduced), rank, order, ctx, dom)
+
+
+ENGINE_DOMAINS = (QQ, prime_field(2), prime_field(7))
+ENGINE_ORDERS = (GREVLEX, LEX, elimination_order(1))
+ENGINE_CAP = 8  # bounds the lex cases whose bases climb in degree
+
+
+def engine_input(seed):
+    """A seeded module-basis input: (ctx, dom, order, rank, rows).
+
+    Seeds cycle through Q, F_2, F_7, then grevlex, lex, elimination, then
+    ranks 1-3; rows are non-monic, some components are zero, and about half
+    the inputs carry a zero row.
+    """
+    rng = random.Random(seed)
+    dom = ENGINE_DOMAINS[seed % 3]
+    order = ENGINE_ORDERS[seed // 3 % 3]
+    rank = 1 + seed // 9 % 3
+    ctx = context(*("x", "y", "z")[: rng.randint(2, 3)])
+    zero = Polynomial.zero(ctx, dom)
+    rows = [
+        tuple(zero if rng.random() < 0.3 else random_poly_over(rng, ctx, dom, rng.randint(1, 3), 2)
+              for _ in range(rank))
+        for _ in range(rng.randint(1, rank + 2))
+    ]
+    if rng.random() < 0.5:
+        rows.insert(rng.randint(0, len(rows)), (zero,) * rank)
+    return ctx, dom, order, rank, rows
+
+
+def outcome(fn, *args):
+    """The vectors ``fn`` returns, terms in stored order with coefficient
+    types, or the ResourceLimit it raises."""
+    try:
+        vectors = fn(*args)
+    except ResourceLimit as e:
+        return ("ResourceLimit", str(e), e.degree, e.cap)
+    return [[[(m, type(c).__name__, c) for m, c in p.terms.items()] for p in v] for v in vectors]
+
+
+def engine_digest(seeds=range(600)):
+    """SHA-256 over the reduced bases of ``engine_input(seed)`` as text."""
+    h = hashlib.sha256()
+    token = degree_cap.set(ENGINE_CAP)
+    try:
+        for seed in seeds:
+            ctx, dom, order, rank, rows = engine_input(seed)
+            try:
+                gens = module_buchberger(rows, rank, ctx, dom, order).generators
+                text = "".join("[" + ", ".join(c.to_str() for c in v) + "]\n" for v in gens)
+            except ResourceLimit as e:
+                text = f"ResourceLimit {e} {e.degree} {e.cap}\n"
+            h.update(f"{seed}\n{text}".encode())
+    finally:
+        degree_cap.reset(token)
+    return h.hexdigest()
+
+
+DIGEST = Path(__file__).parent / "data" / "groebner_digest.json"
+
+
+def test_engine_output_matches_the_recorded_digest():
+    # reduced bases are unique: an engine change that alters one byte of
+    # them is a bug, whatever the speed-up
+    recorded = json.loads(DIGEST.read_text())
+    assert engine_digest(range(recorded["inputs"])) == recorded["sha256"]
+
+
+@pytest.mark.parametrize("seed", range(0, 600, 10))
+def test_engine_matches_the_reference_loop(seed):
+    ctx, dom, order, rank, rows = engine_input(seed)
+    token = degree_cap.set(ENGINE_CAP)
+    try:
+        assert outcome(lambda: module_buchberger(rows, rank, ctx, dom, order).generators) == outcome(
+            lambda: reference_buchberger(rows, rank, ctx, dom, order).generators
+        )
+        theirs = tagged(rows, ctx, dom)
+        assert outcome(syzygy_basis, rows, rank, ctx, dom, order) == outcome(
+            lambda: [w[rank:] for w in reference_buchberger(theirs, rank + len(rows), ctx, dom, order).generators
+                     if vec_is_zero(w[:rank])]
+        )
+        gens = [r[0] for r in rows]
+        if any(not g.is_zero() for g in gens):
+
+            def extended():
+                gb, cofactors = buchberger_extended(gens, order)
+                return (gb.generators,) + cofactors
+
+            def reference_extended():
+                ref = reference_buchberger(tagged([(g,) for g in gens], ctx, dom), 1 + len(gens), ctx, dom, order)
+                led = [w for w in ref.generators if not w[0].is_zero()]
+                return (tuple(w[0] for w in led),) + tuple(w[1:] for w in led)
+
+            assert outcome(extended) == outcome(reference_extended)
+    finally:
+        degree_cap.reset(token)
+
+
+def test_engine_raises_the_reference_resource_limit():
+    x, y = qq("x"), qq("y")
+    zero = Polynomial.zero(XY, QQ)
+    token = degree_cap.set(3)
+    try:
+        # on entry: the second component of the second vector is over the cap
+        rows = [(x + y, zero), (x, y**5 - x)]
+        assert outcome(lambda: module_buchberger(rows, 2, XY, QQ).generators) == outcome(
+            lambda: reference_buchberger(rows, 2, XY, QQ).generators
+        ) == ("ResourceLimit", "polynomial degree 5 exceeds the degree cap 3", 5, 3)
+    finally:
+        degree_cap.reset(token)
+    token = degree_cap.set(2)
+    try:
+        # mid-run: y*(x - y^2) - (x*y - 1) = 1 - y^3 under lex, irreducible
+        rows = [(qq("x - y^2"),), (qq("x*y - 1"),)]
+        assert outcome(lambda: module_buchberger(rows, 1, XY, QQ, LEX).generators) == outcome(
+            lambda: reference_buchberger(rows, 1, XY, QQ, LEX).generators
+        ) == ("ResourceLimit", "polynomial degree 3 exceeds the degree cap 2", 3, 2)
+    finally:
+        degree_cap.reset(token)
+
+
+def test_normal_form_divides_only_over_fields():
+    from tangentcat.polycore import ZZ
+
+    x = Polynomial.variable(XY, ZZ, 0)
+    two_x = x + x
+    # y is irreducible by 2x: no step, so no division
+    assert normal_form(Polynomial.variable(XY, ZZ, 1), [two_x]) == Polynomial.variable(XY, ZZ, 1)
+    with pytest.raises(UnsupportedDomain, match="exact division"):
+        normal_form(x * x, [two_x])
 
 
 # --- differential check against sympy ---------------------------------------

@@ -1,6 +1,7 @@
 """Randomized corroboration and certificate replay."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from tangentcat.cdc import cdc_context, cdc_map, classify_cdc_map, classify_linear
 from tangentcat.classify import classify_affine, classify_calg
 from tangentcat.errors import ContextMismatch, EmbeddingFailure, EvidenceMismatch
+from tangentcat import oracle
 from tangentcat.oracle import (
+    DEFAULT_CONFIG,
     MERSENNE_61,
     OracleConfig,
     identity_check,
@@ -162,3 +165,20 @@ def test_tampered_kernel_vector_is_caught():
     report.predicates["T_monic"].evidence["kernel_vector"] = ["1", "1"]
     with pytest.raises(EvidenceMismatch):
         replay_evidence(report)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 5, DEFAULT_CONFIG.prime, 2**31 - 1])
+def test_sample_points_are_the_randrange_sequence(modulus, monkeypatch):
+    # the seeded points, and so every oracle verdict, are those randrange drew
+    ctx = context("x", "y", "z")
+    dom = prime_field(modulus) if modulus < 6 else QQ
+    p = poly_parse("x + 2*y + z", ctx, dom)  # degree 1: sampled even over F_2
+    points = []
+    monkeypatch.setattr(oracle, "_eval_mod", lambda residues, point, m: points.append(point) or 0)
+    for seed in range(50):
+        config = OracleConfig(prime=modulus, samples=4, seed=seed)
+        assert identity_check(p, p, config) == "probably_equal"
+        rng = random.Random(seed)
+        expected = [[rng.randrange(modulus) for _ in range(3)] for _ in range(4)]
+        assert points[::2] == points[1::2] == expected
+        points.clear()

@@ -253,3 +253,13 @@ def test_subtraction_unavailable_over_nn():
     xn, yn = variables(XY, NN)
     with pytest.raises(UnsupportedDomain):
         _ = xn - yn
+
+
+def test_subtraction_over_nn_fails_only_on_a_nonzero_subtrahend():
+    xn, yn = variables(XY, NN)
+    zero = Polynomial.zero(XY, NN)
+    assert xn - zero == xn and zero - zero == zero
+    with pytest.raises(UnsupportedDomain, match="subtraction is not available over N"):
+        _ = xn - xn
+    with pytest.raises(UnsupportedDomain, match="subtraction is not available over N"):
+        _ = zero - yn
