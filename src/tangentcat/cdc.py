@@ -29,6 +29,7 @@ from .errors import (
     ArityMismatch,
     ContextMismatch,
     DomainMismatch,
+    InconsistentClassification,
     NotASection,
     ShapeMismatch,
     UnsupportedDomain,
@@ -467,7 +468,8 @@ def linearize_section(f, s):
     base = tuple(Polynomial.variable(ctx, dom, i) for i in range(n))
     result = CdcMap(dom, ctx, base + tuple(linear))
     ok, detail = is_section_of(f, result)
-    assert ok, f"linearization broke the section property: {detail}"
+    if not ok:
+        raise InconsistentClassification(f"linearization broke the section property: {detail}")
     return result
 
 

@@ -80,7 +80,7 @@ class NotASection(TangentError):
 
 
 class InconsistentClassification(TangentError):
-    """Computed predicate verdicts violate a theorem-backed implication."""
+    """Computed verdicts violate a theorem-backed implication, or their evidence fails its check."""
 
     def __init__(self, message, law=None):
         super().__init__(message)

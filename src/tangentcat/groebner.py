@@ -223,22 +223,19 @@ class MorphismGraph:
         self.nA, self.nB = nA, nB
         self.source, self.target = A, B
         self._embed_b = list(range(nB))
-        self._embed_a = [nB + i for i in range(nA)]
+        embed_a = [nB + i for i in range(nA)]
         gens = [g.rename(ctx, self._embed_b) for g in B.ideal]
         for i in range(nA):
             lhs = Polynomial.variable(ctx, dom, nB + i)
             rhs = f.var_images[i].rename(ctx, self._embed_b)
             gens.append(lhs - rhs)
-        gens += [g.rename(ctx, self._embed_a) for g in A.ideal]
+        gens += [g.rename(ctx, embed_a) for g in A.ideal]
         order = elimination_order(nB)
         self.gb = ideal_basis(tuple(gens), ctx, dom, order)
         self.order = order
 
     def embed_target(self, p):
         return p.rename(self.ctx, self._embed_b)
-
-    def embed_source(self, p):
-        return p.rename(self.ctx, self._embed_a)
 
     def to_source(self, p):
         """Transport a source-block-only polynomial back to the source context."""

@@ -70,12 +70,6 @@ class ModulePresentation:
         z = self.algebra.zero()
         return tuple(self.algebra.one() if j == i else z for j in range(self.rank))
 
-    def monomial_vector(self, pos, mono):
-        """The vector with the monomial ``mono`` at ``pos`` and zeros elsewhere."""
-        A = self.algebra
-        m = Polynomial(A.context, A.domain, {mono: A.domain.one()})
-        return tuple(m if j == pos else A.zero() for j in range(self.rank))
-
     def gb(self):
         return _module_gb(self, degree_cap.get())
 
@@ -86,30 +80,62 @@ class ModulePresentation:
             return ()
         return self.gb().normal_form(tuple(v))
 
-    def is_zero_module(self):
-        return all(vec_is_zero(self.reduce(self.unit_vector(i))) for i in range(self.rank))
-
-    def finite_basis(self):
-        """Standard (position, monomial) pairs, or None when infinite."""
+    def finite(self):
+        """The module on its staircase basis, or None when that basis is infinite."""
         if self.rank == 0:
-            return []
-        return module_fd_basis(self.gb(), len(self.algebra.context))
+            return FiniteModule(self, ())
+        basis = module_fd_basis(self.gb(), len(self.algebra.context))
+        return None if basis is None else FiniteModule(self, tuple(basis))
 
     def dimension(self):
-        basis = self.finite_basis()
-        return None if basis is None else len(basis)
+        fin = self.finite()
+        return None if fin is None else len(fin.basis)
+
+
+@dataclass(frozen=True)
+class FiniteModule:
+    """A finite-dimensional module with its standard (position, monomial) basis.
+
+    Every staircase matrix of the module is built here: the coordinates of
+    normal forms, and the multiplication action of each variable.
+    """
+
+    module: ModulePresentation
+    basis: tuple
+
+    def vector(self, pos, mono):
+        """The vector with the monomial ``mono`` at ``pos`` and zeros elsewhere."""
+        A = self.module.algebra
+        m = Polynomial(A.context, A.domain, {mono: A.domain.one()})
+        return tuple(m if j == pos else A.zero() for j in range(self.module.rank))
+
+    def matrix(self, vectors):
+        """Field matrix whose column j holds the coordinates of ``vectors[j]``."""
+        M = self.module
+        return matrix_on_basis([M.reduce(v) for v in vectors], self.basis, M.algebra.domain)
+
+    def actions(self):
+        """Matrices of multiplication by each variable, one per variable."""
+        return [
+            self.matrix([
+                self.vector(pos, mono[:v] + (mono[v] + 1,) + mono[v + 1 :])
+                for pos, mono in self.basis
+            ])
+            for v in range(len(self.module.algebra.context))
+        ]
+
+
+def _ideal_multiples(A, rank):
+    """The vectors g·e_i for each generator g of A's ideal and position i."""
+    zero = A.zero()
+    return [tuple(g if j == i else zero for j in range(rank)) for g in A.ideal for i in range(rank)]
 
 
 @lru_cache(maxsize=None)
 def _module_gb(M, budget):
     """``budget`` is the current degree cap; it only keys the cache."""
     A = M.algebra
-    vectors = [tuple(rel) for rel in M.relations]
-    for g in A.ideal:
-        for i in range(M.rank):
-            v = list(M.zero_vector())
-            v[i] = g
-            vectors.append(tuple(v))
+    vectors = [tuple(rel) for rel in M.relations] + _ideal_multiples(A, M.rank)
     return module_buchberger(vectors, M.rank, A.context, A.domain, GREVLEX)
 
 
@@ -153,12 +179,6 @@ class ModuleMap:
     def column(self, j):
         return tuple(self.matrix[i][j] for i in range(self.target.rank))
 
-    def matrix_on(self, basis_s, basis_t):
-        """Field matrix of the map on staircase bases of its source and target."""
-        S, T = self.source, self.target
-        images = [T.reduce(self.apply(S.monomial_vector(*pm))) for pm in basis_s]
-        return matrix_on_basis(images, basis_t, S.algebra.domain)
-
 
 def module_map(source, target, matrix, check=True):
     phi = ModuleMap(source, target, tuple(tuple(row) for row in matrix))
@@ -189,12 +209,7 @@ def module_map_kernel(phi):
         # target is the zero module: the kernel is everything
         raw = [S.unit_vector(j) for j in range(S.rank)]
     else:
-        others = [tuple(rel) for rel in T.relations]
-        for g in A.ideal:
-            for i in range(T.rank):
-                v = [A.zero()] * T.rank
-                v[i] = g
-                others.append(tuple(v))
+        others = [tuple(rel) for rel in T.relations] + _ideal_multiples(A, T.rank)
         syz = syzygy_basis(cols + others, T.rank, A.context, A.domain, GREVLEX)
         raw = [c[: S.rank] for c in syz]
     out = []
@@ -297,17 +312,15 @@ def relative_kahler(f):
 # ---------------------------------------------------------------------------
 # finite-dimensional machinery
 
-def _shift(mono, v):
-    """The monomial ``mono`` multiplied by the variable with index ``v``."""
-    return mono[:v] + (mono[v] + 1,) + mono[v + 1 :]
-
-
 @dataclass(frozen=True)
 class RetractionResult:
+    """``rank`` is the rank of phi's matrix V on the staircase bases."""
+
     exists: bool
     matrix: object
-    source_basis: object
-    target_basis: object
+    rank: int
+    source: FiniteModule
+    target: FiniteModule
 
 
 def retraction_solve(phi):
@@ -317,35 +330,20 @@ def retraction_solve(phi):
     commute with every variable's multiplication action, which makes it a
     module map.  Raises NotFiniteDimensional outside the finite regime.
     """
-    basis_s = phi.source.finite_basis()
-    basis_t = phi.target.finite_basis()
-    if basis_s is None or basis_t is None:
+    S, T = phi.source.finite(), phi.target.finite()
+    if S is None or T is None:
         raise NotFiniteDimensional("retraction solving needs finite-dimensional modules")
-    if not basis_s:
-        return RetractionResult(True, [], [], basis_t)
-    S, T = phi.source, phi.target
-    dom = S.algebra.domain
-    vmat = phi.matrix_on(basis_s, basis_t)
-    if matrix_rank(vmat, dom) < len(basis_s):
+    if not S.basis:
+        return RetractionResult(True, [], 0, S, T)
+    dom = S.module.algebra.domain
+    vmat = T.matrix([phi.apply(S.vector(*pm)) for pm in S.basis])
+    rank = matrix_rank(vmat, dom)
+    if rank < len(S.basis):
         # R·V = I needs an injective V (so a nonzero module cannot retract
         # through the zero module), and the system would have no solution
-        return RetractionResult(False, None, basis_s, basis_t)
-
-    def actions(M, basis):
-        """Matrices of multiplication by each variable on a staircase basis."""
-        return [
-            matrix_on_basis(
-                [M.reduce(M.monomial_vector(pos, _shift(mono, v))) for pos, mono in basis],
-                basis,
-                dom,
-            )
-            for v in range(len(S.algebra.context))
-        ]
-
-    r = retraction_solve_matrices(vmat, actions(S, basis_s), actions(T, basis_t), dom)
-    if r is None:
-        return RetractionResult(False, None, basis_s, basis_t)
-    return RetractionResult(True, r, basis_s, basis_t)
+        return RetractionResult(False, None, rank, S, T)
+    r = retraction_solve_matrices(vmat, S.actions(), T.actions(), dom)
+    return RetractionResult(r is not None, r, rank, S, T)
 
 
 # ---------------------------------------------------------------------------
@@ -391,23 +389,24 @@ def classify_cotangent(seq):
     algebra on staircase bases; otherwise the kernel comes from syzygies
     and splitting may stay undetermined.
     """
-    S, T = seq.pullback, seq.middle
-    dom = S.algebra.domain
-    basis_s = S.finite_basis()
-    basis_t = T.finite_basis()
-    finite = basis_s is not None and basis_t is not None
+    dom = seq.pullback.algebra.domain
+    try:
+        ret = retraction_solve(seq.v)
+    except NotFiniteDimensional:
+        ret = None
+    finite = ret is not None
+    source = ret.source if finite else seq.pullback.finite()
 
     coker_zero, coker_ev = zero_module_evidence(seq.cokernel)
     coker_ev = dict(coker_ev)
     coker_ev["module"] = "cokernel"
 
     if finite:
-        rank = matrix_rank(seq.v.matrix_on(basis_s, basis_t), dom)
-        monic = rank == len(basis_s)
+        monic = ret.rank == len(source.basis)
         monic_ev = {
             "route": "finite",
-            "source_dimension": len(basis_s),
-            "matrix_rank": rank,
+            "source_dimension": len(source.basis),
+            "matrix_rank": ret.rank,
         }
     else:
         kernel = module_map_kernel(seq.v)
@@ -416,19 +415,17 @@ def classify_cotangent(seq):
             [str(c) for c in v] for v in kernel
         ]}
 
-    if basis_s == []:
+    if source is not None and not source.basis:
         split = True
         split_ev = {"route": "trivial", "reason": "the pulled-back module is zero"}
     elif finite:
-        # R·V = I needs an injective V: without one the system is infeasible
-        ret = retraction_solve(seq.v) if monic else None
-        split = ret is not None and ret.exists
+        split = ret.exists
         if split:
             split_ev = {
                 "route": "finite",
                 "retraction": [[dom.coeff_str(dom.normalize(x)) for x in row] for row in ret.matrix],
-                "source_basis": [[pos, list(mono)] for pos, mono in ret.source_basis],
-                "target_basis": [[pos, list(mono)] for pos, mono in ret.target_basis],
+                "source_basis": [[pos, list(mono)] for pos, mono in ret.source.basis],
+                "target_basis": [[pos, list(mono)] for pos, mono in ret.target.basis],
             }
         else:
             split_ev = {"route": "finite", "reason": "the retraction system is infeasible"}
@@ -485,30 +482,26 @@ def base_change_check(f, g):
         relations.append(tuple(po.into_left.apply(c) for c in rel))
     side2 = ModulePresentation(P, seq_f.cokernel.labels, tuple(relations))
 
-    b1 = side1.finite_basis()
-    b2 = side2.finite_basis()
-    if b1 is None or b2 is None:
+    fin1, fin2 = side1.finite(), side2.finite()
+    d1 = None if fin1 is None else len(fin1.basis)
+    d2 = None if fin2 is None else len(fin2.basis)
+    if fin1 is None or fin2 is None:
         return BaseChangeResult(
-            None,
-            None if b1 is None else len(b1),
-            None if b2 is None else len(b2),
-            "comparison needs finite-dimensional differentials on both sides",
+            None, d1, d2, "comparison needs finite-dimensional differentials on both sides"
         )
-    if len(b1) != len(b2):
-        return BaseChangeResult(
-            False, len(b1), len(b2), "differential dimensions disagree"
-        )
-    if not b1:
+    if d1 != d2:
+        return BaseChangeResult(False, d1, d2, "differential dimensions disagree")
+    if not d1:
         return BaseChangeResult(True, 0, 0, "both differential modules vanish")
     # canonical map: generator d<y_j> of the pushed-forward side to the same
-    # generator of the pushout side (B's relative variables prefix P's)
-    images = [side1.reduce(side1.monomial_vector(*pm)) for pm in b2]
-    rank = matrix_rank(matrix_on_basis(images, b1, P.domain), P.domain)
-    ok = rank == len(b1)
+    # generator of the pushout side (B's relative variables prefix P's), so
+    # each standard vector of side2 is read as a vector of side1
+    rank = matrix_rank(fin1.matrix([fin1.vector(*pm) for pm in fin2.basis]), P.domain)
+    ok = rank == d1
     return BaseChangeResult(
         ok,
-        len(b1),
-        len(b2),
+        d1,
+        d2,
         "canonical map has full rank" if ok else "canonical map drops rank",
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd, lcm
 
-from .errors import RankMismatch, ShapeMismatch, UnsupportedDomain
+from .errors import InconsistentClassification, RankMismatch, ShapeMismatch, UnsupportedDomain
 from .polycore import GREVLEX, QQ, mono_deg, mono_div
 
 
@@ -396,6 +396,6 @@ def integer_right_inverse(mat):
     for i in range(m):
         dplus[i][i] = d[i][i]  # inverse of ±1 is itself
     x = _mat_mul_int(v, _mat_mul_int(dplus, u))
-    check = _mat_mul_int(mat, x)
-    assert check == _ident(m), "Smith-form right inverse failed to verify"
+    if _mat_mul_int(mat, x) != _ident(m):
+        raise InconsistentClassification("Smith-form right inverse failed to verify")
     return x

@@ -21,6 +21,7 @@ from .errors import (
     ContextMismatch,
     DomainMismatch,
     IllDefinedMorphism,
+    InconsistentClassification,
     NotSurjective,
     UnsupportedDomain,
 )
@@ -377,7 +378,8 @@ def _verify_section_witness(f, kernel, witness):
     A = f.source
     ok_image = (f.apply(witness) - f.target.reduce(f.target.one())).is_zero()
     ok_kernel = all(A.reduce(k * witness).is_zero() for k in kernel)
-    assert ok_image and ok_kernel, "section witness failed verification"
+    if not (ok_image and ok_kernel):
+        raise InconsistentClassification("section witness failed verification")
 
 
 def linear_section_exists(f):
@@ -488,7 +490,8 @@ def linear_section_exists(f):
         if b_coeff.is_zero():
             continue
         a_coeff = preimage(f, b_coeff)
-        assert a_coeff is not None, "surjective morphism lost a preimage"
+        if a_coeff is None:
+            raise InconsistentClassification("surjective morphism lost a preimage")
         witness = witness + a_coeff * transporter[idx]
     witness = A.reduce(witness)
     _verify_section_witness(f, kernel, witness)

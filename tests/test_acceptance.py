@@ -16,8 +16,11 @@ One test per criterion, `pytest -v` prints one verdict line each:
 Everything is seeded; the whole module stays well under a minute.
 """
 
+import hashlib
+import json
 import random
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -36,6 +39,7 @@ from tangentcat.cdc import (
     theta_flip_sides,
 )
 from tangentcat.classify import classify_affine, classify_calg
+from tangentcat import cli
 from tangentcat.cli import _parabola_case, _suite_base_change, load_workspace
 from tangentcat.groebner import ideal_basis
 from tangentcat.kahler import (
@@ -292,12 +296,17 @@ def test_finite_and_general_monic_routes_agree(random_suite):
     """The rank on staircase bases and the syzygy kernel agree on v."""
     verdicts = set()
     for f, seq, _imm, _unr in random_suite[::5]:
-        basis_s = seq.pullback.finite_basis()
-        rank = matrix_rank(seq.v.matrix_on(basis_s, seq.middle.finite_basis()), QQ)
-        monic = rank == len(basis_s)
+        S, T = seq.pullback.finite(), seq.middle.finite()
+        rank = matrix_rank(T.matrix([seq.v.apply(S.vector(*pm)) for pm in S.basis]), QQ)
+        monic = rank == len(S.basis)
         assert monic == (len(module_map_kernel(seq.v)) == 0), f.var_images
         verdicts.add(monic)
     assert verdicts == {True, False}  # both outcomes are exercised
+
+
+def _monomial_vector(M, pos, mono):
+    one = Polynomial(M.algebra.context, QQ, {mono: QQ.one()})
+    return tuple(one if j == pos else M.algebra.zero() for j in range(M.rank))
 
 
 def _action_matrices(M, basis):
@@ -307,7 +316,7 @@ def _action_matrices(M, basis):
 
     return [
         matrix_on_basis(
-            [M.reduce(M.monomial_vector(pos, times(mono, v))) for pos, mono in basis], basis, QQ
+            [M.reduce(_monomial_vector(M, pos, times(mono, v))) for pos, mono in basis], basis, QQ
         )
         for v in range(len(M.algebra.context))
     ]
@@ -317,11 +326,15 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _module_map_matrices(phi):
     """V and the actions of source and target, rebuilt on staircase bases."""
     S, T = phi.source, phi.target
-    basis_s, basis_t = S.finite_basis(), T.finite_basis()
-    images = [T.reduce(phi.apply(S.monomial_vector(*pm))) for pm in basis_s]
+    basis_s, basis_t = S.finite().basis, T.finite().basis
+    images = [T.reduce(phi.apply(_monomial_vector(S, *pm))) for pm in basis_s]
     v = matrix_on_basis(images, basis_t, QQ)
     return v, _action_matrices(S, basis_s), _action_matrices(T, basis_t)
 
@@ -329,7 +342,7 @@ def _module_map_matrices(phi):
 def _assert_module_retraction(evidence, phi):
     r = [[Fraction(x) for x in row] for row in evidence]
     v, acts_s, acts_t = _module_map_matrices(phi)
-    assert _matmul(r, v) == [[int(i == j) for j in range(len(r))] for i in range(len(r))]
+    assert _matmul(r, v) == _identity(len(r))
     for a_s, a_t in zip(acts_s, acts_t):
         assert _matmul(r, a_t) == _matmul(a_s, r)
 
@@ -340,8 +353,8 @@ def test_retraction_evidence_is_a_module_retraction(random_suite):
     for f, seq, _imm, _unr in random_suite[::5]:
         split, ev = classify_cotangent(seq).split_monic
         if split and ev["route"] == "finite":
-            assert ev["source_basis"] == [[p, list(m)] for p, m in seq.pullback.finite_basis()]
-            assert ev["target_basis"] == [[p, list(m)] for p, m in seq.middle.finite_basis()]
+            assert ev["source_basis"] == [[p, list(m)] for p, m in seq.pullback.finite().basis]
+            assert ev["target_basis"] == [[p, list(m)] for p, m in seq.middle.finite().basis]
             _assert_module_retraction(ev["retraction"], seq.v)
             checked += 1
     assert checked >= 5
@@ -359,10 +372,73 @@ def test_retraction_evidence_is_a_module_retraction(random_suite):
     delta = conormal_sequence(cubes).delta
     v, acts_s, acts_t = _module_map_matrices(delta)
     assert (len(v), len(v[0]), len(acts_s)) == (18, 18, 2)
-    column = delta.source.finite_basis().index((0, (1, 0)))
+    column = delta.source.finite().basis.index((0, (1, 0)))
     assert all(row[column] == 0 for row in v)
     assert retraction_solve_matrices(v, acts_s, acts_t, QQ) is None
     assert jacobian_split_verdict(cubes)[0] is False
+
+
+FINITE_DIGEST = DATA / "finite_digest.json"
+
+
+def finite_digest(random_suite, base_change_seeds=range(10)):
+    """SHA-256 over the JSON of the finite layer's outputs.
+
+    Covers classify_cotangent (four verdicts with evidence, and the regime)
+    and jacobian_split_verdict of the target on every fixture morphism, then
+    every base_change_check made by the base-change suite on the given seeds.
+    """
+    docs = []
+    for _f, seq, _imm, _unr in random_suite:
+        docs.append(asdict(classify_cotangent(seq)))
+    for f, *_ in random_suite:
+        docs.append(jacobian_split_verdict(f.target))
+
+    def recorded(f, g):
+        res = base_change_check(f, g)
+        docs.append(asdict(res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "base_change_check", recorded)
+        for seed in base_change_seeds:
+            _suite_base_change(20, seed=seed, oracle=False)
+    h = hashlib.sha256()
+    for doc in docs:
+        h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    return len(docs), h.hexdigest()
+
+
+def test_finite_layer_matches_the_recorded_digest(random_suite):
+    # the verdicts and their evidence are byte-identical to the recording,
+    # which was made before FiniteModule replaced the ad-hoc staircase matrices
+    recorded = json.loads(FINITE_DIGEST.read_text())
+    assert finite_digest(random_suite) == (recorded["outputs"], recorded["sha256"])
+
+
+def test_finite_module_matrices_are_consistent(random_suite):
+    """Standard vectors have unit coordinates, the actions commute, V intertwines them."""
+    for f, seq, _imm, _unr in random_suite[::5]:
+        S, T = seq.pullback.finite(), seq.middle.finite()
+        for fin in (S, T):
+            assert fin.matrix([fin.vector(*pm) for pm in fin.basis]) == _identity(len(fin.basis))
+            acts = fin.actions()
+            assert len(acts) == len(f.target.context)
+            for a in acts:
+                for b in acts:
+                    assert _matmul(a, b) == _matmul(b, a), f.var_images
+        v = T.matrix([seq.v.apply(S.vector(*pm)) for pm in S.basis])
+        for a_s, a_t in zip(S.actions(), T.actions()):
+            assert _matmul(v, a_s) == _matmul(a_t, v), f.var_images
+
+
+def test_trivial_split_evidence_in_both_regimes(workspace):
+    """A zero pulled-back module splits trivially, whether or not Ω_B is finite."""
+    trivial = (True, {"route": "trivial", "reason": "the pulled-back module is zero"})
+    for name, regime in (("unit", "general"), ("qrel", "finite")):
+        verdicts = classify_cotangent(cotangent_map(workspace.morphisms[name]))
+        assert verdicts.regime == regime
+        assert verdicts.split_monic == trivial
 
 
 def test_criterion_06_theta_laws():

@@ -28,7 +28,8 @@ from tangentcat.cdc import (
     verify_cdc_axioms,
     verify_tangent_identities,
 )
-from tangentcat.errors import NotASection, UnsupportedDomain
+from tangentcat import cdc
+from tangentcat.errors import InconsistentClassification, NotASection, UnsupportedDomain
 from tangentcat.polycore import NN, QQ, ZZ, poly_parse, prime_field
 
 F5 = prime_field(5)
@@ -143,6 +144,15 @@ def test_non_section_is_rejected_with_discrepancy():
     with pytest.raises(NotASection) as exc:
         linearize_section(tap, bad)
     assert exc.value.discrepancy == "component 2: w1 + 1 != w1"
+
+
+def test_linearization_is_checked_again(monkeypatch):
+    # the linearized section is verified afresh, not trusted by construction
+    tap, s = tap_and_section()
+    checks = iter([(True, None), (False, "component 2: sabotaged")])
+    monkeypatch.setattr(cdc, "is_section_of", lambda f, s: next(checks))
+    with pytest.raises(InconsistentClassification, match="sabotaged"):
+        linearize_section(tap, s)
 
 
 def test_linearization_needs_subtraction():

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangentcat import modlin
+from tangentcat.errors import InconsistentClassification
 from tangentcat.groebner import groebner_basis
 from tangentcat.modlin import (
     _mat_mul_int,
@@ -229,3 +231,10 @@ def test_integer_right_inverse():
     assert integer_right_inverse([[2]]) is None
     assert integer_right_inverse([[2, 3]]) is not None  # gcd 1
     assert integer_right_inverse([[2, 4]]) is None  # gcd 2
+
+
+def test_integer_right_inverse_verifies_the_smith_form(monkeypatch):
+    # a Smith form whose transforms do not reproduce M gives a wrong inverse
+    monkeypatch.setattr(modlin, "smith_form", lambda mat: ([[1]], [[1]], [[1]]))
+    with pytest.raises(InconsistentClassification, match="right inverse failed to verify"):
+        integer_right_inverse([[2]])

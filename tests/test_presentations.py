@@ -1,11 +1,17 @@
 """Presented algebras, morphisms, dual numbers, sections, pushouts."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tangentcat
 from tangentcat.errors import IllDefinedMorphism
 from tangentcat.modlin import coords, kernel_basis
 from tangentcat.polycore import QQ, Polynomial, context, poly_parse, prime_field
@@ -300,3 +306,38 @@ def test_quotients_are_ring_epis():
     f = truncation_map()
     mu = codiagonal(pushout(f, f), f)
     assert relative_tangent_calg(mu) == []
+
+
+SABOTAGED_SECTION_SEARCH = textwrap.dedent("""
+    import sys
+    from tangentcat import presentations
+    from tangentcat.errors import InconsistentClassification
+    from tangentcat.polycore import QQ, Polynomial, context, poly_parse
+
+    if not sys.flags.optimize:
+        sys.exit("the check must run with asserts stripped")
+    # a solver that answers every system with zeros hands back the witness 0
+    presentations.solve_linear = lambda rows, rhs, dom: [dom.zero()] * len(rows[0])
+    A = presentations.present(QQ, ("x",), (poly_parse("x^2 - x", context("x"), QQ),))
+    K = presentations.free_algebra(QQ, ())
+    f = presentations.morphism(A, K, (Polynomial.zero(K.context, QQ),))
+    try:
+        presentations.linear_section_exists(f)
+    except InconsistentClassification as e:
+        print(e)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+def test_wrong_section_witness_raises_under_python_O():
+    # python -O strips asserts, so the check that guards a decided section
+    # must be an explicit raise
+    src = str(Path(tangentcat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGED_SECTION_SEARCH],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "section witness failed verification"
