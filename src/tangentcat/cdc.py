@@ -74,10 +74,6 @@ class CdcMap:
     def arity_out(self):
         return len(self.components)
 
-    def apply(self, point):
-        """Evaluate at a tuple of domain elements."""
-        return tuple(c.evaluate(point) for c in self.components)
-
     def describe(self):
         body = ", ".join(str(c) for c in self.components)
         return f"({body})"
@@ -96,22 +92,22 @@ def cdc_map(domain, arity_in, components, context=None):
     return CdcMap(domain, ctx, comps)
 
 
-def identity_map(domain, n, context=None):
-    ctx = context if context is not None else cdc_context(n)
-    comps = tuple(Polynomial.variable(ctx, domain, i) for i in range(n))
-    return CdcMap(domain, ctx, comps)
-
-
 def projection_map(domain, n, indices, context=None):
+    """The map x -> (x_i for i in indices); an index None is a zero component."""
     ctx = context if context is not None else cdc_context(n)
-    comps = tuple(Polynomial.variable(ctx, domain, i) for i in indices)
+    comps = tuple(
+        Polynomial.zero(ctx, domain) if i is None else Polynomial.variable(ctx, domain, i)
+        for i in indices
+    )
     return CdcMap(domain, ctx, comps)
+
+
+def identity_map(domain, n, context=None):
+    return projection_map(domain, n, range(n), context)
 
 
 def zero_map(domain, n, m, context=None):
-    ctx = context if context is not None else cdc_context(n)
-    comps = tuple(Polynomial.zero(ctx, domain) for _ in range(m))
-    return CdcMap(domain, ctx, comps)
+    return projection_map(domain, n, [None] * m, context)
 
 
 def compose(g, f):
@@ -147,20 +143,27 @@ def add_maps(f, g):
 
 
 def differential(f):
-    """D[f]: 2n -> m, the derivative at x in the direction u."""
-    n = f.arity_in
+    """D[f]: 2n -> m, the derivative at x in the direction u.
+
+    One term map: c*x^m goes to the sum over i of (m_i*c)*x^(m-e_i)*u_i.
+    Distinct pairs (m, i) give distinct monomials, so terms never collide
+    and only those with m_i*c = 0 mod p are dropped.
+    """
+    n, dom, p = f.arity_in, f.domain, f.domain.p
     ctx2 = cdc_context(2 * n)
-    embed = list(range(n))
+    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     comps = []
     for c in f.components:
-        total = Polynomial.zero(ctx2, f.domain)
+        terms = {}
         for i in range(n):
-            d = c.partial(i)
-            if d.is_zero():
-                continue
-            total = total + d.rename(ctx2, embed) * Polynomial.variable(ctx2, f.domain, n + i)
-        comps.append(total)
-    return CdcMap(f.domain, ctx2, tuple(comps))
+            for m, a in c.terms.items():
+                e = m[i]
+                if e:
+                    b = a * e % p if p else a * e
+                    if b:
+                        terms[m[:i] + (e - 1,) + m[i + 1 :] + units[i]] = b
+        comps.append(Polynomial._clean(ctx2, dom, terms))
+    return CdcMap(dom, ctx2, tuple(comps))
 
 
 def tangent(f):
@@ -174,10 +177,7 @@ def tangent(f):
 
 def theta(f):
     """The bundle map <p, D[f]> : 2n -> n + m over the source."""
-    n = f.arity_in
-    ctx2 = cdc_context(2 * n)
-    base = tuple(Polynomial.variable(ctx2, f.domain, i) for i in range(n))
-    return CdcMap(f.domain, ctx2, base + differential(f).components)
+    return pair(proj_p(f.domain, f.arity_in), differential(f))
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +190,18 @@ def proj_p(domain, n):
 
 def zero_section(domain, n):
     """0: n -> 2n, the zero direction."""
-    ctx = cdc_context(n)
-    comps = tuple(Polynomial.variable(ctx, domain, i) for i in range(n))
-    comps += tuple(Polynomial.zero(ctx, domain) for _ in range(n))
-    return CdcMap(domain, ctx, comps)
+    return projection_map(domain, n, [*range(n)] + [None] * n)
 
 
 def bundle_add(domain, n):
     """add: 3n -> 2n, fibrewise sum (x, u, v) -> (x, u + v)."""
-    ctx = cdc_context(3 * n)
-    comps = [Polynomial.variable(ctx, domain, i) for i in range(n)]
-    for i in range(n):
-        comps.append(
-            Polynomial.variable(ctx, domain, n + i)
-            + Polynomial.variable(ctx, domain, 2 * n + i)
-        )
-    return CdcMap(domain, ctx, tuple(comps))
+    x, u, v = (projection_map(domain, 3 * n, range(k * n, (k + 1) * n)) for k in range(3))
+    return pair(x, add_maps(u, v))
 
 
 def vertical_lift(domain, n):
     """l: 2n -> 4n, (x, u) -> (x, 0, 0, u)."""
-    ctx = cdc_context(2 * n)
-    zero = Polynomial.zero(ctx, domain)
-    comps = [Polynomial.variable(ctx, domain, i) for i in range(n)]
-    comps += [zero] * (2 * n)
-    comps += [Polynomial.variable(ctx, domain, n + i) for i in range(n)]
-    return CdcMap(domain, ctx, tuple(comps))
+    return projection_map(domain, 2 * n, [*range(n)] + [None] * (2 * n) + [*range(n, 2 * n)])
 
 
 def canonical_flip(domain, n):
@@ -411,17 +397,16 @@ def full_section(f, s):
     n, m = f.arity_in, f.arity_out
     if s.arity_in != n + m:
         raise ArityMismatch(f"a section must take {n + m} inputs, got {s.arity_in}")
+    base = projection_map(s.domain, n + m, range(n), s.context).components
     if s.arity_out == 2 * n:
-        for i in range(n):
-            expected = Polynomial.variable(s.context, s.domain, i)
-            if s.components[i] != expected:
+        for got, expected in zip(s.components, base):
+            if got != expected:
                 raise NotASection(
                     "the base block of the section must be the base projection",
-                    discrepancy=str(s.components[i]),
+                    discrepancy=str(got),
                 )
         return s
     if s.arity_out == n:
-        base = tuple(Polynomial.variable(s.context, s.domain, i) for i in range(n))
         return CdcMap(s.domain, s.context, base + s.components)
     raise ArityMismatch(
         f"a section must have {n} fibre outputs or {2 * n} full outputs, got {s.arity_out}"
@@ -455,8 +440,7 @@ def linearize_section(f, s):
     m = f.arity_out
     ctx = s.context
     dom = s.domain
-    at_zero = [Polynomial.variable(ctx, dom, i) for i in range(n)]
-    at_zero += [Polynomial.zero(ctx, dom) for _ in range(m)]
+    at_zero = projection_map(dom, n + m, [*range(n)] + [None] * m, ctx).components
     linear = []
     for c in s.components[n:]:
         centred = c - c.substitute(at_zero)
@@ -465,8 +449,7 @@ def linearize_section(f, s):
             slope = centred.partial(n + j).substitute(at_zero)
             total = total + slope * Polynomial.variable(ctx, dom, n + j)
         linear.append(total)
-    base = tuple(Polynomial.variable(ctx, dom, i) for i in range(n))
-    result = CdcMap(dom, ctx, base + tuple(linear))
+    result = CdcMap(dom, ctx, at_zero[:n] + tuple(linear))
     ok, detail = is_section_of(f, result)
     if not ok:
         raise InconsistentClassification(f"linearization broke the section property: {detail}")
@@ -649,13 +632,12 @@ def classify_cdc_map(f, name="f"):
 def random_polynomial(rng, ctx, domain, max_degree=2, max_terms=3):
     p = Polynomial.zero(ctx, domain)
     nvars = len(ctx)
+    lo = -3 if domain.has_negation else 0
     for _ in range(rng.randint(1, max_terms)):
-        mono = Polynomial.one(ctx, domain)
+        mono = [0] * nvars
         for _ in range(rng.randint(0, max_degree)):
-            mono = mono * Polynomial.variable(ctx, domain, rng.randrange(nvars))
-        lo = -3 if domain.has_negation else 0
-        coeff = domain.from_int(rng.randint(lo, 3))
-        p = p + mono.scale(coeff)
+            mono[rng.randrange(nvars)] += 1
+        p = p + Polynomial(ctx, domain, {tuple(mono): rng.randint(lo, 3)})
     return p
 
 
@@ -685,20 +667,14 @@ def random_theta_section(rng, domain, n, m, max_degree=2):
         c = Polynomial.variable(ctx, domain, i)
         if tail:
             extra = random_polynomial(rng, ctx, domain, max_degree, 2)
-            keep = extra.substitute(
-                [
-                    Polynomial.zero(ctx, domain) if j < m else Polynomial.variable(ctx, domain, j)
-                    for j in range(n)
-                ]
-            )
-            c = c + keep
+            keep = projection_map(domain, n, [None] * m + tail)
+            c = c + extra.substitute(keep.components)
         comps.append(c)
     f = CdcMap(domain, ctx, tuple(comps))
 
     tail_choices = [
         random_polynomial(rng, sctx, domain, max_degree, 2) for _ in tail
     ]
-    into_section = [Polynomial.variable(sctx, domain, i) for i in range(n)]
     fibre = [None] * n
     for k, j in enumerate(tail):
         fibre[j] = tail_choices[k]
@@ -708,5 +684,5 @@ def random_theta_section(rng, domain, n, m, max_degree=2):
             slope = f.components[i].partial(j).rename(sctx, list(range(n)))
             lead = lead - slope * tail_choices[k]
         fibre[i] = lead
-    section = CdcMap(domain, sctx, tuple(into_section) + tuple(fibre))
-    return f, section
+    base = projection_map(domain, n + m, range(n), sctx).components
+    return f, CdcMap(domain, sctx, base + tuple(fibre))

@@ -420,7 +420,7 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
         c = v[pos][m]
         if c != one:
             inv = dom.div(one, c)
-            v = [{mono: dom.mul(a, inv) for mono, a in comp.items()} for comp in v]
+            v = [{mono: (a * inv % p if p else a * inv) for mono, a in comp.items()} for comp in v]
         new = len(basis)
         basis.append(v)
         leads.append((pos, m))

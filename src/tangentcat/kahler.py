@@ -62,10 +62,6 @@ class ModulePresentation:
     def rank(self):
         return len(self.labels)
 
-    def zero_vector(self):
-        z = self.algebra.zero()
-        return tuple(z for _ in range(self.rank))
-
     def unit_vector(self, i):
         z = self.algebra.zero()
         return tuple(self.algebra.one() if j == i else z for j in range(self.rank))

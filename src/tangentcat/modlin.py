@@ -255,7 +255,7 @@ def retraction_solve_matrices(vmat, act_source, act_target, dom):
         # R has no columns, so R.V = I is unsatisfiable on a nonzero source
         return None
     nunk = d_s * d_t
-    minus_one = dom.neg(dom.one())
+    minus_one, zero, p = dom.from_int(-1), dom.zero(), dom.p
     # unknown a * d_t + t is R[a][t] and column nunk holds minus the right-hand
     # side; rows come straight from the nonzeros of V and the action matrices
     v_cols = _sparse_rows(zip(*vmat), dom)
@@ -274,7 +274,9 @@ def retraction_solve_matrices(vmat, act_source, act_target, dom):
                 row = {a * d_t + u: c for u, c in tgt_cols[t].items()}
                 for b, c in src_rows[a].items():
                     k = b * d_t + t
-                    v = dom.sub(row.get(k, dom.zero()), c)
+                    v = row.get(k, zero) - c
+                    if p:
+                        v %= p
                     if v:
                         row[k] = v
                     else:

@@ -1,9 +1,14 @@
 """Exact multivariate polynomial arithmetic over Q, F_p, Z, and N.
 
 Polynomials are immutable sparse dictionaries mapping exponent vectors to
-nonzero coefficients.  All arithmetic is exact: rationals use
-:class:`fractions.Fraction`, prime fields use canonical representatives
-``0..p-1``, and the integer/natural semirings use Python ints.
+nonzero coefficients.  Every coefficient is canonical, a plain Python
+number: a :class:`fractions.Fraction` over Q, an int in ``0..p-1`` over
+F_p, and an int over Z and N.  Every operation follows one rule: on
+canonical inputs it computes with the numbers directly, reduces mod p only
+over F_p, drops zero coefficients, and builds its result through the
+trusted ``Polynomial._clean``.  ``CoefficientDomain.normalize`` runs only
+where coefficients enter from outside: the validating ``Polynomial(...)``
+constructor, ``constant``, ``scale`` and ``evaluate``.
 """
 
 from __future__ import annotations
@@ -116,22 +121,6 @@ class CoefficientDomain:
         if self.kind == "N" and c < 0:
             raise UnsupportedDomain("negative coefficient over N")
         return c
-
-    def add(self, a, b):
-        return self.normalize(a + b)
-
-    def sub(self, a, b):
-        if self.kind == "N":
-            raise UnsupportedDomain("subtraction is not available over N")
-        return self.normalize(a - b)
-
-    def neg(self, a):
-        if self.kind == "N":
-            raise UnsupportedDomain("negation is not available over N")
-        return self.normalize(-a)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
 
     def div(self, a, b):
         """Exact division; only fields support it."""
@@ -291,30 +280,28 @@ class Polynomial:
 
     @staticmethod
     def zero(context, domain):
-        return Polynomial(context, domain, {})
+        return Polynomial._clean(context, domain, {})
 
     @staticmethod
     def constant(context, domain, c):
-        return Polynomial(context, domain, {(0,) * len(context): c})
+        c = domain.normalize(c)
+        return Polynomial._clean(context, domain, {(0,) * len(context): c} if c else {})
 
     @staticmethod
     def one(context, domain):
-        return Polynomial.constant(context, domain, domain.one())
+        return Polynomial._clean(context, domain, {(0,) * len(context): domain.one()})
 
     @staticmethod
     def variable(context, domain, i):
         if not 0 <= i < len(context):
             raise IndexOutOfRange(f"variable index {i} out of range")
         mono = tuple(1 if j == i else 0 for j in range(len(context)))
-        return Polynomial(context, domain, {mono: domain.one()})
+        return Polynomial._clean(context, domain, {mono: domain.one()})
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return all(mono_deg(m) == 0 for m in self.terms)
 
     def constant_value(self):
         return self.terms.get((0,) * len(self.context), self.domain.zero())
@@ -374,8 +361,11 @@ class Polynomial:
         return self._combine(other, sub)
 
     def __neg__(self):
-        dom = self.domain
-        return Polynomial(self.context, dom, {m: dom.neg(c) for m, c in self.terms.items()})
+        dom, p = self.domain, self.domain.p
+        if self.terms and not dom.has_negation:
+            raise UnsupportedDomain("negation is not available over N")
+        terms = {m: (-c % p if p else -c) for m, c in self.terms.items()}
+        return Polynomial._clean(self.context, dom, terms)
 
     def __mul__(self, other):
         self._check(other)
@@ -407,9 +397,11 @@ class Polynomial:
         return result
 
     def scale(self, c):
-        dom = self.domain
+        dom, p = self.domain, self.domain.p
         c = dom.normalize(c)
-        return Polynomial(self.context, dom, {m: dom.mul(v, c) for m, v in self.terms.items()})
+        # a product of nonzero canonical coefficients is nonzero, even mod p
+        terms = {m: (v * c % p if p else v * c) for m, v in self.terms.items()} if c else {}
+        return Polynomial._clean(self.context, dom, terms)
 
     def monic(self, order=GREVLEX):
         """Divide by the leading coefficient (fields only)."""
@@ -426,19 +418,15 @@ class Polynomial:
         """Formal partial derivative with respect to variable ``i``."""
         if not 0 <= i < len(self.context):
             raise IndexOutOfRange(f"variable index {i} out of range")
-        dom = self.domain
-        zero = dom.zero()
-        terms = {}
+        p = self.domain.p
+        terms = {}  # distinct monomials keep distinct derivatives: no collisions
         for m, c in self.terms.items():
             e = m[i]
-            if e == 0:
-                continue
-            c2 = dom.mul(c, dom.from_int(e))
-            if c2 == zero:
-                continue
-            m2 = m[:i] + (e - 1,) + m[i + 1 :]
-            terms[m2] = dom.add(terms.get(m2, zero), c2)
-        return Polynomial(self.context, dom, terms)
+            if e:
+                c2 = c * e % p if p else c * e
+                if c2:
+                    terms[m[:i] + (e - 1,) + m[i + 1 :]] = c2
+        return Polynomial._clean(self.context, self.domain, terms)
 
     def evaluate(self, values):
         """Evaluate at a point given as one domain element per variable."""
@@ -446,15 +434,15 @@ class Polynomial:
             raise ArityMismatch(
                 f"expected {len(self.context)} values, got {len(values)}"
             )
-        dom = self.domain
+        dom, p = self.domain, self.domain.p
         vals = [dom.normalize(v) for v in values]
         total = dom.zero()
         for m, c in self.terms.items():
             acc = c
             for v, e in zip(vals, m):
                 if e:
-                    acc = dom.mul(acc, v**e)
-            total = dom.add(total, acc)
+                    acc = acc * pow(v, e, p) % p if p else acc * v**e
+            total = (total + acc) % p if p else total + acc
         return total
 
     def substitute(self, images):
@@ -474,12 +462,12 @@ class Polynomial:
         if dom != self.domain:
             raise DomainMismatch("substitution across domains is not defined")
         one = Polynomial.one(ctx, dom)
-        powers = [{0: one} for _ in images]
+        powers = [[one] for _ in images]
 
         def power(i, e):
             cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
+            while len(cache) <= e:
+                cache.append(cache[-1] * images[i])
             return cache[e]
 
         zero, p = dom.zero(), dom.p
@@ -504,9 +492,9 @@ class Polynomial:
         if len(index_map) != len(self.context):
             raise ArityMismatch("index map does not cover the context")
         n = len(new_context)
-        terms = {}
         dom = self.domain
-        zero = dom.zero()
+        zero, p = dom.zero(), dom.p
+        terms = {}
         for m, c in self.terms.items():
             e2 = [0] * n
             for i, e in enumerate(m):
@@ -516,8 +504,10 @@ class Polynomial:
                         raise IndexOutOfRange(f"index {j} outside target context")
                     e2[j] += e
             m2 = tuple(e2)
-            terms[m2] = dom.add(terms.get(m2, zero), c)
-        return Polynomial(new_context, dom, terms)
+            s = terms.get(m2, zero) + c
+            terms[m2] = s % p if p else s
+        # merged terms may cancel; drop them once, keeping first-seen order
+        return Polynomial._clean(new_context, dom, {m: c for m, c in terms.items() if c})
 
     # -- comparison and display -------------------------------------------
 
@@ -584,7 +574,7 @@ def variables(ctx, domain):
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_KINDS = ("NAME", "INT", "OP", "END")
+MAX_NESTING = 100  # parentheses deeper than this are refused, well inside the recursion limit
 
 
 def _tokenize(text, offset):
@@ -620,6 +610,7 @@ class _PolyParser:
     def __init__(self, tokens, ctx, domain):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.ctx = ctx
         self.domain = domain
 
@@ -715,10 +706,14 @@ class _PolyParser:
                 if den == 0:
                     raise ParseError("zero denominator", column=dcol + 1)
                 return Polynomial.constant(self.ctx, self.domain, Fraction(num, den))
-            return Polynomial.constant(self.ctx, self.domain, self.domain.from_int(num))
+            return Polynomial.constant(self.ctx, self.domain, num)
         if kind == "OP" and value == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", column=col + 1)
             p = self.expr()
+            self.depth -= 1
             ckind, cvalue, _ = self.peek()
             if ckind != "OP" or cvalue != ")":
                 self.fail("')'")

@@ -1,6 +1,9 @@
 """Polynomial Cartesian differential maps: D, axioms, sections, classification."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from tangentcat.polycore import NN, QQ, ZZ, poly_parse, prime_field
 
 F5 = prime_field(5)
 DOMAINS = (QQ, F5, ZZ)
+CDC_DIGEST = Path(__file__).parent / "data" / "cdc_digest.json"
 
 
 def mk(dom, n, texts, ctx=None):
@@ -259,3 +263,36 @@ def test_linear_maps_classify_through_their_matrix():
         "T_etale": "fails",
         "monic_T_etale": "fails",
     }
+
+
+# --- the whole layer against a recording ------------------------------------
+
+def cdc_digest(seeds=range(200)):
+    """SHA-256 over the text of D[f], T(f), theta(f), both sides of the two
+    theta laws and a linearized section, for seeded maps over Q, F2, F5, Z, N.
+
+    Degrees reach 6, past both primes, so D[f] loses its p*c terms.
+    """
+    domains = (QQ, prime_field(2), F5, ZZ, NN)
+    h = hashlib.sha256()
+    for seed in seeds:
+        rng = random.Random(seed)
+        dom = domains[seed % len(domains)]
+        n, m, l = (rng.randint(1, 2) for _ in range(3))
+        f = random_cdc_map(rng, dom, n, m, max_degree=6)
+        g = random_cdc_map(rng, dom, m, l)
+        maps = [differential(f), tangent(f), theta(f)]
+        maps += [*theta_composition_sides(f, g), *theta_flip_sides(f)]
+        if dom.has_negation:
+            k = rng.randint(1, 3)
+            maps.append(linearize_section(*random_theta_section(rng, dom, k, rng.randint(1, k), 3)))
+        text = "".join("[" + ", ".join(c.to_str() for c in mp.components) + "]\n" for mp in maps)
+        h.update(f"{seed}\n{text}".encode())
+    return h.hexdigest()
+
+
+def test_cdc_layer_matches_the_recorded_digest():
+    # recorded before D[f] became one term map and the polynomial
+    # operations lost their CoefficientDomain arithmetic
+    recorded = json.loads(CDC_DIGEST.read_text())
+    assert cdc_digest(range(recorded["inputs"])) == recorded["sha256"]

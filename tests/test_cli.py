@@ -305,6 +305,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "resource limit: polynomial degree 2 exceeds the degree cap 1" in err
 
+    def test_deep_powers_in_a_relation_hit_the_degree_cap(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """Checking x^1200 under a morphism builds its powers without recursing."""
+        ws = tmp_path / "deep.tgc"
+        ws.write_text(
+            "field Q\nalgebra A = vars(x) / (x^1200)\nalgebra B = vars(y) / (y)\n"
+            "morphism f : A -> B = { x -> y }\n"
+        )
+        code, _ = run_cli(["classify", "--workspace", str(ws),
+                           "--instance", "calg", "--morphism", "f"])
+        assert code == 5
+        assert "degree 1200 exceeds the degree cap 64" in capsys.readouterr().err
+
+    def test_deeply_nested_parentheses_are_a_parse_error(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """300 nested parentheses are refused before the parser recurses too far."""
+        ws = tmp_path / "nested.tgc"
+        ws.write_text("field Q\nalgebra A = vars(x) / (" + "(" * 300 + "x" + ")" * 300 + ")\n")
+        code, _ = run_cli(["kahler", "--workspace", str(ws), "--algebra", "A"])
+        assert code == 2
+        assert "parentheses nested deeper than 100" in capsys.readouterr().err
+
     def test_degree_cap_zero_is_honoured(
         self, capsys: pytest.CaptureFixture[str]
     ) -> None:

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangentcat.errors import ParseError, UnsupportedDomain
+from tangentcat.errors import DomainMismatch, ParseError, UnsupportedDomain
 from tangentcat.polycore import (
     GREVLEX,
     LEX,
+    MAX_NESTING,
     NN,
     PRIME_TEST_LIMIT,
     QQ,
@@ -46,7 +47,7 @@ def test_domain_flags():
 def test_prime_field_arithmetic():
     two = F5.from_int(2)
     assert F5.div(F5.one(), two) == F5.from_int(3)
-    assert F5.add(F5.from_int(4), two) == F5.one()
+    assert Polynomial.constant(XY, F5, 4) + Polynomial.constant(XY, F5, two) == Polynomial.one(XY, F5)
     assert F5.normalize(F5.from_int(7)) == two
 
 
@@ -94,7 +95,7 @@ def test_integer_domains_reject_division():
     with pytest.raises(UnsupportedDomain):
         ZZ.div(ZZ.from_int(3), ZZ.from_int(2))
     with pytest.raises(UnsupportedDomain):
-        NN.sub(NN.from_int(2), NN.from_int(3))
+        Polynomial.constant(XY, NN, 2) - Polynomial.constant(XY, NN, 3)
 
 
 # --- construction and printing ----------------------------------------------
@@ -122,7 +123,7 @@ def test_parse_errors_carry_position():
 
 def test_constant_and_variable_constructors():
     c = Polynomial.constant(XY, QQ, Fraction(7))
-    assert c.is_constant() and c.constant_value() == 7
+    assert c.degree() == 0 and c.constant_value() == 7
     x = Polynomial.variable(XY, QQ, 0)
     assert str(x) == "x"
     assert Polynomial.zero(XY, QQ).is_zero()
@@ -188,8 +189,8 @@ def test_leibniz_rule(a, b):
 @given(polys(XY, QQ), polys(XY, QQ), small_coeff, small_coeff)
 def test_evaluation_is_a_ring_map(a, b, v0, v1):
     point = (QQ.from_int(v0), QQ.from_int(v1))
-    assert (a + b).evaluate(point) == QQ.add(a.evaluate(point), b.evaluate(point))
-    assert (a * b).evaluate(point) == QQ.mul(a.evaluate(point), b.evaluate(point))
+    assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+    assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
 
 
 @settings(max_examples=25)
@@ -263,3 +264,89 @@ def test_subtraction_over_nn_fails_only_on_a_nonzero_subtrahend():
         _ = xn - xn
     with pytest.raises(UnsupportedDomain, match="subtraction is not available over N"):
         _ = zero - yn
+
+
+# --- edge cases of the term-level operations --------------------------------
+
+F2 = prime_field(2)
+
+
+def test_partial_drops_terms_whose_exponent_vanishes_mod_p():
+    x5 = poly_parse("x^5", XY, F5)
+    assert x5.partial(0).is_zero()
+    assert poly_parse("x^6 + x^5", XY, F5).partial(0) == poly_parse("x^5", XY, F5)
+
+
+def test_rename_that_collapses_terms_cancels_mod_p():
+    collapsed = poly_parse("x + y", XY, F2).rename(context("x"), [0, 0])
+    assert collapsed.is_zero() and not collapsed.terms
+    assert qq("x + y").rename(context("x"), [0, 0]) == poly_parse("2*x", context("x"), QQ)
+
+
+def test_scale_by_zero_p_and_fractions():
+    p = poly_parse("x + 2*y", XY, F5)
+    assert p.scale(0).is_zero() and p.scale(5).is_zero()
+    assert p.scale(7) == poly_parse("2*x + 4*y", XY, F5)
+    assert qq("x + 2*y").scale(Fraction(1, 2)) == qq("1/2*x + y")
+    with pytest.raises(DomainMismatch):
+        p.scale(Fraction(1, 2))
+
+
+def test_constant_of_zero_and_of_p():
+    assert not Polynomial.constant(XY, F5, 0).terms
+    assert not Polynomial.constant(XY, F5, 5).terms
+    assert not Polynomial.constant(XY, QQ, Fraction(0)).terms
+    assert Polynomial.constant(XY, F5, 7) == Polynomial.constant(XY, F5, 2)
+
+
+def test_negation_over_nn_only_of_zero():
+    zero = Polynomial.zero(XY, NN)
+    assert -zero == zero
+    with pytest.raises(UnsupportedDomain, match="negation is not available over N"):
+        _ = -Polynomial.variable(XY, NN, 0)
+
+
+def test_parentheses_nest_up_to_the_limit():
+    assert qq("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == qq("x")
+    with pytest.raises(ParseError, match="nested deeper than"):
+        qq("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
+
+
+def test_evaluate_mod_p_uses_modular_powers():
+    p = poly_parse("x^1000 + 3*y", XY, F5)
+    assert p.evaluate((2, 4)) == (pow(2, 1000, 5) + 12) % 5
+    assert p.evaluate((0, 0)) == 0
+
+
+def test_substitute_reaches_high_powers_without_recursion():
+    x, y = variables(XY, F5)
+    p = x ** 1500
+    assert p.substitute((y, x)) == y ** 1500
+    assert qq("x^1500").substitute((qq("2*y"), qq("x"))) == qq("y^1500").scale(2**1500)
+
+
+@pytest.mark.parametrize("dom", [QQ, F5, ZZ, NN], ids=str)
+@pytest.mark.parametrize("seed", range(5))
+def test_term_level_operations_are_clean(dom, seed):
+    """Negation, scaling, partials, renaming and the constructors skip normalization."""
+    rng = random.Random(seed)
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        c = rng.randint(0 if dom == NN else -6, 6)
+        terms[(rng.randint(0, 6), rng.randint(0, 6))] = Fraction(c, rng.randint(1, 2)) if dom == QQ else c
+    a = Polynomial(XY, dom, terms)
+    results = [a.scale(rng.randint(0, 6)), a.partial(0), a.partial(1),
+               a.rename(context("x"), [0, 0]), a.rename(XYZ, [2, 0]),
+               Polynomial.zero(XY, dom), Polynomial.one(XY, dom),
+               Polynomial.variable(XY, dom, 1), Polynomial.constant(XY, dom, rng.randint(0, 6))]
+    if dom.has_negation:
+        results.append(-a)
+    for r in results:
+        for c in r.terms.values():
+            if dom == QQ:
+                assert type(c) is Fraction and c != 0
+            else:
+                assert type(c) is int and c != 0
+                assert dom != F5 or 0 < c < 5
+                assert dom != NN or c > 0
+        assert r == Polynomial(r.context, dom, r.terms)
