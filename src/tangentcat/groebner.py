@@ -10,6 +10,12 @@ position-over-term order in which position 0 is greatest; an ideal is the
 rank-1 case, and cofactor (extended) bases, syzygies and division with
 quotients run on vectors extended by unit tag columns.
 
+Over Q the dicts hold integers: basis elements are primitive, S-vectors
+and reduction steps are fraction-free, and ``Fraction``s are built only for
+results.  Over F_p the reducers are monic.  Each reducer carries the support
+mask of its leading monomial, tested before ``mono_div``, and the reducer
+lists of the last 16 bases reduced against are cached.
+
 S-pairs wait in a heap keyed (lcm degree, lcm, position, i, j), and each
 basis element's leading position and monomial is stored once, on insert.
 Inserting an element applies the Gebauer-Moeller criteria M, F and B
@@ -25,7 +31,10 @@ from __future__ import annotations
 import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count
+from math import gcd, lcm
 
 from .errors import (
     ContextMismatch,
@@ -127,15 +136,11 @@ def groebner_basis(gens, order=GREVLEX):
     return _cached_gb(gens, order, degree_cap.get())
 
 
-def empty_basis(ctx, domain, order=GREVLEX):
-    return GroebnerBasis((), order, ctx, domain)
-
-
 def ideal_basis(gens, ctx, domain, order=GREVLEX):
     """Like :func:`groebner_basis` but tolerates an empty generator list."""
     gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
-        return empty_basis(ctx, domain, order)
+        return GroebnerBasis((), order, ctx, domain)
     return _cached_gb(gens, order, degree_cap.get())
 
 
@@ -152,13 +157,12 @@ def elimination_ideal(gens, neliminate, tail_context=None):
         tail_context = VariableContext(ctx.names[neliminate:])
     order = elimination_order(neliminate)
     gb = groebner_basis(tuple(gens), order)
-    index_map = [0] * len(ctx)
-    for i in range(neliminate, len(ctx)):
-        index_map[i] = i - neliminate
+    index_map = [max(i - neliminate, 0) for i in range(len(ctx))]
     out = []
     for g in gb.generators:
         if order.eliminates(g.leading_term(order)[0]):
-            assert all(i >= neliminate for i in g.variables_used())
+            if any(i < neliminate for i in g.variables_used()):
+                raise ShapeMismatch("an eliminated basis element still uses an eliminated variable")
             out.append(g.rename(tail_context, index_map))
     return out
 
@@ -168,14 +172,9 @@ def ideal_intersection(gens1, gens2):
     if not gens1 or not gens2:
         return []
     ctx, dom = gens1[0].context, gens1[0].domain
-    n = len(ctx)
-    tname = "@t0"
-    k = 0
-    while tname in ctx.names:
-        k += 1
-        tname = f"@t{k}"
+    tname = next(name for name in (f"@t{k}" for k in count()) if name not in ctx.names)
     ext = VariableContext((tname,) + ctx.names)
-    shift = [i + 1 for i in range(n)]
+    shift = [i + 1 for i in range(len(ctx))]
     t = Polynomial.variable(ext, dom, 0)
     one = Polynomial.one(ext, dom)
     mixed = [t * g.rename(ext, shift) for g in gens1]
@@ -239,11 +238,9 @@ class MorphismGraph:
 
     def to_source(self, p):
         """Transport a source-block-only polynomial back to the source context."""
-        assert all(i >= self.nB for i in p.variables_used())
-        index_map = [0] * len(self.ctx)
-        for i in range(self.nA):
-            index_map[self.nB + i] = i
-        return p.rename(self.source.context, index_map)
+        if any(i < self.nB for i in p.variables_used()):
+            raise ShapeMismatch("only source-block polynomials transport to the source")
+        return p.rename(self.source.context, [max(i - self.nB, 0) for i in range(len(self.ctx))])
 
     def preimage(self, p):
         """A source element mapping to ``p``, or None when none exists."""
@@ -314,29 +311,72 @@ def _vec_check(vectors):
     return ranks.pop(), ctx, dom
 
 
-def _reduce(work, reducers, key, dom, monic=False):
-    """Reduce term dicts completely, in place; return the remainder dicts.
+class _Keys(dict):
+    """``order.key`` of each monomial, computed once per reduction or run."""
 
-    ``reducers[pos]`` lists (leading monomial, leading coefficient, term
-    dicts) of the elements led in position ``pos``, in the order tried.
-    ``monic`` promises monic reducers over a field: no division per step.
+    def __init__(self, order):
+        self.key = order.key
+
+    def __missing__(self, m):
+        k = self[m] = self.key(m)
+        return k
+
+
+def _mask(m):
+    """Support mask of a monomial: byte i is 1 when exponent i is positive."""
+    return int.from_bytes(bytes(map(bool, m)), "little")
+
+
+def _primitive(v, lc, p):
+    """Scale term dicts leading with ``lc`` to lead with 1 over F_p, and over
+    Q (int or Fraction entries) to coprime integers leading with a positive one."""
+    if p:
+        inv = pow(lc, -1, p)
+        return v if inv == 1 else [{m: a * inv % p for m, a in comp.items()} for comp in v]
+    den = lcm(*(a.denominator for comp in v for a in comp.values()))
+    v = [{m: a.numerator * (den // a.denominator) for m, a in comp.items()} for comp in v]
+    g = gcd(*(a for comp in v for a in comp.values())) * (1 if lc > 0 else -1)
+    return v if g == 1 else [{m: a // g for m, a in comp.items()} for comp in v]
+
+
+def _reduce(work, reducers, key, dom):
+    """Reduce term dicts completely, in place; return (remainder, scale).
+
+    ``reducers[pos]`` lists (leading monomial, mask, leading coefficient, term
+    dicts) of the elements led in position ``pos``, monic over F_p, primitive
+    over Q, in the order tried.  A step over Q multiplies the whole vector,
+    remainder included, and the scale by bc/g, g = gcd(c, bc), then subtracts
+    (c/g)*x^q*b: the remainder is the returned one over the scale.
     """
-    zero, p = dom.zero(), dom.p
+    p, field = dom.p, dom.is_field
     rem = [{} for _ in work]
+    scale = 1
     # the leading position never moves back: reducers vanish before theirs
     for pos, w in enumerate(work):
         while w:
             m = max(w, key=key)
             c = w[m]
-            for bm, bc, bterms in reducers[pos]:
+            outside = ~_mask(m)
+            for bm, bmask, bc, bterms in reducers[pos]:
+                if bmask & outside:
+                    continue
                 q = mono_div(m, bm)
                 if q is not None:
-                    t = c if monic else dom.div(c, bc)
+                    if not field:
+                        raise UnsupportedDomain(f"exact division is not available over {dom}")
+                    if not p:
+                        g = gcd(c, bc)
+                        a, c = bc // g, c // g
+                        if a != 1:
+                            scale *= a
+                            for d in chain(rem, work):
+                                for mk in d:
+                                    d[mk] *= a
                     for k in range(pos, len(work)):
                         wk = work[k]
                         for bm2, bc2 in bterms[k].items():
                             mq = mono_mul(bm2, q)
-                            s = wk.get(mq, zero) - bc2 * t
+                            s = wk.get(mq, 0) - bc2 * c
                             if p:
                                 s %= p
                             if s:
@@ -347,21 +387,38 @@ def _reduce(work, reducers, key, dom, monic=False):
             else:
                 rem[pos][m] = c
                 del w[m]
-    return rem
+    return rem, scale
 
 
-def module_normal_form(v, basis, order=GREVLEX):
-    """Complete normal form of a vector against module generators."""
-    if not basis:
-        return v
-    ctx, dom = basis[0][0].context, basis[0][0].domain
-    reducers = [[] for _ in v]
+@lru_cache(maxsize=16)
+def _reducers(basis, order):
+    """``_reduce``'s reducer lists for a tuple of vectors; Polynomials carry
+    their domain, so no two orders, domains or ranks share a list."""
+    dom = basis[0][0].domain
+    reducers = [[] for _ in basis[0]]
     for b in basis:
         lt = module_lt(b, order)
         if lt is not None:
-            reducers[lt[0]].append((lt[1], lt[2], [c.terms for c in b]))
-    key = lru_cache(maxsize=None)(order.key)  # each monomial's key once per call
-    rem = _reduce([dict(c.terms) for c in v], reducers, key, dom)
+            pos, m, c = lt
+            v = _primitive([comp.terms for comp in b], c, dom.p) if dom.is_field else [comp.terms for comp in b]
+            reducers[pos].append((m, _mask(m), v[pos][m], v))
+    return reducers
+
+
+def module_normal_form(v, basis, order=GREVLEX):
+    """Complete normal form of a vector against module generators.
+
+    Over Q the input's denominators are cleared once, and the remainder is
+    divided by them and by the scale once, at the end.
+    """
+    if not basis:
+        return v
+    ctx, dom = basis[0][0].context, basis[0][0].domain
+    den = lcm(*(a.denominator for c in v for a in c.terms.values()))  # 1 unless over Q
+    work = [{m: a.numerator * (den // a.denominator) for m, a in c.terms.items()} for c in v]
+    rem, scale = _reduce(work, _reducers(tuple(map(tuple, basis)), order), _Keys(order).__getitem__, dom)
+    if dom.kind == "Q":
+        rem = [{m: Fraction(a, den * scale) for m, a in r.items()} for r in rem]
     return tuple(Polynomial._clean(ctx, dom, r) for r in rem)
 
 
@@ -402,10 +459,9 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
     if not dom.is_field:
         raise UnsupportedDomain("Groebner bases require a field domain")
 
-    key = lru_cache(maxsize=None)(order.key)  # each monomial's key once per run
-    one, zero, p = dom.one(), dom.zero(), dom.p
-    basis, leads = [], []  # monic term-dict vectors and their (position, monomial)
-    reducers = [[] for _ in range(rank)]  # (monomial, 1, terms) per position, in basis order
+    key, p = _Keys(order).__getitem__, dom.p
+    basis, leads = [], []  # reducer entries (see _reduce) and their (position, monomial)
+    reducers = [[] for _ in range(rank)]  # basis entries per position, in basis order
     live = []  # elements whose leading term no later element's divides
     pairs = []  # heap of (deg lcm, lcm, position, i, j)
 
@@ -417,14 +473,11 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
                 raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
         pos = next(k for k, comp in enumerate(v) if comp)
         m = max(v[pos], key=key)
-        c = v[pos][m]
-        if c != one:
-            inv = dom.div(one, c)
-            v = [{mono: (a * inv % p if p else a * inv) for mono, a in comp.items()} for comp in v]
+        v = _primitive(v, v[pos][m], p)
         new = len(basis)
-        basis.append(v)
+        basis.append((m, _mask(m), v[pos][m], v))
         leads.append((pos, m))
-        reducers[pos].append((m, one, v))
+        reducers[pos].append(basis[new])
         # criterion B: drop (i, j) when m divides their lcm and the lcms of
         # (i, new) and (j, new) both differ from it; those two pairs cover it
         kept = [
@@ -461,13 +514,17 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
         insert([comp.terms for comp in v])
     while pairs:
         _, lcm, _, i, j = heapq.heappop(pairs)
-        # the S-vector x^a*b_i - x^b*b_j of two monic elements
+        # the S-vector (c_j/g)*x^a*b_i - (c_i/g)*x^b*b_j, g = gcd(c_i, c_j)
+        _, _, ci, bi = basis[i]
+        _, _, cj, bj = basis[j]
+        g = gcd(ci, cj)
+        ci, cj = ci // g, cj // g
         qi, qj = mono_div(lcm, leads[i][1]), mono_div(lcm, leads[j][1])
-        s = [{mono_mul(mono, qi): a for mono, a in comp.items()} for comp in basis[i]]
-        for d, comp in zip(s, basis[j]):
+        s = [{mono_mul(mono, qi): a * cj for mono, a in comp.items()} for comp in bi]
+        for d, comp in zip(s, bj):
             for mono, a in comp.items():
                 mono = mono_mul(mono, qj)
-                a = d.get(mono, zero) - a
+                a = d.get(mono, 0) - a * ci
                 if p:
                     a %= p
                 if a:
@@ -476,7 +533,7 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
                     del d[mono]
         # superseded elements still reduce: their short tails keep
         # coefficients small, where reducing by survivors alone swells them
-        r = _reduce(s, reducers, key, dom, monic=True)
+        r, _ = _reduce(s, reducers, key, dom)
         if any(r):
             insert(r)
 
@@ -492,11 +549,13 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
     minimal.sort(key=lambda i: (leads[i][0], key(leads[i][1])))
     reduced = []
     for i in minimal:
-        r = basis[i]
+        r = basis[i][3]
         if len(minimal) > 1:
-            others = [[(leads[k][1], one, basis[k]) for k in minimal if k != i and leads[k][0] == pos]
-                      for pos in range(rank)]
-            r = _reduce([dict(comp) for comp in r], others, key, dom, monic=True)
+            others = [[basis[k] for k in minimal if k != i and leads[k][0] == pos] for pos in range(rank)]
+            r, _ = _reduce([dict(comp) for comp in r], others, key, dom)
+        if not p:  # monic over Q: the leading term was never reduced
+            lc = r[leads[i][0]][leads[i][1]]
+            r = [{mono: Fraction(a, lc) for mono, a in comp.items()} for comp in r]
         reduced.append(tuple(Polynomial._clean(ctx, dom, comp) for comp in r))
     return ModuleGroebnerBasis(tuple(reduced), rank, order, ctx, dom)
 

@@ -299,7 +299,8 @@ def _mat_mul_int(a, b):
     if not a or not b:
         return []
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k, "inner dimensions disagree"
+    if len(a[0]) != k:
+        raise ShapeMismatch(f"inner dimensions disagree: {len(a[0])} != {k}")
     return [
         [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
         for i in range(n)

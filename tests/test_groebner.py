@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from tangentcat import groebner
 from tangentcat.errors import ResourceLimit, ShapeMismatch, UnsupportedDomain
 from tangentcat.groebner import (
     GREVLEX,
@@ -28,6 +29,7 @@ from tangentcat.groebner import (
     module_buchberger,
     module_lt,
     module_normal_form,
+    morphism_graph,
     normal_form,
     ring_map_kernel,
     syzygy_basis,
@@ -37,6 +39,7 @@ from tangentcat.polycore import (
     LEX,
     QQ,
     Polynomial,
+    TermOrder,
     context,
     elimination_order,
     mono_deg,
@@ -133,6 +136,24 @@ def test_elimination_of_a_graph_variable():
     ctx = context("y", "x")
     elim = elimination_ideal((poly_parse("x - y^2", ctx, QQ),), 1)
     assert elim == []
+
+
+def test_elimination_refuses_an_element_it_cannot_transport(monkeypatch):
+    # a grevlex order that only claims to eliminate x: y^2 + x leads with y^2
+    monkeypatch.setattr(groebner, "elimination_order", lambda n: TermOrder("grevlex", n))
+    with pytest.raises(ShapeMismatch, match="eliminated variable"):
+        elimination_ideal((qq("y^2 + x"),), 1)
+
+
+def test_morphism_graph_transports_only_source_polynomials():
+    from tangentcat.presentations import free_algebra, morphism
+
+    A = free_algebra(QQ, ("x",))
+    B = free_algebra(QQ, ("y",))
+    graph = morphism_graph(morphism(A, B, (poly_parse("y^2", B.context, QQ),)))
+    assert str(graph.preimage(poly_parse("y^4", B.context, QQ))) == "x^2"
+    with pytest.raises(ShapeMismatch, match="source-block"):
+        graph.to_source(graph.embed_target(poly_parse("y", B.context, QQ)))
 
 
 def test_ring_map_kernel_of_injection_is_empty():
@@ -583,6 +604,115 @@ def test_normal_form_divides_only_over_fields():
     assert normal_form(Polynomial.variable(XY, ZZ, 1), [two_x]) == Polynomial.variable(XY, ZZ, 1)
     with pytest.raises(UnsupportedDomain, match="exact division"):
         normal_form(x * x, [two_x])
+
+
+# --- integer coefficients over Q, divisibility masks, cached reducers ------
+
+def swollen_poly(rng, ctx, nterms, degree):
+    """A polynomial over Q with numerators and denominators up to 2^40."""
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * len(ctx)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(ctx))] += 1
+        terms[tuple(exps)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**40), rng.randint(1, 2**40))
+    return Polynomial(ctx, QQ, terms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_large_coefficients_match_the_reference_loops(seed):
+    rng = random.Random(seed)
+    ctx = context(*("x", "y", "z")[: rng.randint(2, 3)])
+    zero = Polynomial.zero(ctx, QQ)
+    rank = 1 + seed % 2
+    for order in (GREVLEX, elimination_order(1)):
+        # non-monic rows with content > 1: a large integer times each row
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            k = Polynomial.constant(ctx, QQ, rng.randint(2, 2**40))
+            rows.append(tuple(zero if rng.random() < 0.3 else k * swollen_poly(rng, ctx, rng.randint(1, 3), 2)
+                              for _ in range(rank)))
+        v = tuple(swollen_poly(rng, ctx, rng.randint(1, 5), 4) for _ in range(rank))
+        assert exact(module_normal_form(v, rows, order)) == exact(reference_normal_form(v, rows, order))
+        divisors = [swollen_poly(rng, ctx, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+        p = swollen_poly(rng, ctx, rng.randint(1, 6), 4)
+        quotients, r = division(p, divisors, order)
+        ref_quotients, ref_r = reference_division(p, divisors, order)
+        assert exact(quotients + [r]) == exact(ref_quotients + [ref_r])
+        token = degree_cap.set(ENGINE_CAP)
+        try:
+            assert outcome(lambda: module_buchberger(rows, rank, ctx, QQ, order).generators) == outcome(
+                lambda: reference_buchberger(rows, rank, ctx, QQ, order).generators
+            )
+            # tag columns: the syzygies of the rows
+            theirs = tagged(rows, ctx, QQ)
+            assert outcome(syzygy_basis, rows, rank, ctx, QQ, order) == outcome(
+                lambda: [w[rank:] for w in reference_buchberger(theirs, rank + len(rows), ctx, QQ, order).generators
+                         if vec_is_zero(w[:rank])]
+            )
+        finally:
+            degree_cap.reset(token)
+
+
+def test_a_later_step_scales_the_remainder_collected_before_it():
+    # x^2 is collected first; reducing y by 2y + 3 then scales the vector
+    # by 2, and the collected x^2 must be scaled with it: x^2 - 3/2
+    assert str(normal_form(qq("x^2 + y"), [qq("2*y + 3")])) == "x^2 - 3/2"
+    zero = Polynomial.zero(XY, QQ)
+    rows = [(zero, qq("2*y + 3"))]
+    assert [str(c) for c in module_normal_form((qq("x"), qq("y")), rows)] == ["x", "-3/2"]
+    quotients, r = division(qq("x^2 + y"), [qq("2*y + 3")])
+    assert [str(q) for q in quotients] == ["1/2"] and str(r) == "x^2 - 3/2"
+    for v, basis in (((qq("x^2 + y"),), [(qq("2*y + 3"),)]), ((qq("x"), qq("y")), rows)):
+        assert exact(module_normal_form(v, basis, GREVLEX)) == exact(reference_normal_form(v, basis, GREVLEX))
+
+
+def test_normal_form_past_sixty_four_variables():
+    # leading monomials in variables 64..69 put the mask bits past 64
+    ctx = context(*(f"x{i}" for i in range(70)))
+    assert groebner._mask((1,) + (0,) * 63 + (2, 0, 0, 0, 0, 1)) == 1 | 1 << 8 * 64 | 1 << 8 * 69
+    gens = [poly_parse(text, ctx, QQ) for text in ("x69*x0 - x68", "x66^2 - 2*x65", "3*x64*x67 + x1")]
+    p = poly_parse("x69^2*x0^2 + x66^3*x67 + x64^2*x67^2*x69 + x2", ctx, QQ)
+    basis = [(g,) for g in gens]
+    assert exact(module_normal_form((p,), basis, GREVLEX)) == exact(reference_normal_form((p,), basis, GREVLEX))
+    assert str(normal_form(p, gens)) == "2*x65*x66*x67 + 1/9*x1^2*x69 + x68^2 + x2"
+
+
+def test_reducers_are_not_shared_across_order_domain_or_rank():
+    f7 = prime_field(7)
+    gens = (qq("2*x + 3*y"), qq("y^2 + 5"))
+    p = qq("x^2*y + y^3 + x")
+    for order in (GREVLEX, elimination_order(1), LEX):
+        basis = [(g,) for g in gens]
+        assert exact(module_normal_form((p,), basis, order)) == exact(reference_normal_form((p,), basis, order))
+    # equal term dicts over F_7: a cache keyed on terms alone would mix them up
+    gens7 = tuple(Polynomial(XY, f7, {m: int(c) for m, c in g.terms.items()}) for g in gens)
+    p7 = Polynomial(XY, f7, {m: int(c) for m, c in p.terms.items()})
+    assert all(g7.terms == g.terms for g7, g in zip(gens7, gens))
+    for order in (GREVLEX, elimination_order(1)):
+        basis = [(g,) for g in gens7]
+        assert exact(module_normal_form((p7,), basis, order)) == exact(reference_normal_form((p7,), basis, order))
+    # the same polynomials as rank-2 rows
+    zero = Polynomial.zero(XY, QQ)
+    rows = [(gens[0], zero), (zero, gens[1])]
+    v = (p, p)
+    assert exact(module_normal_form(v, rows)) == exact(reference_normal_form(v, rows, GREVLEX))
+
+
+def test_basis_normal_form_is_the_plain_normal_form():
+    for order in (GREVLEX, LEX, elimination_order(1)):
+        gb = groebner_basis((qq("x^2 - 2*y"), qq("3*x*y - 1")), order)
+        for text in ("x^5 + y", "x*y^2", "7/3*x^3*y - x"):
+            p = qq(text)
+            assert exact([gb.normal_form(p)]) == exact([normal_form(p, gb.generators, gb.order)])
+
+
+def test_the_reducer_cache_is_bounded():
+    x = qq("x")
+    for k in range(2, 40):
+        assert normal_form(x**k, [qq(f"x^2 - {k}*y")]) == normal_form(x**k, [qq(f"x^2 - {k}*y")])
+    info = groebner._reducers.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 # --- differential check against sympy ---------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangentcat import modlin
-from tangentcat.errors import InconsistentClassification
+from tangentcat.errors import InconsistentClassification, ShapeMismatch
 from tangentcat.groebner import groebner_basis
 from tangentcat.modlin import (
     _mat_mul_int,
@@ -223,6 +223,11 @@ def test_smith_transform_identity():
     for a, b in zip(diag, diag[1:]):
         if a:
             assert b % a == 0
+
+
+def test_integer_product_refuses_mismatched_shapes():
+    with pytest.raises(ShapeMismatch, match="inner dimensions disagree: 2 != 1"):
+        _mat_mul_int([[1, 2]], [[1, 2]])
 
 
 def test_integer_right_inverse():

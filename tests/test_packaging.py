@@ -1,4 +1,4 @@
-"""The package keeps zero runtime dependencies."""
+"""The package keeps zero runtime dependencies and no ``assert`` statements."""
 
 from __future__ import annotations
 
@@ -33,3 +33,13 @@ def test_package_imports_only_the_standard_library():
                 if top != "tangentcat" and top not in sys.stdlib_module_names:
                     outside.append((path.name, name))
     assert outside == []
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips asserts: every check in the package must raise
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append((path.name, node.lineno))
+    assert found == []
