@@ -489,9 +489,7 @@ def _cmd_classify(args):
             report = classify_affine(f, args.morphism, base_name)
         oracle_target = f
     else:
-        if args.morphism not in ws.cdcmaps:
-            raise UnresolvedReference(f"unknown cdcmap {args.morphism!r}")
-        report = classify_cdc_map(ws.cdcmaps[args.morphism], args.morphism)
+        report = classify_cdc_map(_cdcmap(ws, args.morphism), args.morphism)
         oracle_target = None
     if args.oracle:
         report.annotations["oracle_replay"] = replay_evidence(report, oracle_target)
@@ -568,16 +566,27 @@ def _cmd_cotangent(args):
     return 0
 
 
+def _within_degree_cap(components):
+    """Refuse polynomials above the degree cap with the Groebner engine's
+    message: cdc composition and differentiation would expand them in full."""
+    cap = degree_cap.get()
+    for d in (c.degree() for c in components):
+        if d > cap:
+            raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
+
+
+def _cdcmap(ws, name):
+    """A declared cdcmap whose components stay within the degree cap."""
+    if name not in ws.cdcmaps:
+        raise UnresolvedReference(f"unknown cdcmap {name!r}")
+    _within_degree_cap(ws.cdcmaps[name].components)
+    return ws.cdcmaps[name]
+
+
 def _cmd_cdc_axioms(args):
     ws = load_workspace(args.workspace)
-    if args.map not in ws.cdcmaps:
-        raise UnresolvedReference(f"unknown cdcmap {args.map!r}")
-    f = ws.cdcmaps[args.map]
-    g = None
-    if args.partner:
-        if args.partner not in ws.cdcmaps:
-            raise UnresolvedReference(f"unknown cdcmap {args.partner!r}")
-        g = ws.cdcmaps[args.partner]
+    f = _cdcmap(ws, args.map)
+    g = _cdcmap(ws, args.partner) if args.partner else None
     checks = verify_cdc_axioms(f, g) + verify_tangent_identities(f, g)
     doc = {
         "schema_version": "1",
@@ -598,14 +607,13 @@ def _cmd_cdc_axioms(args):
 
 def _cmd_cdc_linearize(args):
     ws = load_workspace(args.workspace)
-    if args.map not in ws.cdcmaps:
-        raise UnresolvedReference(f"unknown cdcmap {args.map!r}")
+    f = _cdcmap(ws, args.map)
     if args.section not in ws.sections:
         raise UnresolvedReference(f"unknown section {args.section!r}")
-    f = ws.cdcmaps[args.map]
     for_name, s = ws.sections[args.section]
     if for_name != args.map:
         raise ParseError(f"section {args.section!r} was declared for {for_name!r}")
+    _within_degree_cap(s.components)
     result = linearize_section(f, s)
     linear = fibre_linear(result, f.arity_in)
     doc = {

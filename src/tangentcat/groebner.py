@@ -33,7 +33,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import (
@@ -142,63 +142,6 @@ def ideal_basis(gens, ctx, domain, order=GREVLEX):
     if not gens:
         return GroebnerBasis((), order, ctx, domain)
     return _cached_gb(gens, order, degree_cap.get())
-
-
-def elimination_ideal(gens, neliminate, tail_context=None):
-    """Generators of (ideal) ∩ k[trailing variables], in the tail context.
-
-    The first ``neliminate`` variables of the shared context are eliminated.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    ctx, dom = gens[0].context, gens[0].domain
-    if tail_context is None:
-        tail_context = VariableContext(ctx.names[neliminate:])
-    order = elimination_order(neliminate)
-    gb = groebner_basis(tuple(gens), order)
-    index_map = [max(i - neliminate, 0) for i in range(len(ctx))]
-    out = []
-    for g in gb.generators:
-        if order.eliminates(g.leading_term(order)[0]):
-            if any(i < neliminate for i in g.variables_used()):
-                raise ShapeMismatch("an eliminated basis element still uses an eliminated variable")
-            out.append(g.rename(tail_context, index_map))
-    return out
-
-
-def ideal_intersection(gens1, gens2):
-    """Generators of the intersection of two ideals over the same context."""
-    if not gens1 or not gens2:
-        return []
-    ctx, dom = gens1[0].context, gens1[0].domain
-    tname = next(name for name in (f"@t{k}" for k in count()) if name not in ctx.names)
-    ext = VariableContext((tname,) + ctx.names)
-    shift = [i + 1 for i in range(len(ctx))]
-    t = Polynomial.variable(ext, dom, 0)
-    one = Polynomial.one(ext, dom)
-    mixed = [t * g.rename(ext, shift) for g in gens1]
-    mixed += [(one - t) * g.rename(ext, shift) for g in gens2]
-    return elimination_ideal(mixed, 1, tail_context=ctx)
-
-
-def exact_quotient(p, h, order=GREVLEX):
-    """Return p/h when h divides p exactly; raise otherwise."""
-    quotients, r = division(p, [h], order)
-    if not r.is_zero():
-        raise ShapeMismatch("inexact polynomial division")
-    return quotients[0]
-
-
-def ideal_quotient(gens, h):
-    """Generators of the colon ideal (gens) : (h)."""
-    if h.is_zero():
-        raise ShapeMismatch("colon by the zero element")
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    meet = ideal_intersection(gens, [h])
-    return [exact_quotient(g, h) for g in meet]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from .errors import (
     DomainMismatch,
     EmbeddingFailure,
     EvidenceMismatch,
+    IllDefinedMorphism,
 )
-from .presentations import codiagonal, pushout, relative_tangent_calg
+from .presentations import AlgebraPresentation, codiagonal, compose, morphism, pushout
 
 MERSENNE_61 = 2**61 - 1
 
@@ -143,6 +144,28 @@ def _replay_witness(predicate, f, text, kernel, results):
     results.append({"predicate": predicate, "claim": "witness", "status": "corroborated"})
 
 
+def _stored_kernel(report, f, predicate):
+    """The report's kernel generators, checked to generate Ker(f) without a
+    kernel search: the stored preimages give a well-defined g from B to
+    C = A/(relations, generators) with g∘f = id_C, so f is injective on C."""
+    monic = report.predicates["T_monic"].evidence
+    preimages = report.predicates["T_submersion"].evidence.get("preimages")
+    if preimages is None or (monic.get("kernel") != "zero" and "kernel_generators" not in monic):
+        _fail(predicate, "witness", "the report stores no kernel generators or preimages")
+    A, B = f.source, f.target
+    kernel = [A.parse(t) for t in monic.get("kernel_generators", ())]
+    C = AlgebraPresentation(A.domain, A.context, A.ideal + tuple(kernel), A.base)
+    names = B.relative_names if f.over_base else B.context.names
+    try:
+        g = morphism(B, C, tuple(A.parse(preimages[n]) for n in names), over_base=f.over_base)
+    except (KeyError, IllDefinedMorphism):
+        _fail(predicate, "witness", "the stored preimages do not define a map back to the source")
+    for i, img in enumerate(compose(g, f).var_images):
+        if not C.reduce(img - C.var(i)).is_zero():
+            _fail(predicate, "witness", "the stored kernel generators do not generate the kernel")
+    return kernel
+
+
 def _parse_matrix(rows, p):
     if p is None:
         return [[Fraction(x) for x in row] for row in rows]
@@ -213,7 +236,7 @@ def replay_evidence(report, morphism=None):
             if "preimages" in ev:
                 _replay_preimages(predicate, f, ev["preimages"], results)
             if "witness" in ev:
-                kernel = relative_tangent_calg(f)
+                kernel = _stored_kernel(report, f, predicate)
                 _replay_witness(predicate, f, ev["witness"], kernel, results)
             if "missing_preimages" in ev and status.status == "fails":
                 results.append(

@@ -27,15 +27,14 @@ from .errors import (
 )
 from .groebner import (
     GREVLEX,
-    buchberger_extended,
-    division,
     ideal_basis,
-    ideal_intersection,
-    ideal_quotient,
+    module_buchberger,
+    module_normal_form,
     morphism_graph,
     ring_map_kernel,
+    vec_is_zero,
 )
-from .modlin import fd_basis, matrix_on_basis, solve_linear
+from .modlin import fd_basis
 from .polycore import Polynomial, VariableContext
 
 
@@ -100,9 +99,6 @@ class AlgebraPresentation:
         from .polycore import poly_parse
 
         return poly_parse(text, self.context, self.domain)
-
-    def is_zero_ring(self):
-        return self.reduce(self.one()).is_zero()
 
     def finite_basis(self):
         """Standard monomials when finite-dimensional over k, else None."""
@@ -278,11 +274,6 @@ def is_surjective(f):
     return (True, preimages)
 
 
-def preimage(f, b):
-    """A source element mapping to ``b``, or None."""
-    return morphism_graph(f).preimage(b)
-
-
 # ---------------------------------------------------------------------------
 # dual numbers and the semidirect bundle target
 
@@ -382,13 +373,29 @@ def _verify_section_witness(f, kernel, witness):
         raise InconsistentClassification("section witness failed verification")
 
 
+# One note per (route, verdict); reports pin these texts byte for byte.
+_SECTION_NOTES = {
+    ("finite", True): "a with f(a) = 1 and Ker(f)·a = 0 found by exact linear solve",
+    ("finite", False): "no a with f(a) = 1 and Ker(f)·a = 0: the exact linear system is infeasible",
+    ("general", True): "1 lies in the ideal generated by the image of (relations : kernel)",
+    ("general", False): "1 is not in the ideal generated by the image of (relations : kernel)",
+}
+
+
 def linear_section_exists(f):
     """Decide whether the bundle map of f splits k-linearly.
 
     For surjective f this is equivalent to the existence of a in the source
-    with f(a) = 1 and Ker(f)·a = 0.  Finite-dimensional presentations go
-    through one exact linear solve; the general route transports the
-    annihilator (ideal quotient) through f and tests 1 for membership.
+    with f(a) = 1 and Ker(f)·a = 0, that is, to Ker(f) = eA for an
+    idempotent e; then a = 1 - e, and a is unique (a - 1 in Ker(f) gives
+    a^2 = a, and two witnesses give a = aa' = a').  With kernel generators
+    κ = (κ_1..κ_r), work in rank r + 2: a κ block, one position for 1 and
+    one tag column.  The rows (κ, 1, 1), κ_j·e_r and the relations in the
+    first r + 1 positions span the vectors (q·κ, q + k, q), k in Ker(f), so
+    (0, 1, q) lies in their span exactly when q·κ = 0 and f(q) = 1.  One
+    module normal form of (0, 1, 0) decides this for every regime, and its
+    tag column holds -q.  ``route`` names the regime: "finite" when both
+    algebras are finite-dimensional, else "general".
     """
     surjective, data = is_surjective(f)
     if not surjective:
@@ -396,7 +403,6 @@ def linear_section_exists(f):
             f"no preimage for target variables {data}", missing=data
         )
     A, B = f.source, f.target
-    dom = A.domain
     kernel = ring_map_kernel(f)
     if not kernel:
         return SectionResult(
@@ -405,102 +411,28 @@ def linear_section_exists(f):
             "the kernel is zero, so a = 1 already satisfies f(a) = 1 and Ker(f)·a = 0",
             "general",
         )
+    route = "finite" if A.finite_basis() is not None and B.finite_basis() is not None else "general"
+    r, zero, one = len(kernel), A.zero(), A.one()
 
-    basis_a = A.finite_basis()
-    basis_b = B.finite_basis()
-    if basis_a is not None and basis_b is not None:
-        std_a = [(0, m) for m in basis_a]
-        monos = [Polynomial(A.context, dom, {m: dom.one()}) for m in basis_a]
-        # [matrix of f | coordinates of 1]: solve f(a) = 1 for a on basis_a
-        aug = matrix_on_basis(
-            [(f.apply(p),) for p in monos] + [(B.reduce(B.one()),)],
-            [(0, m) for m in basis_b],
-            dom,
-        )
-        rows = [row[:-1] for row in aug]
-        rhs = [row[-1] for row in aug]
-        # ... subject to kappa·a = 0 for each generator kappa of the ideal
-        # Ker(f): the same solutions as for every kappa in a k-basis of it
-        for kappa in kernel:
-            rows += matrix_on_basis([(A.reduce(kappa * p),) for p in monos], std_a, dom)
-            rhs += [dom.zero()] * len(basis_a)
-        sol = solve_linear(rows, rhs, dom)
-        if sol is None:
-            return SectionResult(
-                False,
-                None,
-                "no a with f(a) = 1 and Ker(f)·a = 0: the exact linear system is infeasible",
-                "finite",
-            )
-        witness = A.reduce(Polynomial(A.context, dom, dict(zip(basis_a, sol))))
-        _verify_section_witness(f, kernel, witness)
-        return SectionResult(
-            True,
-            witness,
-            "a with f(a) = 1 and Ker(f)·a = 0 found by exact linear solve",
-            "finite",
-        )
+    def unit(p, i):
+        return tuple(p if k == i else zero for k in range(r + 2))
 
-    # general route: 1 must lie in the ideal generated by f(J_A : Ker(f))
-    transporter = None
-    for kappa in kernel:
-        # with no relations the source is a polynomial ring, so (0 : kappa) = 0
-        quot = ideal_quotient(list(A.ideal), kappa) if A.ideal else []
-        transporter = quot if transporter is None else ideal_intersection(transporter, quot)
-        if not transporter:
-            break
-    transporter = transporter or []
-    tagged = []  # (transporter index or None for target relations, generator)
-    for i, l in enumerate(transporter):
-        img = f.apply(l)
-        if not img.is_zero():
-            tagged.append((i, img))
-    for g in B.ideal:
-        if not g.is_zero():
-            tagged.append((None, g))
-    gens = [p for _, p in tagged]
-    if not gens:
-        reachable = B.is_zero_ring()
-        return SectionResult(
-            reachable,
-            B.zero() if reachable else None,
-            "the transported annihilator ideal is zero",
-            "general",
-        )
-    gb, rows = buchberger_extended(gens, GREVLEX)
-    quotients, rem = division(B.one(), list(gb.generators), gb.order)
-    if not rem.is_zero():
-        return SectionResult(
-            False,
-            None,
-            "1 is not in the ideal generated by the image of (relations : kernel)",
-            "general",
-        )
-    coeffs = [B.zero() for _ in gens]
-    for q, row in zip(quotients, rows):
-        if q.is_zero():
-            continue
-        for i in range(len(gens)):
-            coeffs[i] = coeffs[i] + q * row[i]
-    witness = A.zero()
-    for k, (idx, _) in enumerate(tagged):
-        if idx is None:
-            continue
-        b_coeff = B.reduce(coeffs[k])
-        if b_coeff.is_zero():
-            continue
-        a_coeff = preimage(f, b_coeff)
-        if a_coeff is None:
-            raise InconsistentClassification("surjective morphism lost a preimage")
-        witness = witness + a_coeff * transporter[idx]
-    witness = A.reduce(witness)
+    rows = [tuple(kernel) + (one, one)] + [unit(k, r) for k in kernel]
+    rows += [unit(g, i) for g in A.ideal for i in range(r + 1)]
+    gb = module_buchberger(rows, r + 2, A.context, A.domain)
+    nf = module_normal_form(unit(one, r), gb.generators)
+    if not vec_is_zero(nf[: r + 1]):
+        note = _SECTION_NOTES[route, False]
+        # the basis elements that vanish on the κ block carry generators of
+        # the annihilator (relations : kernel) in their tag column
+        if route == "general" and all(g.is_zero() for g in B.ideal) and all(
+            f.apply(v[r + 1]).is_zero() for v in gb.generators if vec_is_zero(v[:r])
+        ):
+            note = "the transported annihilator ideal is zero"
+        return SectionResult(False, None, note, route)
+    witness = A.reduce(-nf[r + 1])
     _verify_section_witness(f, kernel, witness)
-    return SectionResult(
-        True,
-        witness,
-        "1 lies in the ideal generated by the image of (relations : kernel)",
-        "general",
-    )
+    return SectionResult(True, witness, _SECTION_NOTES[route, True], route)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,31 @@ class TestExitCodes:
         assert code == 5
         assert "degree 1200 exceeds the degree cap 64" in capsys.readouterr().err
 
+    def test_cdc_commands_honour_the_degree_cap(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """A cdcmap or section above --degree-cap exits 5 before any law runs."""
+        ws = tmp_path / "high.tgc"
+        ws.write_text(
+            "cdcmap f : 1 -> 1 over Q = (x1^1200)\n"
+            "cdcmap tap : 2 -> 1 over Q = (x1)\n"
+            "section s for tap = (w1, w1^3 + x1*w1)\n"
+        )
+        code, out = run_cli(["cdc", "axioms", "--workspace", str(ws), "--map", "f",
+                             "--degree-cap", "1"])
+        assert (code, out) == (5, "")
+        assert "resource limit: polynomial degree 1200 exceeds the degree cap 1" in capsys.readouterr().err
+        code, _ = run_cli(["cdc", "axioms", "--workspace", str(ws), "--map", "tap",
+                           "--with", "f", "--degree-cap", "1"])
+        assert code == 5
+        code, _ = run_cli(["cdc", "linearize", "--workspace", str(ws), "--map", "tap",
+                           "--section", "s", "--degree-cap", "2"])
+        assert code == 5
+        assert "polynomial degree 3 exceeds the degree cap 2" in capsys.readouterr().err
+        code, _ = run_cli(["cdc", "linearize", "--workspace", str(ws), "--map", "tap",
+                           "--section", "s", "--degree-cap", "3"])
+        assert code == 0
+
     def test_deeply_nested_parentheses_are_a_parse_error(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:

@@ -21,11 +21,8 @@ from tangentcat.groebner import (
     buchberger_extended,
     degree_cap,
     division,
-    elimination_ideal,
     groebner_basis,
     ideal_basis,
-    ideal_intersection,
-    ideal_quotient,
     module_buchberger,
     module_lt,
     module_normal_form,
@@ -39,7 +36,6 @@ from tangentcat.polycore import (
     LEX,
     QQ,
     Polynomial,
-    TermOrder,
     context,
     elimination_order,
     mono_deg,
@@ -131,20 +127,6 @@ def test_empty_generator_lists():
 
 # --- elimination and ring-map kernels ---------------------------------------
 
-def test_elimination_of_a_graph_variable():
-    # no polynomial in x alone vanishes on the graph of x = y^2
-    ctx = context("y", "x")
-    elim = elimination_ideal((poly_parse("x - y^2", ctx, QQ),), 1)
-    assert elim == []
-
-
-def test_elimination_refuses_an_element_it_cannot_transport(monkeypatch):
-    # a grevlex order that only claims to eliminate x: y^2 + x leads with y^2
-    monkeypatch.setattr(groebner, "elimination_order", lambda n: TermOrder("grevlex", n))
-    with pytest.raises(ShapeMismatch, match="eliminated variable"):
-        elimination_ideal((qq("y^2 + x"),), 1)
-
-
 def test_morphism_graph_transports_only_source_polynomials():
     from tangentcat.presentations import free_algebra, morphism
 
@@ -173,11 +155,6 @@ def test_ring_map_kernel_of_quotient():
     B = present(QQ, ("t",), (poly_parse("t^2", ctx, QQ),))
     f = morphism(A, B, (poly_parse("t", ctx, QQ),))
     assert [str(g) for g in ring_map_kernel(f)] == ["t^2"]
-
-
-def test_ideal_quotient_and_intersection():
-    assert [str(g) for g in ideal_quotient((qq("x^2"),), qq("x"))] == ["x"]
-    assert [str(g) for g in ideal_intersection((qq("x"),), (qq("y"),))] == ["x*y"]
 
 
 # --- resource limits --------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from tangentcat.cdc import cdc_context, cdc_map, classify_cdc_map, classify_linear
 from tangentcat.classify import classify_affine, classify_calg
 from tangentcat.errors import ContextMismatch, EmbeddingFailure, EvidenceMismatch
-from tangentcat import oracle
+from tangentcat import groebner, oracle, presentations
 from tangentcat.oracle import (
     DEFAULT_CONFIG,
     MERSENNE_61,
@@ -146,6 +146,50 @@ def test_tampered_witness_is_caught():
     with pytest.raises(EvidenceMismatch) as exc:
         replay_evidence(report, morphism=f)
     assert "witness" in str(exc.value)
+
+
+def _search_forbidden(*args):
+    raise AssertionError("the replay ran the kernel search")
+
+
+def test_witness_replay_reads_the_stored_kernel(monkeypatch):
+    f = point_morphism()
+    A = f.source
+    identity = morphism(A, A, (A.var(0),))
+    reports = [classify_calg(f, name="point"), classify_calg(identity, name="identity")]
+    assert reports[1].predicates["T_monic"].evidence == {"kernel": "zero"}
+    monkeypatch.setattr(presentations, "relative_tangent_calg", _search_forbidden)
+    monkeypatch.setattr(presentations, "ring_map_kernel", _search_forbidden)
+    monkeypatch.setattr(groebner, "ring_map_kernel", _search_forbidden)
+    for report, g in zip(reports, (f, identity)):
+        rows = replay_evidence(report, morphism=g)
+        assert ("split_T_submersion", "witness", "corroborated") in {
+            (r["predicate"], r["claim"], r["status"]) for r in rows
+        }
+    # 1 maps to 1 but does not annihilate the stored generator x
+    report = reports[0]
+    report.predicates["split_T_submersion"].evidence["witness"] = "1"
+    with pytest.raises(EvidenceMismatch, match="does not annihilate x"):
+        replay_evidence(report, morphism=f)
+    del report.predicates["T_monic"].evidence["kernel_generators"]
+    with pytest.raises(EvidenceMismatch, match="stores no kernel generators"):
+        replay_evidence(report, morphism=f)
+
+
+def test_witness_replay_needs_the_whole_kernel():
+    # Q[x, y]/(x^2 - x, y^2 - y) -> Q has kernel (x, y); 1 - x annihilates
+    # x alone, so a report that stores only x must not corroborate it
+    xy = context("x", "y")
+    A = present(QQ, ("x", "y"), (poly_parse("x^2 - x", xy, QQ), poly_parse("y^2 - y", xy, QQ)))
+    K = free_algebra(QQ, ())
+    f = morphism(A, K, (Polynomial.zero(K.context, QQ),) * 2)
+    report = classify_calg(f, name="corner")
+    assert report.predicates["T_monic"].evidence == {"kernel_generators": ["x", "y"]}
+    assert replay_evidence(report, morphism=f)
+    report.predicates["T_monic"].evidence["kernel_generators"] = ["x"]
+    report.predicates["split_T_submersion"].evidence["witness"] = "-x + 1"
+    with pytest.raises(EvidenceMismatch, match="do not generate the kernel"):
+        replay_evidence(report, morphism=f)
 
 
 def test_tampered_right_inverse_is_caught():

@@ -1,5 +1,7 @@
 """Presented algebras, morphisms, dual numbers, sections, pushouts."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import tangentcat
 from tangentcat.errors import IllDefinedMorphism
+from tangentcat.groebner import morphism_graph
 from tangentcat.modlin import coords, kernel_basis
 from tangentcat.polycore import QQ, Polynomial, context, poly_parse, prime_field
 from tangentcat.presentations import (
@@ -27,7 +30,6 @@ from tangentcat.presentations import (
     is_surjective,
     linear_section_exists,
     morphism,
-    preimage,
     present,
     pushout,
     relative_tangent_calg,
@@ -129,8 +131,8 @@ def test_surjectivity_and_preimages():
     g = morphism(A, B, (poly_parse("y^2", B.context, QQ),))
     ok, missing = is_surjective(g)
     assert not ok and missing == ["y"]
-    assert preimage(g, poly_parse("y^4", B.context, QQ)) is not None
-    assert preimage(g, poly_parse("y", B.context, QQ)) is None
+    assert morphism_graph(g).preimage(poly_parse("y^4", B.context, QQ)) is not None
+    assert morphism_graph(g).preimage(poly_parse("y", B.context, QQ)) is None
 
 
 # --- dual numbers -----------------------------------------------------------
@@ -200,7 +202,7 @@ def test_no_section_for_infinite_dimensional_source():
 
 
 def test_finite_and_general_routes_agree():
-    """On a finite-dimensional source both decision routes give one answer."""
+    """The witness on a finite-dimensional source replays: f(w) = 1, Ker(f)·w = 0."""
     from tangentcat.presentations import SectionResult  # noqa: F401
 
     f = point_map()
@@ -261,6 +263,96 @@ def test_section_witness_annihilates_a_basis_of_the_kernel():
     assert outcomes.count(True) >= 10 and False in outcomes
 
 
+def test_section_search_stays_within_the_kernel_degree():
+    # the rows hold κ and the relations, never products κ_i·κ_j, so a
+    # kernel generator of degree 40 is decided under the default cap of 64
+    A = free_algebra(QQ, ("t",))
+    B = present(QQ, ("t",), (poly_parse("t^40", T, QQ),))
+    sec = linear_section_exists(morphism(A, B, (poly_parse("t", T, QQ),)))
+    assert (sec.holds, sec.route) == (False, "general")
+
+
+SECTION_DIGEST = Path(__file__).parent / "data" / "section_digest.json"
+
+
+def _root(x, rng):
+    """(x - r)^k for a seeded root r in -2..2 and k in 1..2."""
+    r = Polynomial.constant(x.context, x.domain, x.domain.from_int(rng.randint(-2, 2)))
+    return (x - r) ** rng.randint(1, 2)
+
+
+def quotient_maps(dom, rng, count):
+    """k[u(,y)]/(a1·a2, extra) -> the same algebra modulo a1, identity on u, y.
+
+    A free y makes both sides infinite-dimensional, so every (route,
+    verdict) cell occurs; with a1, a2 coprime the map is a CRT projection.
+    """
+    for _ in range(count):
+        names = ("u", "y")[: rng.randint(1, 2)]
+        ctx = context(*names)
+        u = Polynomial.variable(ctx, dom, 0)
+        a1, a2 = _root(u, rng), _root(u, rng)
+        rels = (a1 * a2,)
+        if len(names) == 2:
+            y = Polynomial.variable(ctx, dom, 1)
+            extra = rng.choice((None, y * y, y * y - y, u * y, y ** 3 - u * y))
+            rels += () if extra is None else (extra,)
+        A, B = present(dom, names, rels), present(dom, names, rels + (a1,))
+        yield morphism(A, B, tuple(B.var(i) for i in range(len(names))))
+
+
+def free_target_maps(dom, rng, count):
+    """k[u, y]/(rels) -> k[y], u -> r, y -> y: targets without relations."""
+    ctx = context("u", "y")
+    u, y = Polynomial.variable(ctx, dom, 0), Polynomial.variable(ctx, dom, 1)
+    B = free_algebra(dom, ("y",))
+    for _ in range(count):
+        r = rng.randint(-2, 2)
+        a1 = (u - Polynomial.constant(ctx, dom, dom.from_int(r))) ** rng.randint(1, 2)
+        a2 = _root(u, rng)
+        A = present(dom, ("u", "y"), rng.choice(((), (a1 * a2,), (a1 * y,), (a1 * a2 * y,))))
+        yield morphism(A, B, (Polynomial.constant(B.context, dom, dom.from_int(r)), B.var(0)))
+
+
+def based_maps(rng, count):
+    """The quotient maps in one relative variable u over Q[s] or Q[s]/(s^2)."""
+    ctx = context("s", "u")
+    s, u = Polynomial.variable(ctx, QQ, 0), Polynomial.variable(ctx, QQ, 1)
+    bases = (present(QQ, ("s",), (poly_parse("s^2", context("s"), QQ),)), free_algebra(QQ, ("s",)))
+    for _ in range(count):
+        base = rng.choice(bases)
+        a1 = _root(u - s if rng.random() < 0.5 else u, rng)
+        a2 = _root(u, rng)
+        A = present(QQ, ("u",), (a1 * a2,), base=base)
+        B = present(QQ, ("u",), (a1 * a2, a1), base=base)
+        yield morphism(A, B, (B.var(1),), over_base=True)
+
+
+def section_digest():
+    """(number of maps, SHA-256 over domain, verdict, route, note, witness)."""
+    rng = random.Random(0)
+    maps = []
+    for dom in (QQ, prime_field(2), prime_field(3), prime_field(5)):
+        maps += quotient_maps(dom, rng, 80)
+        maps += free_target_maps(dom, rng, 20)
+    maps += based_maps(rng, 40)
+    h = hashlib.sha256()
+    for f in maps:
+        sec = linear_section_exists(f)
+        doc = [str(f.source.domain), sec.holds, sec.route, sec.reason, str(sec.witness)]
+        h.update(json.dumps(doc).encode() + b"\n")
+    return len(maps), h.hexdigest()
+
+
+def test_section_results_match_the_recorded_digest():
+    # a section witness is unique in A (a - 1 lies in Ker(f), so a^2 = a,
+    # and two witnesses give a = aa' = a'), so its normal form cannot depend
+    # on the algorithm; the digest was recorded with the finite linear solve
+    # and the transporter-ideal route
+    recorded = json.loads(SECTION_DIGEST.read_text())
+    assert section_digest() == (recorded["maps"], recorded["sha256"])
+
+
 # --- pushouts ---------------------------------------------------------------
 
 def test_pushout_of_parabola_matches_frozen_dimension():
@@ -316,8 +408,9 @@ SABOTAGED_SECTION_SEARCH = textwrap.dedent("""
 
     if not sys.flags.optimize:
         sys.exit("the check must run with asserts stripped")
-    # a solver that answers every system with zeros hands back the witness 0
-    presentations.solve_linear = lambda rows, rhs, dom: [dom.zero()] * len(rows[0])
+    # a normal form that answers zero everywhere hands back the witness 0,
+    # which does not map to 1
+    presentations.module_normal_form = lambda v, basis, order=None: tuple(c - c for c in v)
     A = presentations.present(QQ, ("x",), (poly_parse("x^2 - x", context("x"), QQ),))
     K = presentations.free_algebra(QQ, ())
     f = presentations.morphism(A, K, (Polynomial.zero(K.context, QQ),))
