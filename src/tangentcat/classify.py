@@ -25,6 +25,7 @@ from .kahler import (
     zero_module_evidence,
 )
 from .presentations import (
+    absolute,
     codiagonal,
     is_surjective,
     linear_section_exists,
@@ -259,6 +260,7 @@ def classify_affine(f, name="f", base_name=None):
     retractions for the splitting, and both together for the isomorphism.
     """
     t0 = time.perf_counter()
+    f = absolute(f)
     po = pushout(f, f)
     mu = codiagonal(po, f)
     mu_kernel = relative_tangent_calg(mu)

@@ -1,20 +1,17 @@
 """Deterministic Buchberger engine for ideals and submodules of free modules.
 
 One loop, ``module_buchberger``, computes every basis, and one loop,
-``_reduce`` (public as ``module_normal_form``), reduces every element.
-Both run on mutable ``{monomial: coefficient}`` dicts, one per position: a
-basis stays in dicts from its first insert to its tail reduction, S-vectors
-and each reducer's multiple are subtracted term by term in place, and
-Polynomials are built once, for the result.  Free modules carry the
-position-over-term order in which position 0 is greatest; an ideal is the
-rank-1 case, and cofactor (extended) bases, syzygies and division with
-quotients run on vectors extended by unit tag columns.
+``_reduce``, reduces every element, on ``{monomial: coefficient}`` dicts,
+one per position.  Free modules carry the position-over-term order in which
+position 0 is greatest; an ideal basis is the rank-1 view of a module basis,
+and cofactor (extended) bases, syzygies and division with quotients run on
+vectors extended by unit tag columns.
 
-Over Q the dicts hold integers: basis elements are primitive, S-vectors
-and reduction steps are fraction-free, and ``Fraction``s are built only for
-results.  Over F_p the reducers are monic.  Each reducer carries the support
-mask of its leading monomial, tested before ``mono_div``, and the reducer
-lists of the last 16 bases reduced against are cached.
+A basis is kept once, as the reducer table ``_reduce`` consumes: per
+position, the leading monomial, its support mask (tested before
+``mono_div``), the leading coefficient and the term dicts of each element
+led there, primitive integers over Q (every step is fraction-free) and
+monic over F_p.  Its Polynomials are built when ``generators`` is read.
 
 S-pairs wait in a heap keyed (lcm degree, lcm, position, i, j), and each
 basis element's leading position and monomial is stored once, on insert.
@@ -32,7 +29,7 @@ import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -83,21 +80,26 @@ def normal_form(p, basis, order=GREVLEX):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its order and ambient data."""
+    """A reduced Groebner basis of an ideal: the rank-1 view of a module basis."""
 
-    generators: tuple
-    order: object
-    context: VariableContext
-    domain: object
+    module: ModuleGroebnerBasis
+    order = property(lambda self: self.module.order)
+    context = property(lambda self: self.module.context)
+    domain = property(lambda self: self.module.domain)
+
+    @cached_property
+    def generators(self):
+        return tuple(v[0] for v in self.module.generators)
 
     def normal_form(self, p):
-        return normal_form(p, self.generators, self.order)
+        m = self.module
+        return _normal_form((p,), m.table, m.order, m.context, m.domain)[0]
 
     def contains(self, p):
         return self.normal_form(p).is_zero()
 
     def leading_monomials(self):
-        return tuple(g.leading_term(self.order)[0] for g in self.generators)
+        return tuple(m for _, m in self.module.leading_positions())
 
 
 def buchberger_extended(gens, order=GREVLEX):
@@ -115,17 +117,16 @@ def buchberger_extended(gens, order=GREVLEX):
     ctx, dom = nonzero[0].context, nonzero[0].domain
     tagged = _tagged([(g,) for g in gens], ctx, dom)
     mgb = module_buchberger(tagged, 1 + len(gens), ctx, dom, order)
-    led = [w for w in mgb.generators if not w[0].is_zero()]
-    gb = GroebnerBasis(tuple(w[0] for w in led), order, ctx, dom)
-    return gb, tuple(w[1:] for w in led)
+    ideal = [_entry(v[:1], 0, m, dom.p) for m, _, _, v in mgb.table[0]]
+    cofactors = tuple(w[1:] for w in mgb.generators[: len(ideal)])
+    return GroebnerBasis(ModuleGroebnerBasis([ideal], 1, order, ctx, dom)), cofactors
 
 
 @lru_cache(maxsize=None)
 def _cached_gb(gens, order, budget):
     """``budget`` is the current degree cap; it only keys the cache."""
     ctx, dom = gens[0].context, gens[0].domain
-    mgb = module_buchberger([(g,) for g in gens], 1, ctx, dom, order)
-    return GroebnerBasis(tuple(v[0] for v in mgb.generators), order, ctx, dom)
+    return GroebnerBasis(module_buchberger([(g,) for g in gens], 1, ctx, dom, order))
 
 
 def groebner_basis(gens, order=GREVLEX):
@@ -140,7 +141,7 @@ def ideal_basis(gens, ctx, domain, order=GREVLEX):
     """Like :func:`groebner_basis` but tolerates an empty generator list."""
     gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
-        return GroebnerBasis((), order, ctx, domain)
+        return GroebnerBasis(ModuleGroebnerBasis([[]], 1, order, ctx, domain))
     return _cached_gb(gens, order, degree_cap.get())
 
 
@@ -179,6 +180,17 @@ class MorphismGraph:
     def embed_target(self, p):
         return p.rename(self.ctx, self._embed_b)
 
+    @cached_property
+    def kernel(self):
+        """Generators of the kernel ideal, reduced modulo the source ideal."""
+        out = []
+        for g, m in zip(self.gb.generators, self.gb.leading_monomials()):
+            if self.order.eliminates(m):
+                r = self.source.reduce(self.to_source(g))
+                if not r.is_zero() and r not in out:
+                    out.append(r)
+        return tuple(sorted(out, key=lambda p: (p.degree(), p.to_str())))
+
     def to_source(self, p):
         """Transport a source-block-only polynomial back to the source context."""
         if any(i < self.nB for i in p.variables_used()):
@@ -204,25 +216,9 @@ def morphism_graph(f):
 
 
 def ring_map_kernel(f):
-    """Generators of the kernel ideal of an algebra morphism.
-
-    The result is reduced modulo the source ideal; an empty list means the
-    morphism is injective.
-    """
-    graph = morphism_graph(f)
-    A = f.source
-    raw = []
-    for g in graph.gb.generators:
-        if graph.order.eliminates(g.leading_term(graph.order)[0]):
-            raw.append(graph.to_source(g))
-    source_gb = ideal_basis(A.ideal, A.context, A.domain, GREVLEX)
-    out = []
-    for g in raw:
-        r = source_gb.normal_form(g)
-        if not r.is_zero() and r not in out:
-            out.append(r)
-    out.sort(key=lambda p: (p.degree(), p.to_str()))
-    return out
+    """Generators of Ker(f), reduced modulo the source ideal; an empty list
+    means that f is injective."""
+    return list(morphism_graph(f).kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +241,7 @@ def _vec_check(vectors):
     ranks = {len(v) for v in vectors}
     if len(ranks) != 1:
         raise ShapeMismatch(f"vectors of mixed ranks {sorted(ranks)}")
-    ctx = vectors[0][0].context
-    dom = vectors[0][0].domain
+    ctx, dom = vectors[0][0].context, vectors[0][0].domain
     for v in vectors:
         for c in v:
             if c.context != ctx or c.domain != dom:
@@ -270,16 +265,20 @@ def _mask(m):
     return int.from_bytes(bytes(map(bool, m)), "little")
 
 
-def _primitive(v, lc, p):
-    """Scale term dicts leading with ``lc`` to lead with 1 over F_p, and over
-    Q (int or Fraction entries) to coprime integers leading with a positive one."""
+def _entry(v, pos, m, p):
+    """The reducer entry of term dicts led by ``m`` in position ``pos``, scaled
+    to lead with 1 over F_p, and over Q (int or Fraction entries) to coprime
+    integers leading with a positive one."""
+    lc = v[pos][m]
     if p:
         inv = pow(lc, -1, p)
-        return v if inv == 1 else [{m: a * inv % p for m, a in comp.items()} for comp in v]
-    den = lcm(*(a.denominator for comp in v for a in comp.values()))
-    v = [{m: a.numerator * (den // a.denominator) for m, a in comp.items()} for comp in v]
-    g = gcd(*(a for comp in v for a in comp.values())) * (1 if lc > 0 else -1)
-    return v if g == 1 else [{m: a // g for m, a in comp.items()} for comp in v]
+        v = v if inv == 1 else [{t: a * inv % p for t, a in comp.items()} for comp in v]
+    else:
+        den = lcm(*(a.denominator for comp in v for a in comp.values()))
+        v = [{t: a.numerator * (den // a.denominator) for t, a in comp.items()} for comp in v]
+        g = gcd(*(a for comp in v for a in comp.values())) * (1 if lc > 0 else -1)
+        v = v if g == 1 else [{t: a // g for t, a in comp.items()} for comp in v]
+    return m, _mask(m), v[pos][m], v
 
 
 def _reduce(work, reducers, key, dom):
@@ -333,58 +332,60 @@ def _reduce(work, reducers, key, dom):
     return rem, scale
 
 
-@lru_cache(maxsize=16)
-def _reducers(basis, order):
-    """``_reduce``'s reducer lists for a tuple of vectors; Polynomials carry
-    their domain, so no two orders, domains or ranks share a list."""
-    dom = basis[0][0].domain
-    reducers = [[] for _ in basis[0]]
-    for b in basis:
-        lt = module_lt(b, order)
-        if lt is not None:
-            pos, m, c = lt
-            v = _primitive([comp.terms for comp in b], c, dom.p) if dom.is_field else [comp.terms for comp in b]
-            reducers[pos].append((m, _mask(m), v[pos][m], v))
-    return reducers
-
-
-def module_normal_form(v, basis, order=GREVLEX):
-    """Complete normal form of a vector against module generators.
-
-    Over Q the input's denominators are cleared once, and the remainder is
-    divided by them and by the scale once, at the end.
-    """
-    if not basis:
-        return v
-    ctx, dom = basis[0][0].context, basis[0][0].domain
+def _normal_form(v, table, order, ctx, dom):
+    """Complete normal form of a vector against a reducer table.  Over Q the
+    input's denominators are cleared once and divided out, with the scale, at the end."""
+    if not any(table):
+        return tuple(v)
     den = lcm(*(a.denominator for c in v for a in c.terms.values()))  # 1 unless over Q
     work = [{m: a.numerator * (den // a.denominator) for m, a in c.terms.items()} for c in v]
-    rem, scale = _reduce(work, _reducers(tuple(map(tuple, basis)), order), _Keys(order).__getitem__, dom)
+    rem, scale = _reduce(work, table, _Keys(order).__getitem__, dom)
     if dom.kind == "Q":
         rem = [{m: Fraction(a, den * scale) for m, a in r.items()} for r in rem]
     return tuple(Polynomial._clean(ctx, dom, r) for r in rem)
 
 
-@dataclass(frozen=True)
-class ModuleGroebnerBasis:
-    """Reduced Groebner basis of a submodule of a free module."""
+def module_normal_form(v, basis, order=GREVLEX):
+    """Complete normal form of a vector against module generators, in order."""
+    table = [[] for _ in v]
+    for b in basis:
+        lt = module_lt(b, order)
+        if lt is not None:
+            table[lt[0]].append(_entry([c.terms for c in b], lt[0], lt[1], b[0].domain.p))
+    return _normal_form(v, table, order, v[0].context, v[0].domain)
 
-    generators: tuple
+
+@dataclass(frozen=True, eq=False)
+class ModuleGroebnerBasis:
+    """Reduced Groebner basis of a submodule of a free module; ``table[pos]``
+    lists its elements led in position ``pos`` as ``_reduce`` takes them."""
+
+    table: list
     rank: int
     order: object
     context: VariableContext
     domain: object
 
+    @cached_property
+    def generators(self):
+        """The basis as monic vectors, in position order, built on first use."""
+        ctx, dom = self.context, self.domain
+        return tuple(
+            tuple(Polynomial._clean(ctx, dom, comp if dom.p else {m: Fraction(a, c) for m, a in comp.items()})
+                  for comp in v)
+            for entries in self.table for _, _, c, v in entries
+        )
+
     def normal_form(self, v):
         if len(v) != self.rank:
             raise ShapeMismatch(f"vector rank {len(v)} != module rank {self.rank}")
-        return module_normal_form(v, self.generators, self.order)
+        return _normal_form(v, self.table, self.order, self.context, self.domain)
 
     def contains(self, v):
         return vec_is_zero(self.normal_form(v))
 
     def leading_positions(self):
-        return tuple(module_lt(v, self.order)[:2] for v in self.generators)
+        return tuple((pos, m) for pos, entries in enumerate(self.table) for m, *_ in entries)
 
 
 def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
@@ -395,7 +396,7 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
     cap = degree_cap.get()
     vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
     if not vectors:
-        return ModuleGroebnerBasis((), rank, order, ctx, dom)
+        return ModuleGroebnerBasis([[] for _ in range(rank)], rank, order, ctx, dom)
     vrank, vctx, vdom = _vec_check(vectors)
     if vrank != rank or vctx != ctx or vdom != dom:
         raise ShapeMismatch("vectors do not match the declared module shape")
@@ -416,9 +417,8 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
                 raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
         pos = next(k for k, comp in enumerate(v) if comp)
         m = max(v[pos], key=key)
-        v = _primitive(v, v[pos][m], p)
         new = len(basis)
-        basis.append((m, _mask(m), v[pos][m], v))
+        basis.append(_entry(v, pos, m, p))
         leads.append((pos, m))
         reducers[pos].append(basis[new])
         # criterion B: drop (i, j) when m divides their lcm and the lcms of
@@ -490,17 +490,16 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
         )
     ]
     minimal.sort(key=lambda i: (leads[i][0], key(leads[i][1])))
-    reduced = []
+    table = [[] for _ in range(rank)]
     for i in minimal:
-        r = basis[i][3]
-        if len(minimal) > 1:
-            others = [[basis[k] for k in minimal if k != i and leads[k][0] == pos] for pos in range(rank)]
-            r, _ = _reduce([dict(comp) for comp in r], others, key, dom)
-        if not p:  # monic over Q: the leading term was never reduced
-            lc = r[leads[i][0]][leads[i][1]]
-            r = [{mono: Fraction(a, lc) for mono, a in comp.items()} for comp in r]
-        reduced.append(tuple(Polynomial._clean(ctx, dom, comp) for comp in r))
-    return ModuleGroebnerBasis(tuple(reduced), rank, order, ctx, dom)
+        pos, m = leads[i]
+        entry = basis[i]
+        if len(minimal) > 1:  # the leading term is never reduced
+            others = [[basis[k] for k in minimal if k != i and leads[k][0] == q] for q in range(rank)]
+            r, _ = _reduce([dict(comp) for comp in entry[3]], others, key, dom)
+            entry = _entry(r, pos, m, p)
+        table[pos].append(entry)
+    return ModuleGroebnerBasis(table, rank, order, ctx, dom)
 
 
 def _tagged(vectors, ctx, dom):

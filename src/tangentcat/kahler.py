@@ -35,6 +35,7 @@ from .modlin import (
     retraction_solve_matrices,
 )
 from .polycore import Polynomial, VariableContext
+from .presentations import AlgebraPresentation, absolute, fresh_names, pushout
 
 
 @dataclass(frozen=True)
@@ -176,16 +177,13 @@ class ModuleMap:
         return tuple(self.matrix[i][j] for i in range(self.target.rank))
 
 
-def module_map(source, target, matrix, check=True):
+def module_map(source, target, matrix):
     phi = ModuleMap(source, target, tuple(tuple(row) for row in matrix))
-    if check:
-        tgb = target.gb() if target.rank else None
-        for rel in source.relations:
-            image = phi.apply(rel)
-            if target.rank and not vec_is_zero(tgb.normal_form(image)):
-                raise ShapeMismatch(
-                    "matrix does not send source relations into target relations"
-                )
+    for rel in source.relations:
+        if not vec_is_zero(target.reduce(phi.apply(rel))):
+            raise ShapeMismatch(
+                "matrix does not send source relations into target relations"
+            )
     return phi
 
 
@@ -254,6 +252,7 @@ class CotangentSequence:
 
 def cotangent_map(f):
     """Build the cotangent sequence of an algebra morphism."""
+    f = absolute(f)
     A, B = f.source, f.target
     src_rel = list(_relative_range(A))
     tgt_rel = list(_relative_range(B))
@@ -269,7 +268,7 @@ def cotangent_map(f):
         [B.reduce(images[i].partial(j)) for i in range(len(src_rel))]
         for j in tgt_rel
     ]
-    v = module_map(pullback, middle, matrix, check=True)
+    v = module_map(pullback, middle, matrix)
     coker_rels = list(middle.relations)
     for i in range(len(src_rel)):
         coker_rels.append(v.column(i))
@@ -285,8 +284,7 @@ def relative_kahler(f):
     of that presentation come back.  The morphism is unramified exactly
     when this module is zero.
     """
-    from .presentations import AlgebraPresentation, fresh_names
-
+    f = absolute(f)
     A, B = f.source, f.target
     rel_names = fresh_names(A.context.names, B.relative_names)
     names = A.context.names + rel_names
@@ -465,8 +463,6 @@ def base_change_check(f, g):
     with the C-extension of the differentials of B over A, via dimension
     count plus an invertible change-of-basis matrix on staircase bases.
     """
-    from .presentations import pushout
-
     po = pushout(f, g)
     P = po.algebra
     seq_right = cotangent_map(po.into_right)
@@ -538,7 +534,7 @@ def conormal_sequence(B):
         [B.reduce(g.partial(j)) for g in gens]
         for j in rel_vars
     ]
-    delta = module_map(conormal, target, matrix, check=True)
+    delta = module_map(conormal, target, matrix)
     return ConormalSequence(conormal, delta)
 
 

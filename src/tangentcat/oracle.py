@@ -23,7 +23,7 @@ from .errors import (
     EvidenceMismatch,
     IllDefinedMorphism,
 )
-from .presentations import AlgebraPresentation, codiagonal, compose, morphism, pushout
+from .presentations import AlgebraPresentation, absolute, codiagonal, compose, morphism, pushout
 
 MERSENNE_61 = 2**61 - 1
 
@@ -218,7 +218,7 @@ def replay_evidence(report, morphism=None):
         if morphism is None:
             return [{"status": "not_replayable",
                      "note": "algebra-side replay needs the morphism object"}]
-        f = morphism
+        f = absolute(morphism) if report.instance == "affine" else morphism
         mu = None
         for predicate, status in report.predicates.items():
             ev = status.evidence

@@ -13,7 +13,7 @@ A x B with multiplication (a, b)(x, y) = (ax, f(a)y + bf(x)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     ArityMismatch,
@@ -29,7 +29,6 @@ from .groebner import (
     GREVLEX,
     ideal_basis,
     module_buchberger,
-    module_normal_form,
     morphism_graph,
     ring_map_kernel,
     vec_is_zero,
@@ -217,6 +216,19 @@ def morphism(source, target, images, over_base=False, check=True):
                     residue=residue,
                 )
     return f
+
+
+def absolute(f):
+    """f between its algebras presented without their bases, unless f fixes
+    a base (``over_base``) or neither side has one.
+
+    A morphism not declared over a base need not fix it, and its images
+    cover every source variable; differentials relative to each side's own
+    base would read them as relative images.
+    """
+    if f.over_base or (f.source.base is None and f.target.base is None):
+        return f
+    return morphism(replace(f.source, base=None), replace(f.target, base=None), f.images, check=False)
 
 
 def well_definedness_certificate(f):
@@ -420,7 +432,7 @@ def linear_section_exists(f):
     rows = [tuple(kernel) + (one, one)] + [unit(k, r) for k in kernel]
     rows += [unit(g, i) for g in A.ideal for i in range(r + 1)]
     gb = module_buchberger(rows, r + 2, A.context, A.domain)
-    nf = module_normal_form(unit(one, r), gb.generators)
+    nf = gb.normal_form(unit(one, r))
     if not vec_is_zero(nf[: r + 1]):
         note = _SECTION_NOTES[route, False]
         # the basis elements that vanish on the κ block carry generators of

@@ -240,6 +240,47 @@ class TestGoldenReports:
         assert doc["dimension"] == 2
 
 
+UNFIXED_BASE = """\
+field Q
+base R = vars(t)
+algebra AR over R = vars()
+algebra B = vars(x)
+algebra C = vars(t)
+morphism m : AR -> B = { t -> x^2 }
+morphism n : AR -> C = { t -> t }
+"""
+
+
+def test_a_morphism_that_does_not_fix_the_base_is_classified_absolutely(tmp_path: Path) -> None:
+    """Without ``over`` the images cover every source variable and the base
+    is not fixed: m is Q[t] -> Q[x], t -> x^2, and n is the identity of Q[t]."""
+    ws = tmp_path / "unfixed.tgc"
+    ws.write_text(UNFIXED_BASE)
+
+    def affine(name: str) -> dict:
+        code, out = tgc("classify", "--workspace", str(ws), "--instance", "affine",
+                        "--morphism", name, "--oracle", "--json", "-")
+        assert code == 0, out
+        doc = json.loads(out)
+        replay = doc["annotations"]["oracle_replay"]
+        assert replay and all(r["status"] == "corroborated" for r in replay)
+        return {k: v["status"] for k, v in doc["predicates"].items()}
+
+    assert set(affine("n").values()) == {"holds"}
+    assert affine("m") == {
+        "T_monic": "fails",  # x - x_1 is in the kernel of the codiagonal
+        "T_immersion": "fails",  # dx survives in Q[x]/(2x) dx
+        "T_unramified": "fails",
+        "T_submersion": "holds",  # dt -> 2x dx is injective
+        "split_T_submersion": "undetermined",
+        "T_etale": "fails",
+        "monic_T_etale": "fails",
+    }
+    code, out = tgc("cotangent", "--workspace", str(ws), "--morphism", "n")
+    assert code == 0
+    assert "matrix rows (1): [1]" in out and "isomorphism : yes" in out
+
+
 class TestHumanOutput:
     """Test the fixed-width terminal rendering."""
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from tangentcat.cli import load_workspace
 from tangentcat.errors import ResourceLimit, ShapeMismatch
-from tangentcat.groebner import degree_cap
+from tangentcat.groebner import ModuleGroebnerBasis, degree_cap
 from tangentcat.kahler import (
     ModulePresentation,
     base_change_check,
@@ -21,6 +22,8 @@ from tangentcat.kahler import (
 )
 from tangentcat.polycore import QQ, Polynomial, context, poly_parse, prime_field
 from tangentcat.presentations import free_algebra, morphism, present
+
+from conftest import DATA
 
 F2 = prime_field(2)
 T = context("t")
@@ -83,6 +86,24 @@ def test_degree_cap_reaches_a_cached_module_basis():
             M.gb()
     finally:
         degree_cap.reset(token)
+
+
+@pytest.mark.parametrize("name", ["B1", "C1", "D2"])
+def test_normal_forms_and_staircases_build_no_polynomials(monkeypatch, name):
+    # a basis used only for normal forms and staircases never builds its
+    # Polynomials, which keeps peak memory flat; a budget that no other test
+    # sets keys fresh cache entries, so every basis here is computed anew
+    B = load_workspace(str(DATA / "figure1.tgc")).algebras[name]
+    read = []
+    monkeypatch.setattr(ModuleGroebnerBasis, "generators", property(read.append))
+    token = degree_cap.set(63)
+    try:
+        M = kahler_module(B)
+        zero_module_evidence(M)
+        assert M.finite() is not None and B.finite_basis() is not None
+    finally:
+        degree_cap.reset(token)
+    assert read == []
 
 
 # --- module maps ------------------------------------------------------------
