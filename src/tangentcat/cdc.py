@@ -4,10 +4,10 @@ A map n -> m is a tuple of m polynomials in x1..xn.  The differential
 D[f]: 2n -> m is the directional derivative, the tangent of f pairs f with
 D[f], and the bundle map theta(f) = <base projection, D[f]> : 2n -> n+m is
 what the classification predicates are about.  The structure maps
-(projection, zero section, fibre addition, vertical lift, canonical flip)
-are themselves polynomial maps, so every axiom and naturality law here is
-checked by exact polynomial identity -- no subtraction is needed to compare
-two sides, which keeps the checks valid over N.
+(projection, zero section, vertical lift, canonical flip) only reindex
+coordinates and are index lists; fibre addition is a polynomial map.  Every
+axiom and naturality law here is checked by exact polynomial identity -- no
+subtraction is needed to compare two sides, which keeps the checks valid over N.
 """
 
 from __future__ import annotations
@@ -169,28 +169,40 @@ def differential(f):
 def tangent(f):
     """T(f) = <f p, D[f]> : 2n -> 2m."""
     n = f.arity_in
-    ctx2 = cdc_context(2 * n)
-    embed = list(range(n))
-    base = tuple(c.rename(ctx2, embed) for c in f.components)
-    return CdcMap(f.domain, ctx2, base + differential(f).components)
+    return pair(reindex(f, proj_p(n), 2 * n), differential(f))
 
 
 def theta(f):
     """The bundle map <p, D[f]> : 2n -> n + m over the source."""
-    return pair(proj_p(f.domain, f.arity_in), differential(f))
+    return pair(projection_map(f.domain, 2 * f.arity_in, range(f.arity_in)), differential(f))
 
 
 # ---------------------------------------------------------------------------
 # tangent-structure maps at arity n
+#
+# Apart from fibre addition they only reindex coordinates, so each is an
+# index list: output j is input indices[j], and None is a zero component.
 
-def proj_p(domain, n):
+def pick(indices, f):
+    """The structure map ``indices`` after f: the listed components of f."""
+    zero = Polynomial.zero(f.context, f.domain)
+    return CdcMap(f.domain, f.context, tuple(zero if i is None else f.components[i] for i in indices))
+
+
+def reindex(f, indices, n):
+    """f after the structure map ``indices`` out of n inputs: rename f's variables."""
+    ctx = cdc_context(n)
+    return CdcMap(f.domain, ctx, tuple(c.rename(ctx, indices) for c in f.components))
+
+
+def proj_p(n):
     """p: 2n -> n, forget the direction."""
-    return projection_map(domain, 2 * n, range(n))
+    return [*range(n)]
 
 
-def zero_section(domain, n):
+def zero_section(n):
     """0: n -> 2n, the zero direction."""
-    return projection_map(domain, n, [*range(n)] + [None] * n)
+    return [*range(n)] + [None] * n
 
 
 def bundle_add(domain, n):
@@ -199,20 +211,19 @@ def bundle_add(domain, n):
     return pair(x, add_maps(u, v))
 
 
-def vertical_lift(domain, n):
+def fibres(n):
+    """3n -> 2n: the two tangent vectors (x, u) and (x, v) of (x, u, v)."""
+    return [*range(2 * n)], [*range(n), *range(2 * n, 3 * n)]
+
+
+def vertical_lift(n):
     """l: 2n -> 4n, (x, u) -> (x, 0, 0, u)."""
-    return projection_map(domain, 2 * n, [*range(n)] + [None] * (2 * n) + [*range(n, 2 * n)])
+    return [*range(n)] + [None] * (2 * n) + [*range(n, 2 * n)]
 
 
-def canonical_flip(domain, n):
+def canonical_flip(n):
     """c: 4n -> 4n, (x, u, v, w) -> (x, v, u, w)."""
-    indices = (
-        list(range(n))
-        + list(range(2 * n, 3 * n))
-        + list(range(n, 2 * n))
-        + list(range(3 * n, 4 * n))
-    )
-    return projection_map(domain, 4 * n, indices)
+    return [*range(n), *range(2 * n, 3 * n), *range(n, 2 * n), *range(3 * n, 4 * n)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +271,17 @@ def verify_cdc_axioms(f, g=None):
         )
     )
     df = differential(f)
-    restrict_u = projection_map(dom, 3 * n, list(range(n)) + list(range(n, 2 * n)))
-    restrict_v = projection_map(dom, 3 * n, list(range(n)) + list(range(2 * n, 3 * n)))
+    restrict_u, restrict_v = fibres(n)
     checks.append(
         _expect_equal(
             "CD2_additive_in_direction",
             compose(df, bundle_add(dom, n)),
-            add_maps(compose(df, restrict_u), compose(df, restrict_v)),
+            add_maps(reindex(df, restrict_u, 3 * n), reindex(df, restrict_v, 3 * n)),
         )
     )
     checks.append(
         _expect_equal(
-            "CD2_zero_direction", compose(df, zero_section(dom, n)), zero_map(dom, n, m)
+            "CD2_zero_direction", reindex(df, zero_section(n), n), zero_map(dom, n, m)
         )
     )
     checks.append(
@@ -297,10 +307,10 @@ def verify_cdc_axioms(f, g=None):
     )
     ddf = differential(df)
     checks.append(
-        _expect_equal("CD6_lift", compose(ddf, vertical_lift(dom, n)), df)
+        _expect_equal("CD6_lift", reindex(ddf, vertical_lift(n), 2 * n), df)
     )
     checks.append(
-        _expect_equal("CD7_symmetry", compose(ddf, canonical_flip(dom, n)), ddf)
+        _expect_equal("CD7_symmetry", reindex(ddf, canonical_flip(n), 4 * n), ddf)
     )
     return checks
 
@@ -315,38 +325,33 @@ def verify_tangent_identities(f, g=None):
     tf = tangent(f)
     ttf = tangent(tf)
     checks = [
-        _expect_equal("p_naturality", compose(proj_p(dom, m), tf), compose(f, proj_p(dom, n))),
+        _expect_equal("p_naturality", pick(proj_p(m), tf), reindex(f, proj_p(n), 2 * n)),
         _expect_equal(
-            "zero_naturality", compose(tf, zero_section(dom, n)), compose(zero_section(dom, m), f)
+            "zero_naturality", reindex(tf, zero_section(n), n), pick(zero_section(m), f)
         ),
     ]
-    proj_base = projection_map(dom, 3 * n, range(n))
-    restrict_u = projection_map(dom, 3 * n, list(range(n)) + list(range(n, 2 * n)))
-    restrict_v = projection_map(dom, 3 * n, list(range(n)) + list(range(2 * n, 3 * n)))
+    restrict_u, restrict_v = fibres(n)
     df = differential(f)
-    triple = pair(pair(compose(f, proj_base), compose(df, restrict_u)), compose(df, restrict_v))
+    triple = pair(reindex(tf, restrict_u, 3 * n), reindex(df, restrict_v, 3 * n))
     checks.append(
         _expect_equal(
             "add_naturality", compose(tf, bundle_add(dom, n)), compose(bundle_add(dom, m), triple)
         )
     )
+    lift, flip = vertical_lift(n), canonical_flip(n)
     checks.append(
         _expect_equal(
-            "lift_naturality", compose(ttf, vertical_lift(dom, n)), compose(vertical_lift(dom, m), tf)
+            "lift_naturality", reindex(ttf, lift, 2 * n), pick(vertical_lift(m), tf)
         )
     )
     checks.append(
         _expect_equal(
-            "flip_naturality", compose(ttf, canonical_flip(dom, n)), compose(canonical_flip(dom, m), ttf)
+            "flip_naturality", reindex(ttf, flip, 4 * n), pick(canonical_flip(m), ttf)
         )
     )
-    c = canonical_flip(dom, n)
-    checks.append(_expect_equal("flip_involution", compose(c, c), identity_map(dom, 4 * n)))
-    checks.append(
-        _expect_equal(
-            "lift_flip", compose(canonical_flip(dom, n), vertical_lift(dom, n)), vertical_lift(dom, n)
-        )
-    )
+    # index lists compose by indexing: b after a is [a[i] for i in b]
+    checks.append(LawCheck("flip_involution", [flip[i] for i in flip] == [*range(4 * n)]))
+    checks.append(LawCheck("lift_flip", [lift[i] for i in flip] == lift))
 
     if g is not None and g.arity_in == m:
         checks.append(_expect_equal("theta_composition", *theta_composition_sides(f, g)))
@@ -363,29 +368,18 @@ def theta_composition_sides(f, g):
     dom, n, m, l = f.domain, f.arity_in, f.arity_out, g.arity_out
     if g.arity_in != m:
         raise ArityMismatch("the second map must be composable after the first")
-    ctx_nm = cdc_context(n + m)
-    feed = pair(
-        CdcMap(dom, ctx_nm, tuple(c.rename(ctx_nm, list(range(n))) for c in f.components)),
-        projection_map(dom, n + m, range(n, n + m)),
-    )
+    feed = pair(reindex(f, range(n), n + m), projection_map(dom, n + m, range(n, n + m)))
     mid = pair(projection_map(dom, n + m, range(n)), compose(theta(g), feed))
-    gamma = projection_map(dom, n + m + l, list(range(n)) + list(range(n + m, n + m + l)))
-    return compose(gamma, compose(mid, theta(f))), theta(compose(g, f))
+    gamma = [*range(n), *range(n + m, n + m + l)]
+    return pick(gamma, compose(mid, theta(f))), theta(compose(g, f))
 
 
 def theta_flip_sides(f):
     """Both sides of the flip compatibility for the bundle map of f."""
-    dom, n, m = f.domain, f.arity_in, f.arity_out
-    shuffle = projection_map(
-        dom,
-        2 * (n + m),
-        list(range(n))
-        + list(range(n + m, 2 * n + m))
-        + list(range(n, n + m))
-        + list(range(2 * n + m, 2 * (n + m))),
-    )
-    lhs = compose(theta(tangent(f)), canonical_flip(dom, n))
-    rhs = compose(shuffle, tangent(theta(f)))
+    n, m = f.arity_in, f.arity_out
+    shuffle = [*range(n), *range(n + m, 2 * n + m), *range(n, n + m), *range(2 * n + m, 2 * (n + m))]
+    lhs = reindex(theta(tangent(f)), canonical_flip(n), 4 * n)
+    rhs = pick(shuffle, tangent(theta(f)))
     return lhs, rhs
 
 
@@ -436,20 +430,18 @@ def linearize_section(f, s):
     ok, detail = is_section_of(f, s)
     if not ok:
         raise NotASection("theta(f) composed with s is not the identity", discrepancy=detail)
-    n = f.arity_in
-    m = f.arity_out
-    ctx = s.context
-    dom = s.domain
-    at_zero = projection_map(dom, n + m, [*range(n)] + [None] * m, ctx).components
+    n, m = f.arity_in, f.arity_out
+    ctx, dom = s.context, s.domain
+    at_zero = [*range(n)] + [None] * m
     linear = []
     for c in s.components[n:]:
-        centred = c - c.substitute(at_zero)
+        centred = c - c.rename(ctx, at_zero)
         total = Polynomial.zero(ctx, dom)
         for j in range(m):
-            slope = centred.partial(n + j).substitute(at_zero)
+            slope = centred.partial(n + j).rename(ctx, at_zero)
             total = total + slope * Polynomial.variable(ctx, dom, n + j)
         linear.append(total)
-    result = CdcMap(dom, ctx, at_zero[:n] + tuple(linear))
+    result = CdcMap(dom, ctx, s.components[:n] + tuple(linear))
     ok, detail = is_section_of(f, result)
     if not ok:
         raise InconsistentClassification(f"linearization broke the section property: {detail}")
@@ -667,8 +659,7 @@ def random_theta_section(rng, domain, n, m, max_degree=2):
         c = Polynomial.variable(ctx, domain, i)
         if tail:
             extra = random_polynomial(rng, ctx, domain, max_degree, 2)
-            keep = projection_map(domain, n, [None] * m + tail)
-            c = c + extra.substitute(keep.components)
+            c = c + extra.rename(ctx, [None] * m + tail)
         comps.append(c)
     f = CdcMap(domain, ctx, tuple(comps))
 

@@ -222,7 +222,11 @@ def replay_evidence(report, morphism=None):
         mu = None
         for predicate, status in report.predicates.items():
             ev = status.evidence
-            if "kernel_generators" in ev:
+            # an affine report's kernel generators are module vectors, not polynomials
+            if report.instance == "affine" and ev.get("kernel_generators"):
+                results.append({"predicate": predicate, "claim": "kernel_generators",
+                                "status": "not_replayable"})
+            elif "kernel_generators" in ev:
                 _replay_kernel_generators(
                     predicate, f, ev["kernel_generators"], f.apply, results
                 )

@@ -488,7 +488,11 @@ class Polynomial:
         return Polynomial._clean(ctx, dom, total)
 
     def rename(self, new_context, index_map):
-        """Transport into ``new_context``, sending old variable i to index_map[i]."""
+        """Transport into ``new_context``, sending old variable i to index_map[i].
+
+        An index of None sends the variable to 0, which drops every term
+        that contains it.
+        """
         if len(index_map) != len(self.context):
             raise ArityMismatch("index map does not cover the context")
         n = len(new_context)
@@ -500,12 +504,15 @@ class Polynomial:
             for i, e in enumerate(m):
                 if e:
                     j = index_map[i]
+                    if j is None:
+                        break
                     if not 0 <= j < n:
                         raise IndexOutOfRange(f"index {j} outside target context")
                     e2[j] += e
-            m2 = tuple(e2)
-            s = terms.get(m2, zero) + c
-            terms[m2] = s % p if p else s
+            else:
+                m2 = tuple(e2)
+                s = terms.get(m2, zero) + c
+                terms[m2] = s % p if p else s
         # merged terms may cancel; drop them once, keeping first-seen order
         return Polynomial._clean(new_context, dom, {m: c for m, c in terms.items() if c})
 

@@ -21,8 +21,11 @@ from tangentcat.cdc import (
     is_section_of,
     linear_matrix,
     linearize_section,
+    pick,
+    projection_map,
     random_cdc_map,
     random_theta_section,
+    reindex,
     section_context,
     tangent,
     theta,
@@ -34,6 +37,8 @@ from tangentcat.cdc import (
 from tangentcat import cdc
 from tangentcat.errors import InconsistentClassification, NotASection, UnsupportedDomain
 from tangentcat.polycore import NN, QQ, ZZ, poly_parse, prime_field
+
+from conftest import run_cli
 
 F5 = prime_field(5)
 DOMAINS = (QQ, F5, ZZ)
@@ -112,6 +117,40 @@ def test_theta_laws_reduce_to_zero(seed):
     g = random_cdc_map(rng, QQ, 2, 1, max_degree=3)
     assert zero_diff(theta_composition_sides(f, g))
     assert zero_diff(theta_flip_sides(f))
+
+
+def test_structure_maps_compose_by_reindexing():
+    """Picking components (index list after f) and renaming variables (f after
+    an index list) agree with composing through projection_map, the reference."""
+    rng = random.Random(3)
+    zeros = repeats = 0
+    for dom in (QQ, F5, ZZ, NN):
+        for _ in range(30):
+            n, k, big_n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+            f = random_cdc_map(rng, dom, n, k, max_degree=3)
+            before = [rng.choice([None, *range(k)]) for _ in range(rng.randint(1, 5))]
+            after = [rng.choice([None, *range(big_n)]) for _ in range(n)]
+            assert pick(before, f) == compose(projection_map(dom, k, before), f)
+            assert reindex(f, after, big_n) == compose(f, projection_map(dom, big_n, after))
+            for idx in (before, after):
+                zeros += None in idx
+                repeats += len(set(idx)) < len(idx)
+    assert zeros > 20 and repeats > 20
+
+
+def test_the_law_checks_have_teeth(monkeypatch):
+    """With D[f] doubled, every law that fixes the scale of D must fail."""
+    true_d = cdc.differential
+    monkeypatch.setattr(cdc, "differential", lambda f: cdc.add_maps(true_d(f), true_d(f)))
+    f, g = sample_map(), mk(QQ, 2, ("x1*x2",))
+    checks = verify_cdc_axioms(f, g) + verify_tangent_identities(f, g)
+    assert {c.name for c in checks if not c.holds} == {
+        "CD3_identity_and_projections", "CD5_chain_rule", "CD6_lift",
+        "lift_naturality", "theta_composition", "theta_flip",
+    }
+    code, out = run_cli(["verify", "--suite", "theta-laws", "--count", "5", "--seed", "0",
+                         "--json", "-"])
+    assert code == 6 and len(json.loads(out)["failures"]) == 10
 
 
 # --- sections of theta ------------------------------------------------------

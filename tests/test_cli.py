@@ -281,6 +281,21 @@ def test_a_morphism_that_does_not_fix_the_base_is_classified_absolutely(tmp_path
     assert "matrix rows (1): [1]" in out and "isomorphism : yes" in out
 
 
+def test_affine_module_kernel_generators_are_not_replayed(tmp_path: Path) -> None:
+    """The affine T_submersion kernel is a list of module vectors, which the
+    oracle records as not replayable instead of parsing them as polynomials."""
+    ws = tmp_path / "z.tgc"
+    ws.write_text("field Q\nalgebra A = vars(t)\nalgebra B = vars(x)\n"
+                  "morphism z : A -> B = { t -> 0 }\n")
+    code, out = tgc("classify", "--workspace", str(ws), "--instance", "affine",
+                    "--morphism", "z", "--oracle", "--json", "-")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["predicates"]["T_submersion"]["evidence"]["kernel_generators"] == [["1"]]
+    assert {"predicate": "T_submersion", "claim": "kernel_generators",
+            "status": "not_replayable"} in doc["annotations"]["oracle_replay"]
+
+
 class TestHumanOutput:
     """Test the fixed-width terminal rendering."""
 

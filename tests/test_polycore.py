@@ -283,6 +283,17 @@ def test_rename_that_collapses_terms_cancels_mod_p():
     assert qq("x + y").rename(context("x"), [0, 0]) == poly_parse("2*x", context("x"), QQ)
 
 
+def test_rename_to_none_sends_the_variable_to_zero():
+    x = context("x")
+    assert qq("x^2*y + 3*x - y^2 + 1").rename(XY, [0, None]) == qq("3*x + 1")
+    # what survives the dropped variable may still merge
+    assert qq("x*z + x + y + z", XYZ).rename(x, [0, 0, None]) == qq("2*x", x)
+    merged = poly_parse("2*x + 3*y + z", XYZ, F5).rename(x, [0, 0, None])
+    assert merged.is_zero() and not merged.terms
+    nn = poly_parse("x*y + 2*x + y^2 + 4", XY, NN).rename(x, [None, 0])
+    assert nn == poly_parse("x^2 + 4", x, NN)
+
+
 def test_scale_by_zero_p_and_fractions():
     p = poly_parse("x + 2*y", XY, F5)
     assert p.scale(0).is_zero() and p.scale(5).is_zero()
