@@ -58,7 +58,7 @@ from .errors import (
     UnresolvedReference,
     UnsupportedDomain,
 )
-from .groebner import degree_cap
+from .groebner import degree_cap, within_cap
 from .kahler import (
     base_change_check,
     classify_cotangent,
@@ -566,10 +566,8 @@ def _cmd_cotangent(args):
 def _within_degree_cap(components):
     """Refuse polynomials above the degree cap with the Groebner engine's
     message: cdc composition and differentiation would expand them in full."""
-    cap = degree_cap.get()
-    for d in (c.degree() for c in components):
-        if d > cap:
-            raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
+    for c in components:
+        within_cap(c.degree(), degree_cap.get())
 
 
 def _cdcmap(ws, name):
@@ -635,7 +633,7 @@ def _cmd_cdc_linearize(args):
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _suite_theta_laws(count, seed, oracle):
+def _suite_theta_laws(count, seed):
     rng = random.Random(seed)
     domains = (QQ, QQ, prime_field(5), ZZ, NN)
     failures = []
@@ -653,7 +651,7 @@ def _suite_theta_laws(count, seed, oracle):
     return failures
 
 
-def _suite_tangent_identities(count, seed, oracle):
+def _suite_tangent_identities(count, seed):
     rng = random.Random(seed)
     domains = (QQ, prime_field(5), ZZ, NN)
     failures = []
@@ -679,7 +677,7 @@ def _parabola_case():
     return f, g
 
 
-def _suite_base_change(count, seed, oracle):
+def _suite_base_change(count, seed):
     rng = random.Random(seed)
     failures = []
     cases = [("parabola", _parabola_case())]
@@ -714,7 +712,7 @@ SUITES = {
 def _cmd_verify(args):
     runner, default_count = SUITES[args.suite]
     count = args.count if args.count is not None else default_count
-    failures = runner(count, args.seed, args.oracle)
+    failures = runner(count, args.seed)
     doc = {
         "schema_version": "1",
         "command": "verify",

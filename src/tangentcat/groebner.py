@@ -21,6 +21,10 @@ criterion for coprime leading monomials applies only at rank 1, where it
 is sound.  Reducers are tried in basis order, and finished bases are
 minimalized, tail-reduced, made monic, and sorted by leading term, so every
 run over the same input produces the same, unique reduced basis.
+
+Kernels and preimages of algebra morphisms come from a graph basis under an
+elimination order or, into a finite-dimensional target, from the same
+polynomials found by a walk over the source staircase (``FiniteGraph``).
 """
 
 from __future__ import annotations
@@ -148,7 +152,28 @@ def ideal_basis(gens, ctx, domain, order=GREVLEX):
 # ---------------------------------------------------------------------------
 # morphism graphs: kernel, surjectivity, preimages
 
-class MorphismGraph:
+def within_cap(d, cap):
+    """Raise ResourceLimit when the degree ``d`` exceeds ``cap``."""
+    if d > cap:
+        raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
+
+
+class _Graph:
+    """The kernel and the target-variable preimages, each found once per graph."""
+
+    @cached_property
+    def kernel(self):
+        """Generators of the kernel ideal, reduced modulo the source ideal."""
+        out = {r for r in map(self.source.reduce, self.kernel_basis) if not r.is_zero()}
+        return tuple(sorted(out, key=lambda p: (p.degree(), p.to_str())))
+
+    @cached_property
+    def variable_preimages(self):
+        """``preimage`` of each target variable, None where there is none."""
+        return tuple(self.preimage(self.target.var(j)) for j in range(len(self.target.context)))
+
+
+class MorphismGraph(_Graph):
     """Graph ideal of an algebra morphism under a target-eliminating order.
 
     The combined context lists the target variables first, then one fresh
@@ -157,39 +182,24 @@ class MorphismGraph:
     """
 
     def __init__(self, f):
-        A, B = f.source, f.target
-        dom = A.domain
-        nA, nB = len(A.context), len(B.context)
-        names = B.context.names + tuple(f"@g{i}" for i in range(nA))
-        ctx = VariableContext(names)
-        self.ctx = ctx
-        self.nA, self.nB = nA, nB
-        self.source, self.target = A, B
-        self._embed_b = list(range(nB))
-        embed_a = [nB + i for i in range(nA)]
+        A, B = self.source, self.target = f.source, f.target
+        dom, nA, nB = A.domain, len(A.context), len(B.context)
+        ctx = self.ctx = VariableContext(B.context.names + tuple(f"@g{i}" for i in range(nA)))
+        self.nB, self._embed_b, self.order = nB, list(range(nB)), elimination_order(nB)
         gens = [g.rename(ctx, self._embed_b) for g in B.ideal]
-        for i in range(nA):
-            lhs = Polynomial.variable(ctx, dom, nB + i)
-            rhs = f.var_images[i].rename(ctx, self._embed_b)
-            gens.append(lhs - rhs)
-        gens += [g.rename(ctx, embed_a) for g in A.ideal]
-        order = elimination_order(nB)
-        self.gb = ideal_basis(tuple(gens), ctx, dom, order)
-        self.order = order
+        gens += [Polynomial.variable(ctx, dom, nB + i) - f.var_images[i].rename(ctx, self._embed_b)
+                 for i in range(nA)]
+        gens += [g.rename(ctx, [nB + i for i in range(nA)]) for g in A.ideal]
+        self.gb = ideal_basis(tuple(gens), ctx, dom, self.order)
 
     def embed_target(self, p):
         return p.rename(self.ctx, self._embed_b)
 
-    @cached_property
-    def kernel(self):
-        """Generators of the kernel ideal, reduced modulo the source ideal."""
-        out = []
-        for g, m in zip(self.gb.generators, self.gb.leading_monomials()):
-            if self.order.eliminates(m):
-                r = self.source.reduce(self.to_source(g))
-                if not r.is_zero() and r not in out:
-                    out.append(r)
-        return tuple(sorted(out, key=lambda p: (p.degree(), p.to_str())))
+    @property
+    def kernel_basis(self):
+        gb = self.gb
+        return [self.to_source(g) for g, m in zip(gb.generators, gb.leading_monomials())
+                if self.order.eliminates(m)]
 
     def to_source(self, p):
         """Transport a source-block-only polynomial back to the source context."""
@@ -200,15 +210,79 @@ class MorphismGraph:
     def preimage(self, p):
         """A source element mapping to ``p``, or None when none exists."""
         nf = self.gb.normal_form(self.embed_target(p))
-        if any(i < self.nB for i in nf.variables_used()):
-            return None
-        return self.to_source(nf)
+        return None if any(i < self.nB for i in nf.variables_used()) else self.to_source(nf)
+
+
+class FiniteGraph(_Graph):
+    """Kernel and preimages into a finite-dimensional target by linear algebra
+    on staircases (Buchberger & Moeller 1982; Faugere, Gianni, Lazard & Mora
+    1993).  Source monomials m come in grevlex order from 1, less multiples
+    of kernel leads; the target's coordinates of f(m) = f(m/x_i)·f(x_i) are
+    eliminated against earlier ones in a row that tracks the source
+    combination by monomial.  A zero row is the kernel element m - sum c_s·s,
+    the graph basis's element led by m; else m is a pivot, its x_i·m queued.
+    """
+
+    def __init__(self, f, staircase):
+        A, B = self.source, self.target = f.source, f.target
+        self._index = {m: j for j, m in enumerate(staircase)}
+        self._echelon = {}  # pivot column -> row, 1 there and no larger column
+        dom, p, n, cap = A.domain, A.domain.p, len(A.context), degree_cap.get()
+        self.kernel_basis, leads, images = [], [], {}  # images: pivot -> reduced f(pivot)
+        queue = [(GREVLEX.key((0,) * n), (0,) * n, -1)]  # (key, m, i): m = x_i·pivot, or 1
+        while queue:
+            _, m, i = heapq.heappop(queue)
+            if m in images or any(mono_div(m, t) is not None for t in leads):
+                continue
+            img = B.reduce(B.one() if i < 0 else images[m[:i] + (m[i] - 1,) + m[i + 1:]] * f.var_images[i])
+            row = {self._index[t]: c for t, c in img.terms.items()}
+            row[m] = dom.one()
+            j = self._eliminate(row)
+            if j is None:  # a kernel element led by m
+                within_cap(mono_deg(m), cap)
+                leads.append(m)
+                self.kernel_basis.append(Polynomial._clean(A.context, dom, row))
+                continue
+            inv = pow(row[j], -1, p) if p else 1 / row[j]
+            self._echelon[j] = {k: a * inv % p if p else a * inv for k, a in row.items()}
+            images[m] = img
+            for k in range(n):
+                xm = m[:k] + (m[k] + 1,) + m[k + 1:]
+                heapq.heappush(queue, (GREVLEX.key(xm), xm, k))
+
+    def _eliminate(self, row):
+        """Reduce a row against the echelon in place; return its largest
+        remaining staircase column, or None when none remains."""
+        p = self.source.domain.p
+        while True:
+            j = max((k for k in row if type(k) is int), default=None)
+            if j not in self._echelon:
+                return j
+            c = row[j]
+            for k, a in self._echelon[j].items():
+                s = row.pop(k, 0) - c * a
+                if p:
+                    s %= p
+                if s:
+                    row[k] = s
+
+    def preimage(self, q):
+        """A source element mapping to ``q``, or None when none exists."""
+        row = {self._index[t]: c for t, c in self.target.reduce(q).terms.items()}
+        if self._eliminate(row) is None:
+            return -Polynomial._clean(self.source.context, self.source.domain, row)
 
 
 @lru_cache(maxsize=None)
 def _cached_graph(f, budget):
-    """``budget`` is the current degree cap; it only keys the cache."""
-    return MorphismGraph(f)
+    """``budget`` is the current degree cap; it only keys the cache.  Both routes
+    first check the graph basis's input generators, in its order, against it."""
+    A, B = f.source, f.target
+    for d in chain((g.degree() for g in B.ideal), (max(1, g.degree()) for g in f.var_images),
+                   (g.degree() for g in A.ideal)):
+        within_cap(d, budget)
+    staircase = B.finite_basis() if A.domain.is_field else None
+    return MorphismGraph(f) if staircase is None else FiniteGraph(f, staircase)
 
 
 def morphism_graph(f):
@@ -412,9 +486,7 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
     def insert(v):
         nonlocal pairs
         for comp in v:
-            d = max(map(mono_deg, comp), default=-1)
-            if d > cap:
-                raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
+            within_cap(max(map(mono_deg, comp), default=-1), cap)
         pos = next(k for k, comp in enumerate(v) if comp)
         m = max(v[pos], key=key)
         new = len(basis)

@@ -270,20 +270,10 @@ def is_surjective(f):
     On success the data maps each target variable name to a source
     polynomial hitting it; on failure it lists the unreachable variables.
     """
-    graph = morphism_graph(f)
-    B = f.target
-    start = B.n_base if f.over_base else 0
-    preimages = {}
-    missing = []
-    for j in range(start, len(B.context)):
-        pre = graph.preimage(B.var(j))
-        if pre is None:
-            missing.append(B.context.names[j])
-        else:
-            preimages[B.context.names[j]] = pre
-    if missing:
-        return (False, missing)
-    return (True, preimages)
+    names, pre = f.target.context.names, morphism_graph(f).variable_preimages
+    free = range(f.target.n_base if f.over_base else 0, len(names))
+    missing = [names[j] for j in free if pre[j] is None]
+    return (False, missing) if missing else (True, {names[j]: pre[j] for j in free})
 
 
 # ---------------------------------------------------------------------------

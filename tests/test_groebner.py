@@ -174,6 +174,24 @@ def test_ring_map_kernel_is_computed_once_per_graph(monkeypatch):
     assert [str(g) for g in ring_map_kernel(f)] == ["u*v"]
 
 
+def test_preimages_are_computed_once_per_graph(monkeypatch):
+    from tangentcat.presentations import is_surjective, morphism, present
+
+    ctx = context("u", "v")
+    A = present(QQ, ("u", "v"), (poly_parse("u^3", ctx, QQ), poly_parse("v^2", ctx, QQ)))
+    B = present(QQ, ("u", "v"), (poly_parse("u^2", ctx, QQ), poly_parse("v^2", ctx, QQ)))
+    f = morphism(A, B, (poly_parse("u + v", ctx, QQ), poly_parse("v", ctx, QQ)))
+    assert isinstance(morphism_graph(f), groebner.FiniteGraph)
+    first = is_surjective(f)
+
+    def forbidden(*args):
+        raise AssertionError("a preimage was searched again")
+
+    monkeypatch.setattr(groebner, "_normal_form", forbidden)
+    assert is_surjective(f) == first
+    assert {k: str(v) for k, v in first[1].items()} == {"u": "u - v", "v": "v"}
+
+
 # --- resource limits --------------------------------------------------------
 
 def test_degree_cap_raises():
@@ -181,6 +199,24 @@ def test_degree_cap_raises():
     try:
         with pytest.raises(ResourceLimit, match="degree cap"):
             groebner_basis((qq("x^9 - y"),), LEX)
+    finally:
+        degree_cap.reset(token)
+
+
+def test_degree_cap_reaches_a_kernel_element_of_the_staircase_walk():
+    """u -> x + y into Q[x, y]/(x^2, y^2): every generator of the graph ideal
+    has degree at most 2, but the kernel is (u^3), so under cap 2 both
+    routes stop at degree 3."""
+    from tangentcat.presentations import free_algebra, morphism, present
+
+    B = present(QQ, ("x", "y"), (qq("x^2"), qq("y^2")))
+    f = morphism(free_algebra(QQ, ("u",)), B, (qq("x + y"),))
+    assert isinstance(morphism_graph(f), groebner.FiniteGraph)
+    token = degree_cap.set(2)
+    try:
+        for route in (groebner.MorphismGraph, morphism_graph):
+            with pytest.raises(ResourceLimit, match="polynomial degree 3 exceeds the degree cap 2"):
+                route(f).kernel
     finally:
         degree_cap.reset(token)
 
