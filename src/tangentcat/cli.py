@@ -511,7 +511,7 @@ def _cmd_kahler(args):
         "command": "kahler",
         "algebra": args.algebra,
         "generators": list(module.labels),
-        "relations": [[str(c) for c in row] for row in module.relations],
+        "relations": [[str(alg.reduce(c)) for c in row] for row in module.relations],
         "is_zero": is_zero,
         "dimension": dim,
     }

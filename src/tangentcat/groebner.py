@@ -43,6 +43,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDomain,
 )
+from .modlin import fd_basis
 from .polycore import (
     GREVLEX,
     Polynomial,
@@ -223,9 +224,9 @@ class FiniteGraph(_Graph):
     the graph basis's element led by m; else m is a pivot, its x_i·m queued.
     """
 
-    def __init__(self, f, staircase):
+    def __init__(self, f, gb, staircase):
         A, B = self.source, self.target = f.source, f.target
-        self._index = {m: j for j, m in enumerate(staircase)}
+        self._index, self._nf = {m: j for j, m in enumerate(staircase)}, gb.normal_form
         self._echelon = {}  # pivot column -> row, 1 there and no larger column
         dom, p, n, cap = A.domain, A.domain.p, len(A.context), degree_cap.get()
         self.kernel_basis, leads, images = [], [], {}  # images: pivot -> reduced f(pivot)
@@ -234,7 +235,7 @@ class FiniteGraph(_Graph):
             _, m, i = heapq.heappop(queue)
             if m in images or any(mono_div(m, t) is not None for t in leads):
                 continue
-            img = B.reduce(B.one() if i < 0 else images[m[:i] + (m[i] - 1,) + m[i + 1:]] * f.var_images[i])
+            img = self._nf(B.one() if i < 0 else images[m[:i] + (m[i] - 1,) + m[i + 1:]] * f.var_images[i])
             row = {self._index[t]: c for t, c in img.terms.items()}
             row[m] = dom.one()
             j = self._eliminate(row)
@@ -268,7 +269,7 @@ class FiniteGraph(_Graph):
 
     def preimage(self, q):
         """A source element mapping to ``q``, or None when none exists."""
-        row = {self._index[t]: c for t, c in self.target.reduce(q).terms.items()}
+        row = {self._index[t]: c for t, c in self._nf(q).terms.items()}
         if self._eliminate(row) is None:
             return -Polynomial._clean(self.source.context, self.source.domain, row)
 
@@ -281,8 +282,9 @@ def _cached_graph(f, budget):
     for d in chain((g.degree() for g in B.ideal), (max(1, g.degree()) for g in f.var_images),
                    (g.degree() for g in A.ideal)):
         within_cap(d, budget)
-    staircase = B.finite_basis() if A.domain.is_field else None
-    return MorphismGraph(f) if staircase is None else FiniteGraph(f, staircase)
+    gb = B.gb() if A.domain.is_field else None
+    staircase = None if gb is None else fd_basis(gb, len(B.context))
+    return MorphismGraph(f) if staircase is None else FiniteGraph(f, gb, staircase)
 
 
 def morphism_graph(f):

@@ -7,8 +7,8 @@ d(f(x_i)); its kernel, cokernel, and splitting behaviour drive the
 classification of f on the geometric side.
 
 Modules are always modules over the presenting algebra: the algebra's
-ideal is folded into every Groebner-basis computation, so relation lists
-stay small and readable.
+ideal is folded into every Groebner-basis computation, so relations need
+not be reduced by it: differential modules keep raw Jacobian rows.
 """
 
 from __future__ import annotations
@@ -223,14 +223,12 @@ def _relative_range(A):
 
 
 def kahler_module(B):
-    """The module of differentials of B over its base, on generators d<y_j>."""
-    labels = tuple("d" + n for n in B.relative_names)
+    """The module of differentials of B over its base, on generators d<y_j>,
+    with one raw Jacobian row (dg/dy_j) per relative relation g; reducing a
+    row by B's ideal leaves the module as it is.  ``tgc kahler`` prints them reduced."""
     rel_vars = list(_relative_range(B))
-    relations = []
-    for g in B.relative_ideal:
-        row = tuple(B.reduce(g.partial(j)) for j in rel_vars)
-        relations.append(row)
-    return ModulePresentation(B, labels, tuple(relations))
+    relations = tuple(tuple(g.partial(j) for j in rel_vars) for g in B.relative_ideal)
+    return ModulePresentation(B, tuple("d" + n for n in B.relative_names), relations)
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,23 @@ def test_preimages_are_computed_once_per_graph(monkeypatch):
     assert {k: str(v) for k, v in first[1].items()} == {"u": "u - v", "v": "v"}
 
 
+def test_the_staircase_walk_fetches_the_target_basis_once(monkeypatch):
+    from tangentcat import presentations
+    from tangentcat.presentations import morphism, present
+
+    ctx = context("u", "v")
+    A = present(QQ, ("u", "v"), (poly_parse("u^3", ctx, QQ), poly_parse("v^2", ctx, QQ)))
+    B = present(QQ, ("u", "v"), (poly_parse("u^2", ctx, QQ), poly_parse("v^2", ctx, QQ)))
+    f = morphism(A, B, (poly_parse("u + v", ctx, QQ), poly_parse("v", ctx, QQ)))
+    fetched = []
+    monkeypatch.setattr(presentations, "ideal_basis", lambda *a: fetched.append(a[0]) or ideal_basis(*a))
+    graph = groebner._cached_graph.__wrapped__(f, degree_cap.get())
+    assert isinstance(graph, groebner.FiniteGraph)
+    assert [str(p) for p in graph.kernel] == ["u^2 - 2*u*v"]
+    assert [str(p) for p in graph.variable_preimages] == ["u - v", "v"]
+    assert fetched.count(B.ideal) == 1
+
+
 # --- resource limits --------------------------------------------------------
 
 def test_degree_cap_raises():

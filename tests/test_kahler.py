@@ -1,7 +1,12 @@
 """Kaehler differentials, module presentations, and the cotangent sequence."""
 
+import importlib.util
+import json
+import time
+
 import pytest
 
+from tangentcat import groebner
 from tangentcat.cli import load_workspace
 from tangentcat.errors import ResourceLimit, ShapeMismatch
 from tangentcat.groebner import ModuleGroebnerBasis, degree_cap
@@ -23,7 +28,7 @@ from tangentcat.kahler import (
 from tangentcat.polycore import QQ, Polynomial, context, poly_parse, prime_field
 from tangentcat.presentations import free_algebra, morphism, present
 
-from conftest import DATA
+from conftest import DATA, run_cli
 
 F2 = prime_field(2)
 T = context("t")
@@ -46,6 +51,17 @@ def test_free_algebra_has_free_differentials():
     assert M.labels == ("du", "dv")
     assert len(M.relations) == 0
     assert not zero_module_evidence(M)[0]
+
+
+def test_kahler_rows_are_raw_and_the_cli_prints_them_reduced(tmp_path):
+    # d(x^2) = 2x is the raw row; x lies in (x^2, x^3 + x), so it reduces to 0
+    ws = tmp_path / "ws.tgc"
+    ws.write_text("field Q\nalgebra A = vars(x) / (x^2, x^3 + x)\n")
+    M = kahler_module(load_workspace(str(ws)).algebras["A"])
+    assert [[str(e) for e in row] for row in M.relations] == [["2*x"], ["3*x^2 + 1"]]
+    out = tmp_path / "out.json"
+    assert run_cli(["kahler", "--workspace", str(ws), "--algebra", "A", "--json", str(out)])[0] == 0
+    assert json.loads(out.read_text())["relations"] == [["0"], ["1"]]
 
 
 def test_unit_derivative_kills_the_module():
@@ -220,3 +236,93 @@ def test_conormal_delta_of_a_transverse_relation():
     cs = conormal_sequence(B)
     assert cs.conormal.rank == 1
     assert [str(e) for e in cs.delta.column(0)] == ["2*y"]
+
+
+# --- raw Jacobian rows against reduced ones --------------------------------
+# Reduced rows are the reference: reducing a row by the algebra's ideal adds
+# ideal multiples, which every module basis folds in, so both presentations
+# have one reduced module basis.
+
+@pytest.fixture(scope="module")
+def fixture_morphisms():
+    """The benchmark's 200 acceptance morphisms, read from bench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", DATA.parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.fixture_morphisms()
+
+
+def _reduced_rows(M):
+    B = M.algebra
+    return ModulePresentation(B, M.labels, tuple(tuple(B.reduce(c) for c in row) for row in M.relations))
+
+
+def _reduced_cokernel(seq):
+    """The cokernel on the reduced rows of the middle module; the image
+    columns of v come reduced already."""
+    middle = _reduced_rows(seq.middle)
+    images = seq.cokernel.relations[len(seq.middle.relations):]
+    return ModulePresentation(middle.algebra, middle.labels, middle.relations + images)
+
+
+def _raw_and_reduced(f):
+    """(name, raw, reduced) builders of the three differential modules of f."""
+    return [
+        ("middle", lambda: kahler_module(f.target), lambda: _reduced_rows(kahler_module(f.target))),
+        ("cokernel", lambda: cotangent_map(f).cokernel, lambda: _reduced_cokernel(cotangent_map(f))),
+        ("relative", lambda: relative_kahler(f), lambda: _reduced_rows(relative_kahler(f))),
+    ]
+
+
+def test_raw_rows_give_the_module_of_reduced_rows(fixture_morphisms):
+    """Same reduced basis and same zero-module evidence on the 200 fixture
+    morphisms and on every figure-1 algebra and morphism."""
+    ws = load_workspace(str(DATA / "figure1.tgc"))
+    builders = [(name, lambda B=B: kahler_module(B), lambda B=B: _reduced_rows(kahler_module(B)))
+                for name, B in ws.algebras.items()]
+    for f in list(fixture_morphisms) + list(ws.morphisms.values()):
+        builders += _raw_and_reduced(f)
+    differs = 0
+    for name, raw, reduced in builders:
+        M, ref = raw(), reduced()
+        differs += M.relations != ref.relations
+        assert M.gb().generators == ref.gb().generators, name
+        assert zero_module_evidence(M) == zero_module_evidence(ref), name
+    assert differs  # some raw rows are not reduced, so the comparison bites
+
+
+def _outcome(build, cap):
+    token = degree_cap.set(cap)
+    try:
+        return zero_module_evidence(build())
+    except ResourceLimit:
+        return "limit"
+    finally:
+        degree_cap.reset(token)
+
+
+def test_raw_rows_meet_the_degree_cap_where_reduced_rows_do(fixture_morphisms):
+    """Under caps 0-5, on every second fixture morphism (600 cases a module),
+    raw and reduced rows raise ResourceLimit on the same cases and agree
+    elsewhere.  Budget: under 20 s (about 2 s on a 2-vCPU VM)."""
+    start, limits = time.perf_counter(), 0
+    for cap in range(6):
+        for f in fixture_morphisms[::2]:
+            for name, raw, reduced in _raw_and_reduced(f):
+                outcome = _outcome(raw, cap)
+                assert outcome == _outcome(reduced, cap), (cap, name, f.describe())
+                limits += outcome == "limit"
+    assert 0 < limits < 1800  # both outcomes are exercised
+    assert time.perf_counter() - start < 20.0
+
+
+def test_the_relative_route_builds_no_ring_basis(fixture_morphisms):
+    """With each target's basis warm, the relative differentials and their
+    zero test fetch no ideal basis that is not cached already."""
+    groebner._cached_gb.cache_clear()
+    for f in fixture_morphisms:
+        f.target.gb()
+    misses = groebner._cached_gb.cache_info().misses
+    for f in fixture_morphisms:
+        zero_module_evidence(relative_kahler(f))
+    assert groebner._cached_gb.cache_info().misses == misses
