@@ -42,7 +42,7 @@ from .modlin import (
     smith_form,
     solve_linear,
 )
-from .polycore import QQ, Polynomial, VariableContext
+from .polycore import QQ, Polynomial, VariableContext, settle
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +162,7 @@ def differential(f):
                     b = a * e % p if p else a * e
                     if b:
                         terms[m[:i] + (e - 1,) + m[i + 1 :] + units[i]] = b
-        comps.append(Polynomial._clean(ctx2, dom, terms))
+        comps.append(Polynomial._clean(ctx2, dom, settle(dom, terms)))
     return CdcMap(dom, ctx2, tuple(comps))
 
 

@@ -58,7 +58,6 @@ from .errors import (
     UnresolvedReference,
     UnsupportedDomain,
 )
-from .groebner import degree_cap, within_cap
 from .kahler import (
     base_change_check,
     classify_cotangent,
@@ -67,7 +66,17 @@ from .kahler import (
     zero_module_evidence,
 )
 from .oracle import replay_evidence
-from .polycore import NN, PRIME_TEST_LIMIT, QQ, ZZ, VariableContext, poly_parse, prime_field
+from .polycore import (
+    NN,
+    PRIME_TEST_LIMIT,
+    QQ,
+    ZZ,
+    VariableContext,
+    degree_cap,
+    poly_parse,
+    prime_field,
+    within_cap,
+)
 from .presentations import free_algebra, morphism, present
 
 

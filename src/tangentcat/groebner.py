@@ -30,7 +30,6 @@ polynomials found by a walk over the source staircase (``FiniteGraph``).
 from __future__ import annotations
 
 import heapq
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -39,7 +38,6 @@ from math import gcd, lcm
 
 from .errors import (
     ContextMismatch,
-    ResourceLimit,
     ShapeMismatch,
     UnsupportedDomain,
 )
@@ -48,19 +46,14 @@ from .polycore import (
     GREVLEX,
     Polynomial,
     VariableContext,
+    degree_cap,
     elimination_order,
     mono_deg,
     mono_div,
     mono_lcm,
     mono_mul,
+    within_cap,
 )
-
-# The degree budget: every basis element entering a Buchberger run must stay
-# at or below it.  Callers set it for a scope with ``token =
-# degree_cap.set(n)`` and restore it with ``degree_cap.reset(token)``; the
-# basis caches key on it, so a basis found under one budget is not handed
-# out under a lower one.
-degree_cap = ContextVar("degree_cap", default=64)
 
 
 def division(p, divisors, order=GREVLEX):
@@ -153,12 +146,6 @@ def ideal_basis(gens, ctx, domain, order=GREVLEX):
 # ---------------------------------------------------------------------------
 # morphism graphs: kernel, surjectivity, preimages
 
-def within_cap(d, cap):
-    """Raise ResourceLimit when the degree ``d`` exceeds ``cap``."""
-    if d > cap:
-        raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
-
-
 class _Graph:
     """The kernel and the target-variable preimages, each found once per graph."""
 
@@ -244,8 +231,13 @@ class FiniteGraph(_Graph):
                 leads.append(m)
                 self.kernel_basis.append(Polynomial._clean(A.context, dom, row))
                 continue
-            inv = pow(row[j], -1, p) if p else 1 / row[j]
-            self._echelon[j] = {k: a * inv % p if p else a * inv for k, a in row.items()}
+            c = row[j]
+            if c != 1 and p:
+                inv = pow(c, -1, p)
+                row = {k: a * inv % p for k, a in row.items()}
+            elif c != 1:
+                row = {k: dom.div(a, c) for k, a in row.items()}
+            self._echelon[j] = row
             images[m] = img
             for k in range(n):
                 xm = m[:k] + (m[k] + 1,) + m[k + 1:]
@@ -264,6 +256,8 @@ class FiniteGraph(_Graph):
                 s = row.pop(k, 0) - c * a
                 if p:
                     s %= p
+                elif type(s) is Fraction and s.denominator == 1:
+                    s = s.numerator
                 if s:
                     row[k] = s
 
@@ -343,15 +337,16 @@ def _mask(m):
 
 def _entry(v, pos, m, p):
     """The reducer entry of term dicts led by ``m`` in position ``pos``, scaled
-    to lead with 1 over F_p, and over Q (int or Fraction entries) to coprime
+    to lead with 1 over F_p, and over Q (canonical entries) to coprime
     integers leading with a positive one."""
     lc = v[pos][m]
     if p:
         inv = pow(lc, -1, p)
         v = v if inv == 1 else [{t: a * inv % p for t, a in comp.items()} for comp in v]
     else:
-        den = lcm(*(a.denominator for comp in v for a in comp.values()))
-        v = [{t: a.numerator * (den // a.denominator) for t, a in comp.items()} for comp in v]
+        den = lcm(*(a.denominator for comp in v for a in comp.values()))  # 1: all ints
+        if den != 1:
+            v = [{t: a.numerator * (den // a.denominator) for t, a in comp.items()} for comp in v]
         g = gcd(*(a for comp in v for a in comp.values())) * (1 if lc > 0 else -1)
         v = v if g == 1 else [{t: a // g for t, a in comp.items()} for comp in v]
     return m, _mask(m), v[pos][m], v
@@ -413,11 +408,13 @@ def _normal_form(v, table, order, ctx, dom):
     input's denominators are cleared once and divided out, with the scale, at the end."""
     if not any(table):
         return tuple(v)
-    den = lcm(*(a.denominator for c in v for a in c.terms.values()))  # 1 unless over Q
-    work = [{m: a.numerator * (den // a.denominator) for m, a in c.terms.items()} for c in v]
+    den = lcm(*(a.denominator for c in v for a in c.terms.values()))  # 1 unless a Fraction is met
+    work = [{m: a.numerator * (den // a.denominator) for m, a in c.terms.items()} if den != 1
+            else dict(c.terms) for c in v]
     rem, scale = _reduce(work, table, _Keys(order).__getitem__, dom)
-    if dom.kind == "Q":
-        rem = [{m: Fraction(a, den * scale) for m, a in r.items()} for r in rem]
+    d = den * scale  # 1 over F_p
+    if d != 1:
+        rem = [{m: dom.div(a, d) for m, a in r.items()} for r in rem]
     return tuple(Polynomial._clean(ctx, dom, r) for r in rem)
 
 
@@ -447,7 +444,7 @@ class ModuleGroebnerBasis:
         """The basis as monic vectors, in position order, built on first use."""
         ctx, dom = self.context, self.domain
         return tuple(
-            tuple(Polynomial._clean(ctx, dom, comp if dom.p else {m: Fraction(a, c) for m, a in comp.items()})
+            tuple(Polynomial._clean(ctx, dom, comp if c == 1 else {m: dom.div(a, c) for m, a in comp.items()})
                   for comp in v)
             for entries in self.table for _, _, c, v in entries
         )

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .groebner import (
     GREVLEX,
-    degree_cap,
     module_buchberger,
     syzygy_basis,
     vec_is_zero,
@@ -34,7 +33,7 @@ from .modlin import (
     module_fd_basis,
     retraction_solve_matrices,
 )
-from .polycore import Polynomial, VariableContext
+from .polycore import Polynomial, VariableContext, degree_cap
 from .presentations import AlgebraPresentation, absolute, fresh_names, pushout
 
 

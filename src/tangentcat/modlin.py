@@ -43,11 +43,12 @@ def _eliminate(rows, dom):
     p = dom.p
     pivots = {}
     for row in sorted(rows, key=len):
+        row = dict(row)
         if p is None and row:
-            den = lcm(*(x.denominator for x in row.values()))
-            row = _primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()})
-        else:
-            row = dict(row)
+            den = lcm(*(x.denominator for x in row.values()))  # 1: all ints
+            if den != 1:
+                row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            row = _primitive(row)
         while row:
             col = min(row)
             piv = pivots.get(col)
@@ -96,7 +97,7 @@ def _back_substitute(pivots, n, free_col, dom):
         if p is not None:
             acc %= p
         if acc:
-            x[col] = -acc / row[col] if p is None else p - acc
+            x[col] = dom.div(-acc, row[col]) if p is None else p - acc
     zero = dom.zero()
     return [x.get(j, zero) for j in range(n)]
 

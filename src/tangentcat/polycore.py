@@ -2,17 +2,26 @@
 
 Polynomials are immutable sparse dictionaries mapping exponent vectors to
 nonzero coefficients.  Every coefficient is canonical, a plain Python
-number: a :class:`fractions.Fraction` over Q, an int in ``0..p-1`` over
-F_p, and an int over Z and N.  Every operation follows one rule: on
-canonical inputs it computes with the numbers directly, reduces mod p only
-over F_p, drops zero coefficients, and builds its result through the
-trusted ``Polynomial._clean``.  ``CoefficientDomain.normalize`` runs only
-where coefficients enter from outside: the validating ``Polynomial(...)``
-constructor, ``constant``, ``scale`` and ``evaluate``.
+number: over Q an int when it is integral and otherwise a
+:class:`fractions.Fraction` with denominator above 1, an int in ``0..p-1``
+over F_p, and an int over Z and N.  Integral rationals stay ints, because
+int arithmetic runs in C while Fraction arithmetic runs in Python code, and
+nearly every coefficient met in practice is integral.  Every operation
+follows one rule: on canonical inputs it computes with the numbers
+directly, reduces mod p only over F_p, turns integral Fractions back into
+ints only over Q, drops zero coefficients, and builds its result through
+the trusted ``Polynomial._clean``.  ``CoefficientDomain.normalize`` runs
+only where coefficients enter from outside: the validating
+``Polynomial(...)`` constructor, ``constant``, ``scale`` and ``evaluate``.
+
+The degree budget ``degree_cap`` lives here too: the parser refuses a power
+whose degree exceeds it before expanding the power, and every Groebner
+basis run checks its elements against it.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg, sub
@@ -23,8 +32,22 @@ from .errors import (
     DomainMismatch,
     IndexOutOfRange,
     ParseError,
+    ResourceLimit,
     UnsupportedDomain,
 )
+
+# The degree budget: every power the parser expands and every basis element
+# entering a Buchberger run must stay at or below it.  Callers set it for a
+# scope with ``token = degree_cap.set(n)`` and restore it with
+# ``degree_cap.reset(token)``; the basis caches key on it, so a basis found
+# under one budget is not handed out under a lower one.
+degree_cap = ContextVar("degree_cap", default=64)
+
+
+def within_cap(d, cap):
+    """Raise ResourceLimit when the degree ``d`` exceeds ``cap``."""
+    if d > cap:
+        raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
 
 
 # Miller-Rabin with the first thirteen primes as bases is exact below the
@@ -61,9 +84,18 @@ def _is_prime(n):
     return True
 
 
-# Fractions are immutable, so every zero and one over Q can be the same object
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
+def _int_if_integral(c):
+    """A rational in canonical form: a Fraction with denominator 1 becomes an int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def settle(dom, terms):
+    """Over Q, turn the integral Fractions among fresh terms back into ints, in place."""
+    if dom.kind == "Q":
+        for m, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[m] = c.numerator
+    return terms
 
 
 @dataclass(frozen=True)
@@ -91,15 +123,13 @@ class CoefficientDomain:
         return self.kind != "N"
 
     def zero(self):
-        return _Q_ZERO if self.kind == "Q" else 0
+        return 0
 
     def one(self):
-        return _Q_ONE if self.kind == "Q" else 1
+        return 1
 
     def from_int(self, n):
         """Coerce a Python int into this domain."""
-        if self.kind == "Q":
-            return Fraction(n)
         if self.kind == "Fp":
             return n % self.p
         if self.kind == "N" and n < 0:
@@ -108,14 +138,11 @@ class CoefficientDomain:
 
     def normalize(self, c):
         """Bring an element into canonical form, rejecting foreign types."""
-        if self.kind == "Q":
-            if isinstance(c, Fraction):
-                return c
-            if isinstance(c, int):
-                return Fraction(c)
-            raise DomainMismatch(f"not a rational coefficient: {c!r}")
+        if self.kind == "Q" and isinstance(c, Fraction):
+            return _int_if_integral(c)
         if not isinstance(c, int) or isinstance(c, bool):
-            raise DomainMismatch(f"not an integer coefficient: {c!r}")
+            kind = "a rational" if self.kind == "Q" else "an integer"
+            raise DomainMismatch(f"not {kind} coefficient: {c!r}")
         if self.kind == "Fp":
             return c % self.p
         if self.kind == "N" and c < 0:
@@ -127,7 +154,7 @@ class CoefficientDomain:
         if self.kind == "Q":
             if b == 0:
                 raise ZeroDivisionError("division by zero in Q")
-            return Fraction(a) / b
+            return _int_if_integral(Fraction(a, b))
         if self.kind == "Fp":
             if b % self.p == 0:
                 raise ZeroDivisionError("division by zero in Fp")
@@ -137,7 +164,7 @@ class CoefficientDomain:
     def coeff_str(self, c):
         if self.kind == "Q" and c.denominator != 1:
             return f"{c.numerator}/{c.denominator}"
-        return str(int(c))
+        return str(c)
 
     def __str__(self):
         return f"F{self.p}" if self.kind == "Fp" else self.kind
@@ -337,7 +364,8 @@ class Polynomial:
             raise DomainMismatch("polynomials live over different domains")
 
     def _combine(self, other, op):
-        """Add or subtract (``op``) term by term: canonical terms need only mod p."""
+        """Add or subtract (``op``) term by term: canonical terms need only mod p,
+        or over Q an integral Fraction turned back into an int."""
         self._check(other)
         dom = self.domain
         if op is sub and other.terms and not dom.has_negation:
@@ -348,6 +376,8 @@ class Polynomial:
             s = op(terms.get(m, zero), c)
             if p:
                 s %= p
+            elif type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             if s:
                 terms[m] = s
             else:
@@ -382,7 +412,7 @@ class Polynomial:
                     terms[m] = s
                 else:
                     del terms[m]
-        return Polynomial._clean(self.context, dom, terms)
+        return Polynomial._clean(self.context, dom, settle(dom, terms))
 
     def __pow__(self, e):
         if e < 0:
@@ -401,7 +431,7 @@ class Polynomial:
         c = dom.normalize(c)
         # a product of nonzero canonical coefficients is nonzero, even mod p
         terms = {m: (v * c % p if p else v * c) for m, v in self.terms.items()} if c else {}
-        return Polynomial._clean(self.context, dom, terms)
+        return Polynomial._clean(self.context, dom, settle(dom, terms))
 
     def monic(self, order=GREVLEX):
         """Divide by the leading coefficient (fields only)."""
@@ -426,7 +456,7 @@ class Polynomial:
                 c2 = c * e % p if p else c * e
                 if c2:
                     terms[m[:i] + (e - 1,) + m[i + 1 :]] = c2
-        return Polynomial._clean(self.context, self.domain, terms)
+        return Polynomial._clean(self.context, self.domain, settle(self.domain, terms))
 
     def evaluate(self, values):
         """Evaluate at a point given as one domain element per variable."""
@@ -443,7 +473,7 @@ class Polynomial:
                 if e:
                     acc = acc * pow(v, e, p) % p if p else acc * v**e
             total = (total + acc) % p if p else total + acc
-        return total
+        return _int_if_integral(total)
 
     def substitute(self, images):
         """Compose with polynomial images, one per variable of this context."""
@@ -485,7 +515,7 @@ class Polynomial:
                     total[m2] = s
                 else:
                     del total[m2]
-        return Polynomial._clean(ctx, dom, total)
+        return Polynomial._clean(ctx, dom, settle(dom, total))
 
     def rename(self, new_context, index_map):
         """Transport into ``new_context``, sending old variable i to index_map[i].
@@ -513,8 +543,10 @@ class Polynomial:
                 m2 = tuple(e2)
                 s = terms.get(m2, zero) + c
                 terms[m2] = s % p if p else s
-        # merged terms may cancel; drop them once, keeping first-seen order
-        return Polynomial._clean(new_context, dom, {m: c for m, c in terms.items() if c})
+        # merged terms may cancel, or over Q sum to an integer; settle them
+        # once, keeping first-seen order
+        terms = {m: c for m, c in terms.items() if c}
+        return Polynomial._clean(new_context, dom, settle(dom, terms))
 
     # -- comparison and display -------------------------------------------
 
@@ -613,6 +645,15 @@ def _tokenize(text, offset):
     return tokens
 
 
+def _unit_monomial(p):
+    """True for one term with coefficient 1 or -1 (p - 1 over F_p): its powers
+    cost no expansion, and wherever it is used the degree cap still meets it."""
+    if len(p.terms) != 1:
+        return False
+    (c,) = p.terms.values()
+    return c in (1, -1) or c + 1 == p.domain.p
+
+
 class _PolyParser:
     def __init__(self, tokens, ctx, domain):
         self.tokens = tokens
@@ -620,6 +661,7 @@ class _PolyParser:
         self.depth = 0
         self.ctx = ctx
         self.domain = domain
+        self.cap = degree_cap.get()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -681,7 +723,11 @@ class _PolyParser:
             if ekind != "INT":
                 self.fail("an integer exponent")
             self.take()
-            p = p ** int(evalue)
+            e = int(evalue)
+            if not _unit_monomial(p):
+                # deg(p^e) = deg(p)*e exactly: no coefficient ring here has zero divisors
+                within_cap(p.degree() * e, self.cap)
+            p = p ** e
         return p
 
     def atom(self):
@@ -733,7 +779,9 @@ def poly_parse(text, ctx, domain, offset=0):
     """Parse polynomial text over the given context and domain.
 
     ``offset`` shifts reported column numbers, for callers embedding the
-    text inside a longer line.
+    text inside a longer line.  A power whose degree exceeds ``degree_cap``
+    raises ResourceLimit before it is expanded, unless its base is a single
+    term with coefficient 1 or -1.
     """
     tokens = _tokenize(text, offset)
     return _PolyParser(tokens, ctx, domain).parse()

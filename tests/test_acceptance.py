@@ -27,9 +27,11 @@ import pytest
 
 from conftest import DATA, run_cli, scrub_timings
 from tangentcat.cdc import (
+    add_maps,
     cdc_context,
     classify_cdc_map,
     classify_linear,
+    differential,
     fibre_linear,
     is_section_of,
     linearize_section,
@@ -62,7 +64,6 @@ from tangentcat.modlin import (
     retraction_solve_matrices,
     solve_linear,
 )
-from tangentcat.oracle import maps_probably_equal
 from tangentcat.polycore import QQ, NN, Polynomial, context, poly_parse, prime_field
 from tangentcat.presentations import (
     is_injective,
@@ -512,17 +513,49 @@ def test_trivial_split_evidence_in_both_regimes(workspace):
         assert verdicts.split_monic == trivial
 
 
+DUAL_P = 2**61 - 1  # a prime: the dual numbers below live over F_p
+
+
+def _dual_eval(poly, a, u):
+    """(f(a), the eps part of f(a + eps*u)) over F_p[eps]/(eps^2), term by term."""
+    real = eps = 0
+    for mono, c in poly.terms.items():
+        tr, te = c.numerator * pow(c.denominator, -1, DUAL_P) % DUAL_P, 0
+        for ai, ui, e in zip(a, u, mono):
+            for _ in range(e):  # (tr + te*eps) * (ai + ui*eps)
+                tr, te = tr * ai % DUAL_P, (tr * ui + te * ai) % DUAL_P
+        real, eps = (real + tr) % DUAL_P, (eps + te) % DUAL_P
+    return real, eps
+
+
+def _derivative_agrees(f, df, rng):
+    """At a random point a and direction u, D[f](a, u) is the eps part of f(a + eps*u)."""
+    n = f.arity_in
+    a = [rng.randrange(DUAL_P) for _ in range(n)]
+    u = [rng.randrange(DUAL_P) for _ in range(n)]
+    return all(_dual_eval(c, a, u)[1] == _dual_eval(d, a + u, [0] * 2 * n)[0]
+               for c, d in zip(f.components, df.components))
+
+
 def test_criterion_06_theta_laws():
-    """Composition and flip laws vanish symbolically and under sampling."""
+    """Composition and flip laws vanish symbolically, on a D[f] that dual
+    numbers confirm and that refute its double."""
     rng = random.Random(0)
+    refuted = 0
     for _ in range(100):
         n, k, m = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         f = random_cdc_map(rng, QQ, n, k, max_degree=4)
         g = random_cdc_map(rng, QQ, k, m, max_degree=4)
+        for h in (f, g):
+            dh = differential(h)
+            assert _derivative_agrees(h, dh, rng)
+            if not all(c.is_zero() for c in dh.components):
+                assert not _derivative_agrees(h, add_maps(dh, dh), rng)
+                refuted += 1
         for lhs, rhs in (theta_composition_sides(f, g), theta_flip_sides(f)):
             for a, b in zip(lhs.components, rhs.components):
                 assert (a - b).is_zero()
-            assert maps_probably_equal(lhs, rhs) == "probably_equal"
+    assert refuted > 100
 
 
 def test_criterion_07_section_linearization():

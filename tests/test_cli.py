@@ -18,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -374,6 +375,22 @@ class TestExitCodes:
                            "--instance", "calg", "--morphism", "f"])
         assert code == 5
         assert "degree 1200 exceeds the degree cap 64" in capsys.readouterr().err
+
+    def test_a_power_above_the_cap_exits_before_it_is_expanded(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """(x+1)^3000 would expand to 3001 terms; parsing refuses it first."""
+        ws = tmp_path / "power.tgc"
+        ws.write_text(
+            "field Q\nalgebra A = vars(x) / ((x+1)^3000)\nalgebra B = vars(y) / (y)\n"
+            "morphism f : A -> B = { x -> y }\n"
+        )
+        start = time.perf_counter()
+        code, _ = run_cli(["classify", "--workspace", str(ws),
+                           "--instance", "calg", "--morphism", "f"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 5
+        assert "degree 3000 exceeds the degree cap 64" in capsys.readouterr().err
 
     def test_cdc_commands_honour_the_degree_cap(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]

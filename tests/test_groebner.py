@@ -209,6 +209,47 @@ def test_the_staircase_walk_fetches_the_target_basis_once(monkeypatch):
     assert fetched.count(B.ideal) == 1
 
 
+def test_outputs_over_q_keep_canonical_coefficients():
+    """Every coefficient that leaves the engine over Q is an int, or a Fraction
+    with denominator above 1, and never a float, although the inputs carry
+    rational coefficients and the engine clears their denominators inside."""
+    from tangentcat.modlin import kernel_basis, solve_linear
+    from tangentcat.presentations import morphism, present
+
+    def canonical(c):
+        return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+    def coefficients(polys):
+        return [c for p in polys for c in p.terms.values()]
+
+    gb = groebner_basis((qq("3/2*x^2 - 1/3*y"), qq("2/5*y^2 - x + 1/7")))
+    forms = [gb.normal_form(qq(t)) for t in ("1/2*x^3 + 5/3*x*y", "x^2*y^2 - 7/9", "6*x^2 - 4/3*y")]
+    assert str(forms[2]) == "0"
+    mgb = module_buchberger([(qq("1/2*x"), qq("2/3*y")), (qq("3/4*y"), qq("x - 5/6"))], 2, XY, QQ)
+    B = present(QQ, ("x", "y"), gb.generators)
+    f = morphism(present(QQ, ("s", "t"), ()), B, (qq("1/2*x + y"), qq("3/7*x*y")))
+    graph = morphism_graph(f)
+    assert isinstance(graph, groebner.FiniteGraph)
+    images = [graph.preimage(qq(t)) for t in ("1/3*x", "x*y - 2/5", "5/2")]
+    assert all(p is not None for p in images)
+    out = (coefficients(forms) + coefficients(gb.generators)
+           + coefficients(c for v in mgb.generators for c in v)
+           + coefficients(graph.kernel) + coefficients(graph.kernel_basis) + coefficients(images))
+    rows = [[Fraction(1, 2), Fraction(2, 3), 1], [Fraction(3, 4), 2, Fraction(-5, 6)]]
+    sol = solve_linear(rows, [Fraction(1, 3), 4], QQ)
+    kb = kernel_basis(rows, QQ)
+    assert [sum(a * x for a, x in zip(r, sol)) for r in rows] == [Fraction(1, 3), 4]
+    out += sol + [c for v in kb for c in v]
+    assert any(type(c) is Fraction for c in out) and any(type(c) is int for c in out)
+    assert all(canonical(c) for c in out), [c for c in out if not canonical(c)]
+
+
+def test_the_degree_budget_is_one_object():
+    from tangentcat import polycore
+
+    assert groebner.degree_cap is polycore.degree_cap and groebner.within_cap is polycore.within_cap
+
+
 # --- resource limits --------------------------------------------------------
 
 def test_degree_cap_raises():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangentcat.errors import DomainMismatch, ParseError, UnsupportedDomain
+from tangentcat.errors import DomainMismatch, ParseError, ResourceLimit, UnsupportedDomain
 from tangentcat.polycore import (
     GREVLEX,
     LEX,
@@ -19,6 +19,7 @@ from tangentcat.polycore import (
     ZZ,
     Polynomial,
     context,
+    degree_cap,
     elimination_order,
     poly_parse,
     prime_field,
@@ -29,6 +30,11 @@ from tangentcat.polycore import (
 XY = context("x", "y")
 XYZ = context("x", "y", "z")
 F5 = prime_field(5)
+
+
+def canonical_rational(c):
+    """The canonical Q coefficient: an int, or a Fraction that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def qq(text, ctx=XY):
@@ -89,6 +95,28 @@ def test_composite_moduli_are_rejected(modulus):
 def test_moduli_past_the_exact_range_are_unsupported():
     with pytest.raises(UnsupportedDomain, match="must be below"):
         prime_field(PRIME_TEST_LIMIT)
+
+
+@pytest.mark.parametrize("dom", [QQ, ZZ, NN, F5], ids=str)
+def test_every_domain_rejects_a_bool(dom):
+    """True is an int to Python but no coefficient, over Q as over Z, N and F_p."""
+    for c in (True, False):
+        with pytest.raises(DomainMismatch):
+            dom.normalize(c)
+    with pytest.raises(DomainMismatch):
+        Polynomial(XY, dom, {(0, 0): True})
+
+
+def test_rationals_are_ints_when_integral():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int and type(QQ.from_int(-3)) is int
+    assert QQ.normalize(Fraction(6, 3)) == 2 and type(QQ.normalize(Fraction(6, 3))) is int
+    assert QQ.normalize(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ.div(6, 3)) is int and QQ.div(3, 6) == Fraction(1, 2)
+    assert type(QQ.div(Fraction(3, 2), Fraction(1, 2))) is int
+    half = qq("1/2*x^2 + 3/2*y")
+    assert type(half.partial(0).coefficient((1, 0))) is int
+    assert type(half.evaluate([1, 1])) is int
+    assert str(half.scale(2)) == "x^2 + 3*y" and type(half.scale(2).coefficient((0, 1))) is int
 
 
 def test_integer_domains_reject_division():
@@ -219,7 +247,7 @@ def test_arithmetic_results_are_clean(dom, seed):
     for r in results:
         for c in r.terms.values():
             if dom == QQ:
-                assert type(c) is Fraction and c != 0
+                assert canonical_rational(c) and c != 0
             else:
                 assert type(c) is int and c != 0
                 assert dom != F5 or 0 < c < 5
@@ -317,6 +345,25 @@ def test_negation_over_nn_only_of_zero():
         _ = -Polynomial.variable(XY, NN, 0)
 
 
+def test_a_power_above_the_cap_is_refused_before_it_is_expanded():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="degree 3000 exceeds the degree cap 64"):
+        qq("(x + 1)^3000")
+    with pytest.raises(ResourceLimit, match="degree 66 exceeds the degree cap 64"):
+        poly_parse("(x*y - 2)^33", XY, F5)
+    assert time.perf_counter() - start < 1.0
+    assert qq("(x + 1)^64").degree() == 64
+    # a power of one term with coefficient 1 or -1 costs nothing to expand
+    assert qq("x^3000 + (-y)^3000").degree() == 3000
+    token = degree_cap.set(2)
+    try:
+        assert poly_parse("(4*x)^3", XY, F5).degree() == 3  # 4 is -1 in F5
+        with pytest.raises(ResourceLimit, match="degree 3 exceeds the degree cap 2"):
+            qq("(2*x)^3")
+    finally:
+        degree_cap.reset(token)
+
+
 def test_parentheses_nest_up_to_the_limit():
     assert qq("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == qq("x")
     with pytest.raises(ParseError, match="nested deeper than"):
@@ -355,7 +402,7 @@ def test_term_level_operations_are_clean(dom, seed):
     for r in results:
         for c in r.terms.values():
             if dom == QQ:
-                assert type(c) is Fraction and c != 0
+                assert canonical_rational(c) and c != 0
             else:
                 assert type(c) is int and c != 0
                 assert dom != F5 or 0 < c < 5
