@@ -34,14 +34,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDomain,
 )
-from .modlin import (
-    integer_right_inverse,
-    kernel_basis,
-    matrix_rank,
-    rational_rank,
-    smith_form,
-    solve_linear,
-)
+from .modlin import echelon, rational_rank, smith_form, smith_right_inverse
 from .polycore import QQ, Polynomial, VariableContext, settle
 
 
@@ -477,18 +470,14 @@ def linear_matrix(f):
     return rows
 
 
-def _first_kernel_vector(rows, dom, ncols):
-    if not dom.is_field:
-        # solve over Q, then clear denominators to land back in Z
-        basis = kernel_basis(rows, QQ, ncols=ncols)
-        if not basis:
-            return None
-        scale = math.lcm(*(x.denominator for x in basis[0]))
-        return [str(int(x * scale)) for x in basis[0]]
-    basis = kernel_basis(rows, dom, ncols=ncols)
-    if not basis:
-        return None
-    return [str(x) for x in basis[0]]
+def _kernel_vector(ech, n, integral):
+    """The kernel vector at the first free column among the first n of an
+    echelon, its denominators cleared when ``integral``."""
+    x = ech.solution(n, next(j for j in range(n) if j not in ech.pivots))
+    if integral:
+        scale = math.lcm(*(v.denominator for v in x))
+        x = [int(v * scale) for v in x]
+    return [str(v) for v in x]
 
 
 def _linear_annotations(rows, domain):
@@ -514,18 +503,24 @@ def classify_linear(rows, domain, name="f", arity_in=None):
             raise ShapeMismatch("ragged matrix")
     rows = [[domain.normalize(x) for x in row] for row in rows]
 
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     if domain.is_field:
-        r = matrix_rank(rows, domain)
+        # one echelon of [A | -I]: its pivots left of column n give the rank
+        # and the kernel, and over a surjective A, x with A·x = e_j is the
+        # solution at the free column n + j (free columns of x at zero)
+        minus_one = domain.from_int(-1)
+        ech = echelon([{**row, n + i: minus_one} for i, row in enumerate(sparse)], domain)
+        r = sum(col < n for col in ech.pivots)
         inj = r == n
         surj = r == m
         inj_ev = {"rank": r, "columns": n}
         if not inj:
-            inj_ev["kernel_vector"] = _first_kernel_vector(rows, domain, n)
+            inj_ev["kernel_vector"] = _kernel_vector(ech, n, False)
         inj_status = from_bool(inj, inj_ev, inj_ev)
         surj_ev = {"rank": r, "rows": m}
         surj_status = from_bool(surj, surj_ev, surj_ev)
         if surj:
-            columns = [solve_linear(rows, [domain.one() if i == j else domain.zero() for i in range(m)], domain) for j in range(m)]
+            columns = [ech.solution(n + m, n + j) for j in range(m)]
             right_inv = [[str(columns[j][i]) for j in range(m)] for i in range(n)]
             split_status = holds({"right_inverse": right_inv})
         else:
@@ -534,15 +529,17 @@ def classify_linear(rows, domain, name="f", arity_in=None):
         etale_status = and3(inj_status, surj_status)
         unram_status = inj_status
     elif domain.kind == "Z":
-        rr = rational_rank(rows)
+        ech = echelon(sparse, QQ)  # solved over Q, the kernel vector scaled back into Z
+        rr = len(ech.pivots)
         inj = rr == n
         inj_ev = {"rational_rank": rr, "columns": n}
         if not inj:
-            inj_ev["kernel_vector"] = _first_kernel_vector(rows, domain, n)
+            inj_ev["kernel_vector"] = _kernel_vector(ech, n, True)
         inj_status = from_bool(inj, inj_ev, inj_ev)
-        diag, _, _ = smith_form(rows)
+        smith = smith_form(rows)
+        diag = smith[0]
         invariants = [diag[i][i] for i in range(min(m, n)) if i < len(diag) and diag[i][i] != 0]
-        right = integer_right_inverse(rows)
+        right = smith_right_inverse(rows, smith)
         if right is not None:
             right = [[str(x) for x in row] for row in right]
             split_status = holds({"right_inverse": right, "smith_invariants": invariants})

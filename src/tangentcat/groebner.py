@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
@@ -41,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDomain,
 )
-from .modlin import fd_basis
+from .modlin import Echelon, fd_basis
 from .polycore import (
     GREVLEX,
     Polynomial,
@@ -205,17 +204,20 @@ class FiniteGraph(_Graph):
     """Kernel and preimages into a finite-dimensional target by linear algebra
     on staircases (Buchberger & Moeller 1982; Faugere, Gianni, Lazard & Mora
     1993).  Source monomials m come in grevlex order from 1, less multiples
-    of kernel leads; the target's coordinates of f(m) = f(m/x_i)·f(x_i) are
-    eliminated against earlier ones in a row that tracks the source
-    combination by monomial.  A zero row is the kernel element m - sum c_s·s,
-    the graph basis's element led by m; else m is a pivot, its x_i·m queued.
+    of kernel leads; the coordinates of f(m) = f(m/x_i)·f(x_i) on the
+    target's d standard monomials, with a unit in m's own column, go into
+    modlin's echelon.  Its columns put the staircase first, then a preimage
+    tag column d, then one column per source monomial, so a reduced row whose
+    staircase part vanishes is a multiple of the kernel element
+    m - sum c_s·s, the graph basis's element led by m; else m is a pivot and
+    its x_i·m are queued.
     """
 
     def __init__(self, f, gb, staircase):
         A, B = self.source, self.target = f.source, f.target
         self._index, self._nf = {m: j for j, m in enumerate(staircase)}, gb.normal_form
-        self._echelon = {}  # pivot column -> row, 1 there and no larger column
-        dom, p, n, cap = A.domain, A.domain.p, len(A.context), degree_cap.get()
+        self._span, self._monos = Echelon(A.domain), []  # rows of the images so far; _monos[k] owns column d + 1 + k
+        d, n, cap = len(staircase), len(A.context), degree_cap.get()
         self.kernel_basis, leads, images = [], [], {}  # images: pivot -> reduced f(pivot)
         queue = [(GREVLEX.key((0,) * n), (0,) * n, -1)]  # (key, m, i): m = x_i·pivot, or 1
         while queue:
@@ -223,49 +225,40 @@ class FiniteGraph(_Graph):
             if m in images or any(mono_div(m, t) is not None for t in leads):
                 continue
             img = self._nf(B.one() if i < 0 else images[m[:i] + (m[i] - 1,) + m[i + 1:]] * f.var_images[i])
-            row = {self._index[t]: c for t, c in img.terms.items()}
-            row[m] = dom.one()
-            j = self._eliminate(row)
-            if j is None:  # a kernel element led by m
+            col = d + 1 + len(self._monos)
+            self._monos.append(m)
+            row = self._row(img, col)
+            if min(row) > d:  # a kernel element led by m
                 within_cap(mono_deg(m), cap)
                 leads.append(m)
-                self.kernel_basis.append(Polynomial._clean(A.context, dom, row))
+                self.kernel_basis.append(self._combination(row, col))
                 continue
-            c = row[j]
-            if c != 1 and p:
-                inv = pow(c, -1, p)
-                row = {k: a * inv % p for k, a in row.items()}
-            elif c != 1:
-                row = {k: dom.div(a, c) for k, a in row.items()}
-            self._echelon[j] = row
+            self._span.keep(row)
             images[m] = img
             for k in range(n):
                 xm = m[:k] + (m[k] + 1,) + m[k + 1:]
                 heapq.heappush(queue, (GREVLEX.key(xm), xm, k))
 
-    def _eliminate(self, row):
-        """Reduce a row against the echelon in place; return its largest
-        remaining staircase column, or None when none remains."""
-        p = self.source.domain.p
-        while True:
-            j = max((k for k in row if type(k) is int), default=None)
-            if j not in self._echelon:
-                return j
-            c = row[j]
-            for k, a in self._echelon[j].items():
-                s = row.pop(k, 0) - c * a
-                if p:
-                    s %= p
-                elif type(s) is Fraction and s.denominator == 1:
-                    s = s.numerator
-                if s:
-                    row[k] = s
+    def _row(self, q, col):
+        """The coordinates of a reduced target element q with a 1 in ``col``,
+        reduced against the images so far."""
+        row = {self._index[t]: c for t, c in q.terms.items()}
+        row[col] = 1
+        return self._span.reduce(row)
+
+    def _combination(self, row, col):
+        """The source polynomial on a row's monomial columns over its entry at ``col``."""
+        A, d, c = self.source, len(self._index), row[col]
+        dom = A.domain
+        return Polynomial._clean(A.context, dom, {
+            self._monos[k - d - 1]: a if c == 1 else dom.div(a, c) for k, a in row.items() if k > d})
 
     def preimage(self, q):
         """A source element mapping to ``q``, or None when none exists."""
-        row = {self._index[t]: c for t, c in self._nf(q).terms.items()}
-        if self._eliminate(row) is None:
-            return -Polynomial._clean(self.source.context, self.source.domain, row)
+        d = len(self._index)
+        row = self._row(self._nf(q), d)
+        if min(row) >= d:
+            return -self._combination(row, d)
 
 
 @lru_cache(maxsize=None)

@@ -27,12 +27,7 @@ from .groebner import (
     syzygy_basis,
     vec_is_zero,
 )
-from .modlin import (
-    matrix_on_basis,
-    matrix_rank,
-    module_fd_basis,
-    retraction_solve_matrices,
-)
+from .modlin import echelon, module_fd_basis, retraction_solve_matrices
 from .polycore import Polynomial, VariableContext, degree_cap
 from .presentations import AlgebraPresentation, absolute, fresh_names, pushout
 
@@ -92,8 +87,9 @@ class ModulePresentation:
 class FiniteModule:
     """A finite-dimensional module with its standard (position, monomial) basis.
 
-    Every staircase matrix of the module is built here: the coordinates of
-    normal forms, and the multiplication action of each variable.
+    Its matrices are lists of sparse columns {basis index: coefficient},
+    read straight from the terms of normal forms, as modlin's echelon takes
+    them: the coordinates of vectors, and the action of each variable.
     """
 
     module: ModulePresentation
@@ -105,15 +101,18 @@ class FiniteModule:
         m = Polynomial(A.context, A.domain, {mono: A.domain.one()})
         return tuple(m if j == pos else A.zero() for j in range(self.module.rank))
 
-    def matrix(self, vectors):
-        """Field matrix whose column j holds the coordinates of ``vectors[j]``."""
-        M = self.module
-        return matrix_on_basis([M.reduce(v) for v in vectors], self.basis, M.algebra.domain)
+    def columns(self, vectors):
+        """The coordinates of each vector's normal form, as a sparse column."""
+        index = {pm: i for i, pm in enumerate(self.basis)}
+        return [
+            {index[pos, m]: c for pos, comp in enumerate(self.module.reduce(v)) for m, c in comp.terms.items()}
+            for v in vectors
+        ]
 
     def actions(self):
-        """Matrices of multiplication by each variable, one per variable."""
+        """The sparse columns of multiplication by each variable, one list per variable."""
         return [
-            self.matrix([
+            self.columns([
                 self.vector(pos, mono[:v] + (mono[v] + 1,) + mono[v + 1 :])
                 for pos, mono in self.basis
             ])
@@ -327,13 +326,13 @@ def retraction_solve(phi):
     if not S.basis:
         return RetractionResult(True, [], 0, S, T)
     dom = S.module.algebra.domain
-    vmat = T.matrix([phi.apply(S.vector(*pm)) for pm in S.basis])
-    rank = matrix_rank(vmat, dom)
+    v_cols = T.columns([phi.apply(S.vector(*pm)) for pm in S.basis])
+    rank = len(echelon(v_cols, dom).pivots)
     if rank < len(S.basis):
         # R·V = I needs an injective V (so a nonzero module cannot retract
         # through the zero module), and the system would have no solution
         return RetractionResult(False, None, rank, S, T)
-    r = retraction_solve_matrices(vmat, S.actions(), T.actions(), dom)
+    r = retraction_solve_matrices(v_cols, len(T.basis), S.actions(), T.actions(), dom)
     return RetractionResult(r is not None, r, rank, S, T)
 
 
@@ -485,7 +484,7 @@ def base_change_check(f, g):
     # canonical map: generator d<y_j> of the pushed-forward side to the same
     # generator of the pushout side (B's relative variables prefix P's), so
     # each standard vector of side2 is read as a vector of side1
-    rank = matrix_rank(fin1.matrix([fin1.vector(*pm) for pm in fin2.basis]), P.domain)
+    rank = len(echelon(fin1.columns([fin1.vector(*pm) for pm in fin2.basis]), P.domain).pivots)
     ok = rank == d1
     return BaseChangeResult(
         ok,

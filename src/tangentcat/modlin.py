@@ -1,15 +1,20 @@
 """Exact linear algebra and staircase bases for finite-dimensional quotients.
 
 Every solve, kernel and rank over a field runs through one sparse Gaussian
-elimination: rows are dicts {column: nonzero}, taken sparsest first, kept
-as primitive integer rows over Q (fraction-free) and as integers mod p over
-F_p.  Integer matrices get the Smith form instead.  Staircase enumeration turns a reduced
-Groebner basis into an explicit monomial basis whenever the quotient is
-finite-dimensional.
+elimination, an ``Echelon`` grown one row at a time: rows are dicts
+{column: nonzero}, each reduced at its least column, kept as primitive
+integer rows over Q (fraction-free) and as integers mod p over F_p.  The
+batch solves below feed it their rows sparsest first; the staircase walk of
+``groebner.FiniteGraph`` feeds it one image at a time, and the finite
+modules of ``kahler`` hand it sparse columns read from normal forms.
+Integer matrices get the Smith form instead.  Staircase enumeration turns a
+reduced Groebner basis into an explicit monomial basis whenever the
+quotient is finite-dimensional.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
@@ -26,23 +31,27 @@ def _sparse_rows(rows, dom):
     return [{j: x for j, x in enumerate(row) if x} for row in normalized]
 
 
-def _eliminate(rows, dom):
-    """Echelon form of sparse rows over the field ``dom``: {pivot column: row}.
+class Echelon:
+    """An echelon form over the field ``dom``, grown one sparse row at a time.
 
-    Rows are taken sparsest first.  Each is reduced by the pivot row at its
-    leading column until that column is new, and then becomes the pivot row
-    there.  Over F_p a pivot row is scaled to a leading 1.  Over Q every row
-    is kept as a primitive integer row (its entries have gcd 1): integer
-    arithmetic is several times faster than Fraction arithmetic, and
-    dividing out the content after each scaling keeps the entries small.
-    The pivot columns of any echelon form of a row space are the same, so
-    the order of the rows changes no result below.
+    ``pivots`` maps each pivot column to its row, whose least column it is.
+    ``reduce`` subtracts pivot rows from a row until its least column has
+    none, and ``keep`` makes such a row the pivot row there.  Over F_p a
+    pivot row is scaled to a leading 1.  Over Q every row is kept as a
+    primitive integer row (its entries have gcd 1), so a reduced row is the
+    exact reduction times a nonzero integer: integer arithmetic is several
+    times faster than Fraction arithmetic, and dividing out the content
+    after each scaling keeps the entries small.
     """
-    if not dom.is_field:
-        raise UnsupportedDomain(f"linear solving over {dom} needs a field")
-    p = dom.p
-    pivots = {}
-    for row in sorted(rows, key=len):
+
+    def __init__(self, dom):
+        if not dom.is_field:
+            raise UnsupportedDomain(f"linear solving over {dom} needs a field")
+        self.dom, self.pivots = dom, {}
+
+    def reduce(self, row):
+        """A new row: ``row`` less pivot rows until its least column has none."""
+        p, pivots = self.dom.p, self.pivots
         row = dict(row)
         if p is None and row:
             den = lcm(*(x.denominator for x in row.values()))  # 1: all ints
@@ -71,15 +80,42 @@ def _eliminate(rows, dom):
                     row.pop(j, None)
             if p is None and lead != 1 and row:
                 row = _primitive(row)  # the scaling is what makes entries grow
-        if not row:
-            continue
-        if p is None:
-            row = _primitive(row)
-        else:
+        return _primitive(row) if p is None and row else row
+
+    def keep(self, row):
+        """Make a nonzero reduced row the pivot row at its least column."""
+        col, p = min(row), self.dom.p
+        if p is not None and row[col] != 1:
             inv = pow(row[col], p - 2, p)
             row = {j: x * inv % p for j, x in row.items()}
-        pivots[col] = row
-    return pivots
+        self.pivots[col] = row
+
+    def solution(self, n, free_col):
+        """The vector on n columns that every pivot row annihilates, with
+        ``free_col`` at 1 and the other free columns at 0."""
+        dom, p = self.dom, self.dom.p
+        x = {free_col: dom.one()}
+        for col in sorted(self.pivots, reverse=True):
+            row = self.pivots[col]
+            acc = sum(y * x[j] for j, y in row.items() if j in x)
+            if p is not None:
+                acc %= p
+            if acc:
+                x[col] = dom.div(-acc, row[col]) if p is None else p - acc
+        zero = dom.zero()
+        return [x.get(j, zero) for j in range(n)]
+
+
+def echelon(rows, dom):
+    """The echelon of sparse rows, taken sparsest first.  The pivot columns of
+    any echelon form of a row space are the same, so the order of the rows
+    changes no result below."""
+    ech = Echelon(dom)
+    for row in sorted(rows, key=len):
+        row = ech.reduce(row)
+        if row:
+            ech.keep(row)
+    return ech
 
 
 def _primitive(row):
@@ -87,32 +123,17 @@ def _primitive(row):
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _back_substitute(pivots, n, free_col, dom):
-    """The dense solution with ``free_col`` at 1 and other free columns at 0."""
-    p = dom.p
-    x = {free_col: dom.one()}
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        acc = sum(y * x[j] for j, y in row.items() if j in x)
-        if p is not None:
-            acc %= p
-        if acc:
-            x[col] = dom.div(-acc, row[col]) if p is None else p - acc
-    zero = dom.zero()
-    return [x.get(j, zero) for j in range(n)]
-
-
 def _solve(rows, n, dom):
     """x with rows·(x, 1) = 0 for sparse rows over n + 1 columns, or None."""
-    pivots = _eliminate(rows, dom)
-    if n in pivots:
+    ech = echelon(rows, dom)
+    if n in ech.pivots:
         return None
-    return _back_substitute(pivots, n + 1, n, dom)[:n]
+    return ech.solution(n + 1, n)[:n]
 
 
 def matrix_rank(rows, dom):
     """Rank of a matrix of domain elements (field domains only)."""
-    return len(_eliminate(_sparse_rows(rows, dom), dom)) if rows else 0
+    return len(echelon(_sparse_rows(rows, dom), dom).pivots) if rows else 0
 
 
 def rational_rank(rows):
@@ -129,12 +150,8 @@ def kernel_basis(rows, dom, ncols=None):
     if not rows and ncols is None:
         raise RankMismatch("empty system needs an explicit column count")
     n = len(rows[0]) if rows else ncols
-    pivots = _eliminate(_sparse_rows(rows, dom), dom)
-    return [
-        _back_substitute(pivots, n, col, dom)
-        for col in range(n)
-        if col not in pivots
-    ]
+    ech = echelon(_sparse_rows(rows, dom), dom)
+    return [ech.solution(n, col) for col in range(n) if col not in ech.pivots]
 
 
 def solve_linear(rows, rhs, dom):
@@ -214,52 +231,27 @@ def coords(p, index, dom):
     return vec
 
 
-def matrix_on_basis(images, basis, dom):
-    """Matrix whose column j holds the coordinates of ``images[j]``.
-
-    Each image is a normal-form vector (an algebra element is a vector of
-    length one) and ``basis`` lists the standard (position, monomial) pairs
-    that index the rows.
-    """
-    index = {pm: i for i, pm in enumerate(basis)}
-    mat = [[dom.zero()] * len(images) for _ in basis]
-    for j, v in enumerate(images):
-        for pos, comp in enumerate(v):
-            for mono, c in comp.terms.items():
-                if (pos, mono) not in index:
-                    raise ShapeMismatch(f"{(pos, mono)} is not a standard module monomial")
-                mat[index[pos, mono]][j] = c
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # constrained retraction solving
 
-def retraction_solve_matrices(vmat, act_source, act_target, dom):
+def retraction_solve_matrices(v_cols, d_t, act_source, act_target, dom):
     """Solve R·V = I subject to R commuting with every listed action pair.
 
-    ``vmat`` is the d_T x d_S matrix of a module map on coordinate bases;
-    ``act_source``/``act_target`` pair up the multiplication actions of the
-    algebra generators on either side.  Returns the d_S x d_T retraction
-    matrix, or None when the exact linear system is infeasible.
+    ``v_cols`` holds the sparse columns {row: nonzero} of the d_T x d_S
+    matrix V of a module map on coordinate bases, and ``act_source`` and
+    ``act_target`` pair up the multiplication actions of the algebra
+    generators on either side, each as the sparse columns of its matrix.
+    Returns the d_S x d_T retraction matrix, or None when the exact linear
+    system is infeasible.
     """
-    d_t = len(vmat)
-    if d_t:
-        d_s = len(vmat[0])
-    elif act_source:
-        d_s = len(act_source[0])
-    else:
-        d_s = 0
+    d_s = len(v_cols)
     if len(act_source) != len(act_target):
         raise RankMismatch("action lists have different lengths")
-    if d_t == 0 and d_s:
-        # R has no columns, so R.V = I is unsatisfiable on a nonzero source
-        return None
     nunk = d_s * d_t
-    minus_one, zero, p = dom.from_int(-1), dom.zero(), dom.p
+    minus_one, p = dom.from_int(-1), dom.p
     # unknown a * d_t + t is R[a][t] and column nunk holds minus the right-hand
-    # side; rows come straight from the nonzeros of V and the action matrices
-    v_cols = _sparse_rows(zip(*vmat), dom)
+    # side: (R·V)[a][b] reads column b of V, and (R·A_T - A_S·R)[a][t] reads
+    # column t of A_T, then gets -A_S[a][b]·R[b][t] from each column b of A_S
     rows = []
     for a in range(d_s):
         for b, col in enumerate(v_cols):
@@ -268,21 +260,21 @@ def retraction_solve_matrices(vmat, act_source, act_target, dom):
                 row[nunk] = minus_one
             rows.append(row)
     for acts, actt in zip(act_source, act_target):
-        src_rows = _sparse_rows(acts, dom)
-        tgt_cols = _sparse_rows(zip(*actt), dom)
-        for a in range(d_s):
-            for t in range(d_t):
-                row = {a * d_t + u: c for u, c in tgt_cols[t].items()}
-                for b, c in src_rows[a].items():
-                    k = b * d_t + t
-                    v = row.get(k, zero) - c
+        eqs = [{a * d_t + u: c for u, c in actt[t].items()} for a in range(d_s) for t in range(d_t)]
+        for b, col in enumerate(acts):
+            for a, c in col.items():
+                for t in range(d_t):
+                    row, k = eqs[a * d_t + t], b * d_t + t
+                    v = row.get(k, 0) - c
                     if p:
                         v %= p
+                    elif type(v) is Fraction:
+                        v = dom.normalize(v)  # 3/2 - 1/2 is the int 1
                     if v:
                         row[k] = v
                     else:
                         row.pop(k, None)
-                rows.append(row)
+        rows += eqs
     sol = _solve(rows, nunk, dom)
     if sol is None:
         return None
@@ -386,16 +378,18 @@ def smith_form(mat):
 
 def integer_right_inverse(mat):
     """An integer matrix X with M·X = I, or None when none exists."""
+    return smith_right_inverse(mat, smith_form(mat))
+
+
+def smith_right_inverse(mat, smith):
+    """X with M·X = I read from a Smith form (D, U, V) of M, or None when none exists."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     if m == 0:
-        return [[] for _ in range(n)]
-    if m > n:
+        return []
+    d, u, v = smith
+    if m > n or any(abs(d[i][i]) != 1 for i in range(m)):
         return None
-    d, u, v = smith_form(mat)
-    for i in range(m):
-        if abs(d[i][i]) != 1:
-            return None
     dplus = [[0] * m for _ in range(n)]
     for i in range(m):
         dplus[i][i] = d[i][i]  # inverse of ±1 is itself

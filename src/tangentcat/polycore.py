@@ -16,12 +16,15 @@ only where coefficients enter from outside: the validating
 
 The degree budget ``degree_cap`` lives here too: the parser refuses a power
 whose degree exceeds it before expanding the power, and every Groebner
-basis run checks its elements against it.
+basis run checks its elements against it.  A power of a constant has degree
+0, so over Q, Z and N the parser also refuses one whose value would need
+more than ``MAX_COEFFICIENT_BITS`` bits; over F_p it reduces mod p.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
+from math import log2
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg, sub
@@ -614,6 +617,7 @@ def variables(ctx, domain):
 # parsing
 
 MAX_NESTING = 100  # parentheses deeper than this are refused, well inside the recursion limit
+MAX_COEFFICIENT_BITS = 65536  # a power of a constant past this size is refused before it is computed
 
 
 def _tokenize(text, offset):
@@ -727,6 +731,12 @@ class _PolyParser:
             if not _unit_monomial(p):
                 # deg(p^e) = deg(p)*e exactly: no coefficient ring here has zero divisors
                 within_cap(p.degree() * e, self.cap)
+                if p.degree() == 0 and not self.domain.p:
+                    (c,) = p.terms.values()
+                    bits = e * log2(max(abs(c.numerator), c.denominator))
+                    if bits > MAX_COEFFICIENT_BITS:
+                        raise ResourceLimit(f"a power of a constant of about {bits:.0f} bits "
+                                            f"exceeds the budget of {MAX_COEFFICIENT_BITS} bits")
             p = p ** e
         return p
 
@@ -781,7 +791,8 @@ def poly_parse(text, ctx, domain, offset=0):
     ``offset`` shifts reported column numbers, for callers embedding the
     text inside a longer line.  A power whose degree exceeds ``degree_cap``
     raises ResourceLimit before it is expanded, unless its base is a single
-    term with coefficient 1 or -1.
+    term with coefficient 1 or -1; so does a power of a constant over Q, Z
+    or N whose value would exceed ``MAX_COEFFICIENT_BITS`` bits.
     """
     tokens = _tokenize(text, offset)
     return _PolyParser(tokens, ctx, domain).parse()

@@ -59,7 +59,6 @@ from tangentcat.kahler import (
 from tangentcat.modlin import (
     coords,
     fd_basis,
-    matrix_on_basis,
     matrix_rank,
     retraction_solve_matrices,
     solve_linear,
@@ -300,7 +299,7 @@ def test_finite_and_general_monic_routes_agree(random_suite):
     verdicts = set()
     for f, seq, _imm, _unr in random_suite[::5]:
         S, T = seq.pullback.finite(), seq.middle.finite()
-        rank = matrix_rank(T.matrix([seq.v.apply(S.vector(*pm)) for pm in S.basis]), QQ)
+        rank = matrix_rank(_dense(T.columns([seq.v.apply(S.vector(*pm)) for pm in S.basis]), len(T.basis)), QQ)
         monic = rank == len(S.basis)
         assert monic == (len(module_map_kernel(seq.v)) == 0), f.var_images
         verdicts.add(monic)
@@ -377,8 +376,31 @@ def test_finite_graph_honours_the_degree_cap_like_the_graph_basis(random_suite):
 
 
 def _monomial_vector(M, pos, mono):
-    one = Polynomial(M.algebra.context, QQ, {mono: QQ.one()})
+    dom = M.algebra.domain
+    one = Polynomial(M.algebra.context, dom, {mono: dom.one()})
     return tuple(one if j == pos else M.algebra.zero() for j in range(M.rank))
+
+
+def matrix_on_basis(images, basis, dom):
+    """Dense reference: column j holds the coordinates of the normal-form
+    vector ``images[j]`` on the standard (position, monomial) pairs."""
+    index = {pm: i for i, pm in enumerate(basis)}
+    mat = [[dom.zero()] * len(images) for _ in basis]
+    for j, v in enumerate(images):
+        for pos, comp in enumerate(v):
+            for mono, c in comp.terms.items():
+                mat[index[pos, mono]][j] = c
+    return mat
+
+
+def _dense(columns, nrows):
+    """The dense matrix of sparse columns {row: entry}."""
+    return [[col.get(i, 0) for col in columns] for i in range(nrows)]
+
+
+def _columns(mat):
+    """The sparse columns of a dense matrix."""
+    return [{i: x for i, x in enumerate(col) if x} for col in zip(*mat)]
 
 
 def _action_matrices(M, basis):
@@ -388,14 +410,17 @@ def _action_matrices(M, basis):
 
     return [
         matrix_on_basis(
-            [M.reduce(_monomial_vector(M, pos, times(mono, v))) for pos, mono in basis], basis, QQ
+            [M.reduce(_monomial_vector(M, pos, times(mono, v))) for pos, mono in basis],
+            basis, M.algebra.domain,
         )
         for v in range(len(M.algebra.context))
     ]
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def _matmul(a, b, p=None):
+    """The product over Q, or over F_p when ``p`` is given."""
+    prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return [[x % p for x in row] for row in prod] if p else prod
 
 
 def _identity(n):
@@ -407,16 +432,18 @@ def _module_map_matrices(phi):
     S, T = phi.source, phi.target
     basis_s, basis_t = S.finite().basis, T.finite().basis
     images = [T.reduce(phi.apply(_monomial_vector(S, *pm))) for pm in basis_s]
-    v = matrix_on_basis(images, basis_t, QQ)
+    v = matrix_on_basis(images, basis_t, S.algebra.domain)
     return v, _action_matrices(S, basis_s), _action_matrices(T, basis_t)
 
 
 def _assert_module_retraction(evidence, phi):
-    r = [[Fraction(x) for x in row] for row in evidence]
+    """R·V = I and R·A_T = A_S·R, over Q or F_p as the module's domain says."""
+    p = phi.source.algebra.domain.p
+    r = [[int(x) if p else Fraction(x) for x in row] for row in evidence]
     v, acts_s, acts_t = _module_map_matrices(phi)
-    assert _matmul(r, v) == _identity(len(r))
+    assert _matmul(r, v, p) == _identity(len(r))
     for a_s, a_t in zip(acts_s, acts_t):
-        assert _matmul(r, a_t) == _matmul(a_s, r)
+        assert _matmul(r, a_t, p) == _matmul(a_s, r, p)
 
 
 def test_retraction_evidence_is_a_module_retraction(random_suite):
@@ -432,11 +459,15 @@ def test_retraction_evidence_is_a_module_retraction(random_suite):
     assert checked >= 5
 
     ctx = context("x", "y")
-    # six reduced points: the conormal differential has a retraction
-    smooth = present(QQ, ("x", "y"), (poly_parse("x^2 - 1", ctx, QQ), poly_parse("y^3 - y", ctx, QQ)))
-    ok, ev = jacobian_split_verdict(smooth)
-    assert ok is True
-    _assert_module_retraction(ev["retraction"], conormal_sequence(smooth).delta)
+    # six reduced points: the conormal differential has a retraction over Q
+    # and F_5; over F_2, x^2 - 1 = (x + 1)^2 is inseparable and it has none
+    for dom, split in ((QQ, True), (prime_field(5), True), (prime_field(2), False)):
+        points = present(dom, ("x", "y"), (poly_parse("x^2 - 1", ctx, dom), poly_parse("y^3 - y", ctx, dom)))
+        ok, ev = jacobian_split_verdict(points)
+        assert ok is split, dom
+        if split:
+            assert len(ev["retraction"]) == 12, dom  # a 12 x 12 matrix, replayed below
+            _assert_module_retraction(ev["retraction"], conormal_sequence(points).delta)
 
     # Q[x,y]/(x^3, y^3): the 972 x 324 system has no solution, because
     # x·[x^3] maps to 3x^3 dx = 0, so V has a kernel
@@ -446,7 +477,8 @@ def test_retraction_evidence_is_a_module_retraction(random_suite):
     assert (len(v), len(v[0]), len(acts_s)) == (18, 18, 2)
     column = delta.source.finite().basis.index((0, (1, 0)))
     assert all(row[column] == 0 for row in v)
-    assert retraction_solve_matrices(v, acts_s, acts_t, QQ) is None
+    acts = [[_columns(a) for a in acts] for acts in (acts_s, acts_t)]
+    assert retraction_solve_matrices(_columns(v), len(v), *acts, QQ) is None
     assert jacobian_split_verdict(cubes)[0] is False
 
 
@@ -489,19 +521,21 @@ def test_finite_layer_matches_the_recorded_digest(random_suite):
 
 
 def test_finite_module_matrices_are_consistent(random_suite):
-    """Standard vectors have unit coordinates, the actions commute, V intertwines them."""
+    """Standard vectors have unit coordinates, the sparse actions match the
+    dense reference and commute, V intertwines them."""
     for f, seq, _imm, _unr in random_suite[::5]:
         S, T = seq.pullback.finite(), seq.middle.finite()
         for fin in (S, T):
-            assert fin.matrix([fin.vector(*pm) for pm in fin.basis]) == _identity(len(fin.basis))
-            acts = fin.actions()
+            assert fin.columns([fin.vector(*pm) for pm in fin.basis]) == [{i: 1} for i in range(len(fin.basis))]
+            acts = [_dense(a, len(fin.basis)) for a in fin.actions()]
+            assert acts == _action_matrices(fin.module, fin.basis)  # the dense reference
             assert len(acts) == len(f.target.context)
             for a in acts:
                 for b in acts:
                     assert _matmul(a, b) == _matmul(b, a), f.var_images
-        v = T.matrix([seq.v.apply(S.vector(*pm)) for pm in S.basis])
+        v = _dense(T.columns([seq.v.apply(S.vector(*pm)) for pm in S.basis]), len(T.basis))
         for a_s, a_t in zip(S.actions(), T.actions()):
-            assert _matmul(v, a_s) == _matmul(a_t, v), f.var_images
+            assert _matmul(v, _dense(a_s, len(S.basis))) == _matmul(_dense(a_t, len(T.basis)), v), f.var_images
 
 
 def test_trivial_split_evidence_in_both_regimes(workspace):

@@ -392,6 +392,22 @@ class TestExitCodes:
         assert code == 5
         assert "degree 3000 exceeds the degree cap 64" in capsys.readouterr().err
 
+    def test_a_huge_power_of_a_constant_exits_before_it_is_computed(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """3^30000000 has degree 0 but 47.5 million bits; parsing refuses it first."""
+        ws = tmp_path / "constant.tgc"
+        ws.write_text(
+            "field Q\nalgebra A = vars(x) / (x - 3^30000000)\nalgebra B = vars(y) / (y)\n"
+            "morphism f : A -> B = { x -> 0 }\n"
+        )
+        start = time.perf_counter()
+        code, _ = run_cli(["classify", "--workspace", str(ws),
+                           "--instance", "calg", "--morphism", "f"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 5
+        assert "about 47548875 bits exceeds the budget of 65536 bits" in capsys.readouterr().err
+
     def test_cdc_commands_honour_the_degree_cap(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:

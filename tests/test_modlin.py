@@ -12,6 +12,7 @@ from tangentcat import modlin
 from tangentcat.errors import InconsistentClassification, ShapeMismatch
 from tangentcat.groebner import groebner_basis
 from tangentcat.modlin import (
+    Echelon,
     _mat_mul_int,
     coords,
     fd_basis,
@@ -19,6 +20,7 @@ from tangentcat.modlin import (
     kernel_basis,
     matrix_rank,
     rational_rank,
+    retraction_solve_matrices,
     smith_form,
     solve_linear,
 )
@@ -175,6 +177,43 @@ def test_elimination_over_prime_fields_by_enumeration(dom):
             continue
         assert image(sol) == target
         assert all(sol[j] == 0 for j in free)
+
+
+def test_an_echelon_grows_one_row_at_a_time():
+    """Each kept row leads at a column no earlier row leads at; a row in their
+    span reduces to nothing; the solution is annihilated by every pivot row."""
+    for dom in (QQ, F7):
+        ech = Echelon(dom)
+        half = 4 if dom.p else Fraction(1, 2)  # 2·4 = 1 in F_7
+        for row in ({0: 2, 1: 4, 3: half}, {0: 1, 1: 2, 2: 1}, {1: 3, 3: 1}):
+            reduced = ech.reduce(row)
+            assert min(reduced) not in ech.pivots
+            ech.keep(reduced)
+        assert sorted(ech.pivots) == [0, 1, 2]
+        if dom.p:
+            assert all(row[col] == 1 for col, row in ech.pivots.items())
+        else:  # fraction-free: primitive integer rows
+            assert all(type(x) is int for row in ech.pivots.values() for x in row.values())
+        assert ech.reduce({0: 3, 1: 6, 2: 3}) == {}
+        x = ech.solution(4, 3)
+        assert x[3] == 1
+        for row in ech.pivots.values():
+            total = sum(c * x[j] for j, c in row.items())
+            assert (total % dom.p if dom.p else total) == 0
+
+
+def test_retraction_solve_matrices_with_fractional_actions():
+    """R·A_T - A_S·R can subtract 1/2 from 3/2; the integral difference is an
+    int, as the fraction-free echelon needs.  V sends the one source basis
+    vector to the second target one, x acts as 3/2 on the source and as
+    diag(1/2, 3/2) on the target, so R = (0, 1)."""
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    act_t = [[{0: half}, {1: three_halves}]]
+    assert retraction_solve_matrices([{1: 1}], 2, [[{0: three_halves}]], act_t, QQ) == [[0, 1]]
+    assert retraction_solve_matrices([{0: 1}], 2, [[{0: three_halves}]], act_t, QQ) is None
+    # no retraction through the zero module, and the empty one of the zero module
+    assert retraction_solve_matrices([{}], 0, [], [], QQ) is None
+    assert retraction_solve_matrices([], 3, [], [], QQ) == []
 
 
 # --- staircase bases --------------------------------------------------------

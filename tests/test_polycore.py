@@ -12,6 +12,7 @@ from tangentcat.errors import DomainMismatch, ParseError, ResourceLimit, Unsuppo
 from tangentcat.polycore import (
     GREVLEX,
     LEX,
+    MAX_COEFFICIENT_BITS,
     MAX_NESTING,
     NN,
     PRIME_TEST_LIMIT,
@@ -362,6 +363,22 @@ def test_a_power_above_the_cap_is_refused_before_it_is_expanded():
             qq("(2*x)^3")
     finally:
         degree_cap.reset(token)
+
+
+def test_a_power_of_a_constant_past_the_bit_budget_is_refused_before_it_is_computed():
+    start = time.perf_counter()
+    for dom in (QQ, ZZ, NN):
+        with pytest.raises(ResourceLimit, match=f"exceeds the budget of {MAX_COEFFICIENT_BITS} bits"):
+            poly_parse("x + 3^30000000", XY, dom)
+    with pytest.raises(ResourceLimit, match="about 158496 bits"):
+        qq("(2/3)^100000")  # the larger of numerator and denominator counts
+    with pytest.raises(ResourceLimit):
+        qq("(2^40000)^2")
+    # over F_p the power reduces mod p: 3^30000000 = (3^4)^7500000 = 1 in F_5
+    assert poly_parse("x - 3^30000000", XY, F5) == poly_parse("x - 1", XY, F5)
+    assert time.perf_counter() - start < 1.0
+    assert qq("2^64") == Polynomial.constant(XY, QQ, 2**64)
+    assert qq("2^65536").terms == {(0, 0): 2**65536}  # 65536 bits: at the budget
 
 
 def test_parentheses_nest_up_to_the_limit():
