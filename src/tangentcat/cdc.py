@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .classify import (
+    PREDICATES,
     ClassificationReport,
     and3,
     coherence_check,
@@ -36,6 +37,9 @@ from .errors import (
 )
 from .modlin import echelon, rational_rank, smith_form, smith_right_inverse
 from .polycore import QQ, Polynomial, VariableContext, settle
+
+
+MAX_ARITY = 1000  # cdc_context(n) names every variable and each monomial is an n-tuple
 
 
 @lru_cache(maxsize=None)
@@ -598,10 +602,7 @@ def classify_cdc_map(f, name="f"):
     rows = linear_matrix(f)
     if rows is None:
         reason = "only the linear fragment is classified; this map is nonlinear"
-        predicates = {key: undetermined(reason) for key in (
-            "T_monic", "T_immersion", "T_unramified", "T_submersion",
-            "split_T_submersion", "T_etale", "monic_T_etale",
-        )}
+        predicates = {key: undetermined(reason) for key in PREDICATES}
         degree = max(c.degree() for c in f.components) if f.components else 0
         return ClassificationReport(
             instance="cdc-linear",

@@ -30,6 +30,7 @@ from .classify import (
     classify_calg,
 )
 from .cdc import (
+    MAX_ARITY,
     CdcMap,
     cdc_context,
     cdc_map,
@@ -75,6 +76,7 @@ from .polycore import (
     degree_cap,
     poly_parse,
     prime_field,
+    read_int,
     within_cap,
 )
 from .presentations import free_algebra, morphism, present
@@ -144,10 +146,7 @@ def _domain_from_spec(spec, ln):
         rest = spec[2:].strip()
         if not rest:
             raise ParseError("Fp needs a prime, e.g. `Fp 5`", line=ln)
-        try:
-            p = int(rest)
-        except ValueError as e:
-            raise ParseError(str(e), line=ln)
+        p = read_int(rest)
         if p >= PRIME_TEST_LIMIT:
             return prime_field(p)  # UnsupportedDomain: a semantic error, exit 3
         try:
@@ -231,7 +230,7 @@ def parse_workspace(text):
                 if current is None:
                     raise ParseError("declare a field before any algebra", line=ln)
                 dom = current
-            full = VariableContext((base.context.names if base else ()) + names)
+            full = present(dom, names, (), base=base).context
             rels = []
             if rels_txt is not None:
                 for part in _split_top(rels_txt):
@@ -262,7 +261,7 @@ def parse_workspace(text):
                     raise ParseError(
                         f"both sides must be algebras over {over!r}", line=ln
                     )
-            expected = src.relative_names if over else src.context.names
+            expected = [src.context.names[i] for i in src.covered(bool(over))]
             given = {}
             for part in _split_top(pairs_txt):
                 if not part.strip():
@@ -300,7 +299,9 @@ def parse_workspace(text):
                 raise ParseError("malformed cdcmap declaration", line=ln)
             name, n_txt, m_txt, dom_spec, comps_txt = m.groups()
             _require_new(ws, name, ln)
-            n, m_out = int(n_txt), int(m_txt)
+            n, m_out = read_int(n_txt), read_int(m_txt)
+            if n > MAX_ARITY:
+                raise ResourceLimit(f"input arity {n} exceeds the limit of {MAX_ARITY}")
             dom = _domain_from_spec(dom_spec, ln)
             ctx = cdc_context(n)
             if comps_txt.strip():
@@ -366,8 +367,7 @@ def emit_workspace(ws):
         elif kind == "morphism":
             src, tgt, over = ws.morphism_decls[name]
             f = ws.morphisms[name]
-            var_names = f.source.relative_names if f.over_base else f.source.context.names
-            pairs = ", ".join(f"{v} -> {img}" for v, img in zip(var_names, f.images))
+            pairs = ", ".join(f"{v} -> {img}" for v, img in f.describe().items())
             head = f"morphism {name} : {src} -> {tgt}"
             if over:
                 head += f" over {over}"

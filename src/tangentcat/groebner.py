@@ -269,8 +269,8 @@ def _cached_graph(f, budget):
     for d in chain((g.degree() for g in B.ideal), (max(1, g.degree()) for g in f.var_images),
                    (g.degree() for g in A.ideal)):
         within_cap(d, budget)
-    gb = B.gb() if A.domain.is_field else None
-    staircase = None if gb is None else fd_basis(gb, len(B.context))
+    gb = B.gb()
+    staircase = fd_basis(gb, len(B.context))
     return MorphismGraph(f) if staircase is None else FiniteGraph(f, gb, staircase)
 
 

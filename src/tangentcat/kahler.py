@@ -13,7 +13,7 @@ not be reduced by it: differential modules keep raw Jacobian rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import (
@@ -28,8 +28,8 @@ from .groebner import (
     vec_is_zero,
 )
 from .modlin import echelon, module_fd_basis, retraction_solve_matrices
-from .polycore import Polynomial, VariableContext, degree_cap
-from .presentations import AlgebraPresentation, absolute, fresh_names, pushout
+from .polycore import Polynomial, degree_cap
+from .presentations import absolute, glued_algebra, identity_morphism, pushout
 
 
 @dataclass(frozen=True)
@@ -216,15 +216,11 @@ def module_map_kernel(phi):
 # ---------------------------------------------------------------------------
 # differentials
 
-def _relative_range(A):
-    return range(A.n_base, len(A.context))
-
-
 def kahler_module(B):
     """The module of differentials of B over its base, on generators d<y_j>,
     with one raw Jacobian row (dg/dy_j) per relative relation g; reducing a
     row by B's ideal leaves the module as it is.  ``tgc kahler`` prints them reduced."""
-    rel_vars = list(_relative_range(B))
+    rel_vars = B.covered(over_base=True)
     relations = tuple(tuple(g.partial(j) for j in rel_vars) for g in B.relative_ideal)
     return ModulePresentation(B, tuple("d" + n for n in B.relative_names), relations)
 
@@ -250,8 +246,8 @@ def cotangent_map(f):
     """Build the cotangent sequence of an algebra morphism."""
     f = absolute(f)
     A, B = f.source, f.target
-    src_rel = list(_relative_range(A))
-    tgt_rel = list(_relative_range(B))
+    src_rel = A.covered(over_base=True)
+    tgt_rel = B.covered(over_base=True)
     pull_labels = tuple("d" + n for n in A.relative_names)
     pull_rels = []
     for g in A.relative_ideal:
@@ -275,28 +271,16 @@ def cotangent_map(f):
 def relative_kahler(f):
     """Differentials of the target relative to the source of f.
 
-    The target is re-presented over the source (fresh names where needed,
-    with one gluing relation per source variable), and the differentials
-    of that presentation come back.  The morphism is unramified exactly
+    The algebra of the pushout of id_A and f (built without the pushout's
+    legs, which nothing here reads) presents the target over the source A: A's
+    variables and relations come first, then the target's relative ones
+    under fresh names, glued by x - f(x) for each variable x that f covers.
+    Its differentials over A come back.  The morphism is unramified exactly
     when this module is zero.
     """
     f = absolute(f)
-    A, B = f.source, f.target
-    rel_names = fresh_names(A.context.names, B.relative_names)
-    names = A.context.names + rel_names
-    ctx = VariableContext(names)
-    dom = A.domain
-    nA = len(A.context)
-    embed_a = list(range(nA))
-    embed_b = list(range(B.n_base)) + [nA + i for i in range(len(B.relative_names))]
-    ideal = [g.rename(ctx, embed_a) for g in A.ideal]
-    for g in B.relative_ideal:
-        ideal.append(g.rename(ctx, embed_b))
-    for i, img in enumerate(f.images):
-        x = Polynomial.variable(ctx, dom, A.n_base + i)
-        ideal.append(x - img.rename(ctx, embed_b))
-    represented = AlgebraPresentation(dom, ctx, tuple(ideal), A)
-    return kahler_module(represented)
+    glued, _ = glued_algebra(identity_morphism(f.source), f)
+    return kahler_module(replace(glued, base=f.source))
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +495,14 @@ def conormal_sequence(B):
     """
     gens = list(B.relative_ideal)
     s = len(gens)
-    rel_vars = list(_relative_range(B))
+    rel_vars = B.covered(over_base=True)
     labels = tuple(f"[{g}]" for g in gens)
     if s == 0:
         conormal = ModulePresentation(B, (), ())
     else:
-        vectors = [(g,) for g in gens]
-        extra = []
-        if B.base is not None:
-            embed = list(range(len(B.base.context)))
-            extra = [(g.rename(B.context, embed),) for g in B.base.ideal]
-        syz = syzygy_basis(vectors + extra, 1, B.context, B.domain, GREVLEX)
+        # B's ideal is the base relations followed by gens
+        base_rows = [(g,) for g in B.ideal[: len(B.ideal) - s]]
+        syz = syzygy_basis([(g,) for g in gens] + base_rows, 1, B.context, B.domain, GREVLEX)
         relations = [tuple(B.reduce(c) for c in row[:s]) for row in syz]
         relations = [r for r in relations if not vec_is_zero(r)]
         conormal = ModulePresentation(B, labels, tuple(relations))

@@ -155,9 +155,10 @@ def _stored_kernel(report, f, predicate):
     A, B = f.source, f.target
     kernel = [A.parse(t) for t in monic.get("kernel_generators", ())]
     C = AlgebraPresentation(A.domain, A.context, A.ideal + tuple(kernel), A.base)
-    names = B.relative_names if f.over_base else B.context.names
+    names = B.context.names
     try:
-        g = morphism(B, C, tuple(A.parse(preimages[n]) for n in names), over_base=f.over_base)
+        images = tuple(A.parse(preimages[names[i]]) for i in B.covered(f.over_base))
+        g = morphism(B, C, images, over_base=f.over_base)
     except (KeyError, IllDefinedMorphism):
         _fail(predicate, "witness", "the stored preimages do not define a map back to the source")
     for i, img in enumerate(compose(g, f).var_images):

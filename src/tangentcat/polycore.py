@@ -18,7 +18,8 @@ The degree budget ``degree_cap`` lives here too: the parser refuses a power
 whose degree exceeds it before expanding the power, and every Groebner
 basis run checks its elements against it.  A power of a constant has degree
 0, so over Q, Z and N the parser also refuses one whose value would need
-more than ``MAX_COEFFICIENT_BITS`` bits; over F_p it reduces mod p.
+more than ``MAX_COEFFICIENT_BITS`` bits; over F_p it reduces mod p.  An
+integer literal longer than ``MAX_DIGITS`` digits is refused before it is read.
 """
 
 from __future__ import annotations
@@ -618,6 +619,14 @@ def variables(ctx, domain):
 
 MAX_NESTING = 100  # parentheses deeper than this are refused, well inside the recursion limit
 MAX_COEFFICIENT_BITS = 65536  # a power of a constant past this size is refused before it is computed
+MAX_DIGITS = 4300  # Python's own default limit on reading a decimal string as an int
+
+
+def read_int(digits):
+    """The int a run of decimal digits spells; ResourceLimit past MAX_DIGITS digits."""
+    if len(digits) > MAX_DIGITS:
+        raise ResourceLimit(f"an integer literal of {len(digits)} digits exceeds the limit of {MAX_DIGITS} digits")
+    return int(digits)
 
 
 def _tokenize(text, offset):
@@ -727,7 +736,7 @@ class _PolyParser:
             if ekind != "INT":
                 self.fail("an integer exponent")
             self.take()
-            e = int(evalue)
+            e = read_int(evalue)
             if not _unit_monomial(p):
                 # deg(p^e) = deg(p)*e exactly: no coefficient ring here has zero divisors
                 within_cap(p.degree() * e, self.cap)
@@ -752,7 +761,7 @@ class _PolyParser:
             return Polynomial.variable(self.ctx, self.domain, i)
         if kind == "INT":
             self.take()
-            num = int(value)
+            num = read_int(value)
             nkind, nvalue, _ = self.peek()
             if nkind == "OP" and nvalue == "/":
                 if self.domain.kind != "Q":
@@ -765,7 +774,7 @@ class _PolyParser:
                 if dkind != "INT":
                     self.fail("a denominator")
                 self.take()
-                den = int(dvalue)
+                den = read_int(dvalue)
                 if den == 0:
                     raise ParseError("zero denominator", column=dcol + 1)
                 return Polynomial.constant(self.ctx, self.domain, Fraction(num, den))

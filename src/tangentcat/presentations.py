@@ -14,6 +14,7 @@ A x B with multiplication (a, b)(x, y) = (ax, f(a)y + bf(x)).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import (
     ArityMismatch,
@@ -71,6 +72,12 @@ class AlgebraPresentation:
     @property
     def relative_names(self):
         return self.context.names[self.n_base :]
+
+    def covered(self, over_base):
+        """The indices of the variables a morphism out of this algebra gives
+        images for: the relative ones when it is declared over the base, and
+        every one otherwise."""
+        return range(self.n_base if over_base else 0, len(self.context))
 
     @property
     def relative_ideal(self):
@@ -161,14 +168,12 @@ class AlgebraMorphism:
     images: tuple
     over_base: bool = False
 
-    @property
+    @cached_property
     def var_images(self):
-        """One target polynomial per source context variable."""
-        if not self.over_base:
-            return self.images
-        nb = self.source.n_base
-        prefix = tuple(self.target.var(i) for i in range(nb))
-        return prefix + self.images
+        """One target polynomial per source context variable; the base
+        variables a morphism over the base fixes come first."""
+        fixed = range(self.source.covered(self.over_base).start)
+        return tuple(self.target.var(i) for i in fixed) + self.images
 
     def apply_raw(self, p):
         """Push a source element forward without reducing."""
@@ -184,20 +189,17 @@ class AlgebraMorphism:
         return self.target.reduce(self.apply_raw(p))
 
     def describe(self):
-        names = self.source.relative_names if self.over_base else self.source.context.names
-        return {n: str(img) for n, img in zip(names, self.images)}
+        names = self.source.context.names
+        return {names[i]: str(img) for i, img in zip(self.source.covered(self.over_base), self.images)}
 
 
 def morphism(source, target, images, over_base=False, check=True):
     """Construct a morphism, certifying that relations map to relations."""
     if source.domain != target.domain:
         raise DomainMismatch("source and target domains differ")
-    if over_base:
-        if source.base is None or source.base != target.base:
-            raise BaseMismatch("a morphism over a base needs both sides over that base")
-        expected = len(source.relative_names)
-    else:
-        expected = len(source.context)
+    if over_base and (source.base is None or source.base != target.base):
+        raise BaseMismatch("a morphism over a base needs both sides over that base")
+    expected = len(source.covered(over_base))
     if len(images) != expected:
         raise ArityMismatch(f"expected {expected} images, got {len(images)}")
     for img in images:
@@ -236,11 +238,16 @@ def well_definedness_certificate(f):
     return tuple((g, f.apply(g)) for g in f.source.ideal)
 
 
+def _variable_map(A, P, positions, over_base):
+    """The morphism A -> P sending each variable i that it covers to the
+    variable ``positions[i]`` of P; unchecked."""
+    images = tuple(P.var(positions[i]) for i in A.covered(over_base))
+    return morphism(A, P, images, over_base=over_base, check=False)
+
+
 def identity_morphism(A):
-    if A.base is not None:
-        images = tuple(A.var(A.n_base + i) for i in range(len(A.relative_names)))
-        return morphism(A, A, images, over_base=True, check=False)
-    return morphism(A, A, tuple(A.var(i) for i in range(len(A.context))), check=False)
+    """id_A, over A's base when it has one."""
+    return _variable_map(A, A, range(len(A.context)), A.base is not None)
 
 
 def compose(g, f):
@@ -248,10 +255,7 @@ def compose(g, f):
     if f.target != g.source:
         raise ContextMismatch("morphisms do not chain")
     over = f.over_base and g.over_base
-    if over:
-        images = tuple(g.apply(img) for img in f.images)
-    else:
-        images = tuple(g.apply(img) for img in f.var_images)
+    images = tuple(g.apply(f.var_images[i]) for i in f.source.covered(over))
     return morphism(f.source, g.target, images, over_base=over, check=False)
 
 
@@ -271,7 +275,7 @@ def is_surjective(f):
     polynomial hitting it; on failure it lists the unreachable variables.
     """
     names, pre = f.target.context.names, morphism_graph(f).variable_preimages
-    free = range(f.target.n_base if f.over_base else 0, len(names))
+    free = f.target.covered(f.over_base)
     missing = [names[j] for j in free if pre[j] is None]
     return (False, missing) if missing else (True, {names[j]: pre[j] for j in free})
 
@@ -450,6 +454,24 @@ class Pushout:
     right_names: tuple
 
 
+def glued_algebra(f, g):
+    """The algebra of the pushout of f : A -> B and g : A -> C, with the
+    positions of C's variables in it: B's variables and relations, then C's
+    relative ones under fresh names, then f(x) - g(x) for each variable x of
+    A where the two differ.  Unchecked: ``pushout`` checks that f and g fit."""
+    B, C = f.target, g.target
+    ctx = VariableContext(B.context.names + fresh_names(B.context.names, C.relative_names))
+    embed_b = range(len(B.context))
+    embed_c = [*range(B.n_base), *range(len(B.context), len(ctx))]
+    ideal = [p.rename(ctx, embed_b) for p in B.ideal]
+    ideal += [p.rename(ctx, embed_c) for p in C.relative_ideal]
+    for img_f, img_g in zip(f.var_images, g.var_images):
+        glue = img_f.rename(ctx, embed_b) - img_g.rename(ctx, embed_c)
+        if not glue.is_zero():
+            ideal.append(glue)
+    return AlgebraPresentation(B.domain, ctx, tuple(ideal), B.base), embed_c
+
+
 def pushout(f, g):
     """Pushout of B <- A -> C along f and g over their shared base."""
     if f.source != g.source:
@@ -459,44 +481,9 @@ def pushout(f, g):
         raise DomainMismatch("pushout targets over different domains")
     if B.base != C.base:
         raise BaseMismatch("pushout targets over different bases")
-    base = B.base
-    nb = B.n_base
-    right_rel = C.relative_names
-    right_names = fresh_names(B.context.names, right_rel)
-    names = B.context.names + right_names
-    ctx = VariableContext(names)
-    dom = B.domain
-
-    embed_b = list(range(len(B.context)))
-    embed_c = list(range(nb)) + [len(B.context) + i for i in range(len(right_rel))]
-
-    ideal = [p.rename(ctx, embed_b) for p in B.ideal]
-    ideal += [p.rename(ctx, embed_c) for p in C.relative_ideal]
-    for img_f, img_g in zip(f.var_images, g.var_images):
-        glue = img_f.rename(ctx, embed_b) - img_g.rename(ctx, embed_c)
-        if not glue.is_zero():
-            ideal.append(glue)
-    P = AlgebraPresentation(dom, ctx, tuple(ideal), base)
-
-    if base is not None:
-        left_images = tuple(
-            Polynomial.variable(ctx, dom, nb + i) for i in range(len(B.relative_names))
-        )
-        into_left = morphism(B, P, left_images, over_base=True, check=False)
-        right_images = tuple(
-            Polynomial.variable(ctx, dom, len(B.context) + i)
-            for i in range(len(right_rel))
-        )
-        into_right = morphism(C, P, right_images, over_base=True, check=False)
-    else:
-        left_images = tuple(Polynomial.variable(ctx, dom, i) for i in range(len(B.context)))
-        into_left = morphism(B, P, left_images, check=False)
-        right_images = tuple(
-            Polynomial.variable(ctx, dom, i)
-            for i in embed_c
-        )
-        into_right = morphism(C, P, right_images, check=False)
-    return Pushout(P, into_left, into_right, right_names)
+    P, embed_c = glued_algebra(f, g)
+    nB, over = len(B.context), B.base is not None
+    return Pushout(P, _variable_map(B, P, range(nB), over), _variable_map(C, P, embed_c, over), P.context.names[nB:])
 
 
 def codiagonal(push, f):
@@ -505,12 +492,5 @@ def codiagonal(push, f):
     P = push.algebra
     if push.into_left.target != P or push.into_left.source != B:
         raise BaseMismatch("codiagonal needs a self-pushout of the morphism's target")
-    dom = B.domain
-    if B.base is not None:
-        rel = B.relative_names
-        images = tuple(B.var(B.n_base + i) for i in range(len(rel)))
-        images += tuple(B.var(B.n_base + i) for i in range(len(rel)))
-        return morphism(P, B, images, over_base=True, check=False)
-    images = tuple(B.var(i) for i in range(len(B.context)))
-    images += tuple(B.var(i) for i in range(len(B.context)))
-    return morphism(P, B, images, check=False)
+    over = B.base is not None
+    return _variable_map(P, B, [*range(len(B.context)), *B.covered(over)], over)

@@ -96,12 +96,14 @@ class TestWorkspaceParsing:
             ("2305843009213693953", 2),  # 2^61 + 1 = 3 * 768614336404564651
             ("561", 2),  # a Carmichael number
             ("3317044064679887385961981", 3),  # past the exact prime test
+            pytest.param("7" * 5000, 5, id="5000-digits"),  # refused before int() reads it
         ],
     )
     def test_field_modulus_exit_codes(
         self, tmp_path: Path, modulus: str, code: int
     ) -> None:
-        """Composite moduli are parse errors; unsupported ones exit 3."""
+        """Composite moduli are parse errors; unsupported ones exit 3, and
+        ones past 4,300 digits exit 5."""
         ws = tmp_path / "field.tgc"
         ws.write_text(f"field Fp {modulus}\nalgebra A = vars(x) / (x^2)\n")
         assert main(["kahler", "--workspace", str(ws), "--algebra", "A"]) == code
@@ -407,6 +409,45 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert code == 5
         assert "about 47548875 bits exceeds the budget of 65536 bits" in capsys.readouterr().err
+
+    def test_a_long_integer_literal_exits_5_without_a_traceback(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """A 5,000-digit coefficient, or cdcmap arity, is refused before int() reads it."""
+        big = "9" * 5000
+        ws = tmp_path / "long.tgc"
+        ws.write_text(
+            f"field Q\nalgebra A = vars(x) / (x - {big})\nalgebra B = vars(y) / (y)\n"
+            "morphism f : A -> B = { x -> 0 }\n"
+        )
+        code, out = run_cli(["classify", "--workspace", str(ws),
+                             "--instance", "calg", "--morphism", "f"])
+        assert (code, out) == (5, "")
+        assert "an integer literal of 5000 digits exceeds the limit of 4300 digits" in capsys.readouterr().err
+        for decl in (f"{big} -> 1", f"1 -> {big}"):
+            ws.write_text(f"cdcmap f : {decl} over Q = (x1)\n")
+            code, out = run_cli(["classify", "--workspace", str(ws),
+                                 "--instance", "cdc-linear", "--morphism", "f"])
+            assert (code, out) == (5, "")
+            assert "5000 digits exceeds the limit" in capsys.readouterr().err
+
+    def test_a_huge_cdcmap_arity_exits_before_any_context_is_built(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """An input arity of 10^6 would name a million variables (about 10 s and
+        1 GB); it exits 5 at once.  The limit itself, 1,000, still classifies."""
+        ws = tmp_path / "wide.tgc"
+        ws.write_text("cdcmap f : 1000000 -> 1 over Q = (x1)\n")
+        start = time.perf_counter()
+        code, out = run_cli(["classify", "--workspace", str(ws),
+                             "--instance", "cdc-linear", "--morphism", "f"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (5, "")
+        assert "input arity 1000000 exceeds the limit of 1000" in capsys.readouterr().err
+        ws.write_text("cdcmap f : 1000 -> 1 over Q = (x1)\n")
+        code, _ = run_cli(["classify", "--workspace", str(ws),
+                           "--instance", "cdc-linear", "--morphism", "f"])
+        assert code == 0
 
     def test_cdc_commands_honour_the_degree_cap(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]

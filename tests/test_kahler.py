@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 import time
 
 import pytest
@@ -25,8 +26,19 @@ from tangentcat.kahler import (
     retraction_solve,
     zero_module_evidence,
 )
-from tangentcat.polycore import QQ, Polynomial, context, poly_parse, prime_field
-from tangentcat.presentations import free_algebra, morphism, present
+from tangentcat.cdc import random_polynomial
+from tangentcat.polycore import QQ, Polynomial, VariableContext, context, poly_parse, prime_field
+from tangentcat.presentations import (
+    AlgebraPresentation,
+    absolute,
+    codiagonal,
+    free_algebra,
+    fresh_names,
+    identity_morphism,
+    morphism,
+    present,
+    pushout,
+)
 
 from conftest import DATA, run_cli
 
@@ -326,3 +338,94 @@ def test_the_relative_route_builds_no_ring_basis(fixture_morphisms):
     for f in fixture_morphisms:
         zero_module_evidence(relative_kahler(f))
     assert groebner._cached_gb.cache_info().misses == misses
+
+
+# --- relative differentials through the pushout -------------------------------
+# References: the hand-built constructions that relative_kahler, pushout,
+# codiagonal and identity_morphism used before relative differentials came
+# from the pushout along id_A and one rule chose the covered variables.
+
+def reference_relative_kahler(f):
+    """The target re-presented over the source by hand: A's variables and
+    relations, then the target's relative ones under fresh names, then one
+    gluing relation x - f(x) per relative source variable x."""
+    f = absolute(f)
+    A, B = f.source, f.target
+    ctx = VariableContext(A.context.names + fresh_names(A.context.names, B.relative_names))
+    nA = len(A.context)
+    embed_b = list(range(B.n_base)) + [nA + i for i in range(len(B.relative_names))]
+    ideal = [g.rename(ctx, list(range(nA))) for g in A.ideal]
+    ideal += [g.rename(ctx, embed_b) for g in B.relative_ideal]
+    ideal += [Polynomial.variable(ctx, A.domain, A.n_base + i) - img.rename(ctx, embed_b)
+              for i, img in enumerate(f.images)]
+    return kahler_module(AlgebraPresentation(A.domain, ctx, tuple(ideal), A))
+
+
+def reference_identity(A):
+    if A.base is not None:
+        images = tuple(A.var(A.n_base + i) for i in range(len(A.relative_names)))
+        return morphism(A, A, images, over_base=True, check=False)
+    return morphism(A, A, tuple(A.var(i) for i in range(len(A.context))), check=False)
+
+
+def reference_coprojections(B, C, P):
+    """The two legs B -> P <- C of a pushout algebra P, one branch per case."""
+    nB = len(B.context)
+    if B.base is not None:
+        left = tuple(P.var(B.n_base + i) for i in range(len(B.relative_names)))
+        right = tuple(P.var(nB + i) for i in range(len(C.relative_names)))
+        return (morphism(B, P, left, over_base=True, check=False),
+                morphism(C, P, right, over_base=True, check=False))
+    left = tuple(P.var(i) for i in range(nB))
+    right = tuple(P.var(nB + i) for i in range(len(C.context)))
+    return morphism(B, P, left, check=False), morphism(C, P, right, check=False)
+
+
+def reference_codiagonal(P, B):
+    if B.base is not None:
+        rel = tuple(B.var(B.n_base + i) for i in range(len(B.relative_names)))
+        return morphism(P, B, rel + rel, over_base=True, check=False)
+    every = tuple(B.var(i) for i in range(len(B.context)))
+    return morphism(P, B, every + every, check=False)
+
+
+def based_morphisms(seed, count):
+    """Seeded morphisms between algebras over R = Q[t]/(t^3), which has a
+    relation of its own: A = R[x]/(g) and B = R[y, z]/(g(t, p), h), so that
+    x -> p is well defined both over R and absolutely (with t -> t)."""
+    rng = random.Random(seed)
+    R = present(QQ, ("t",), (poly_parse("t^3", T, QQ),))
+    out = []
+    for _ in range(count):
+        A0, B0 = present(QQ, ("x",), (), base=R), present(QQ, ("y", "z"), (), base=R)
+        g = random_polynomial(rng, A0.context, QQ)
+        p = random_polynomial(rng, B0.context, QQ)
+        h = random_polynomial(rng, B0.context, QQ)
+        A = present(QQ, ("x",), (g,), base=R)
+        B = present(QQ, ("y", "z"), (g.substitute((B0.var(0), p)), h), base=R)
+        out.append(morphism(A, B, (p,), over_base=True))
+        out.append(morphism(A, B, (B.var(0), p)))
+    return out
+
+
+def test_relative_kahler_is_the_pushout_along_the_identity(fixture_morphisms):
+    """On the 200 fixture morphisms, figure 1 and 60 seeded morphisms over a
+    base with relations, relative_kahler and the pushout, codiagonal and
+    identity legs equal the hand-built references: names, relation order and
+    base included."""
+    ws = load_workspace(str(DATA / "figure1.tgc"))
+    based = based_morphisms(20, 30)
+    assert sum(f.over_base for f in based) == 30
+    morphisms = list(fixture_morphisms) + list(ws.morphisms.values()) + based
+    for f in morphisms:
+        assert relative_kahler(f) == reference_relative_kahler(f), f.describe()
+        for A in (f.source, f.target):
+            assert identity_morphism(A) == reference_identity(A)
+            if A.base is not None:  # the base relations prefix A's ideal
+                embed = range(len(A.base.context))
+                assert A.ideal[: len(A.base.ideal)] == tuple(g.rename(A.context, embed) for g in A.base.ideal)
+        for po in (pushout(f, f), pushout(identity_morphism(f.source), f)):
+            B, C = po.into_left.source, po.into_right.source
+            assert (po.into_left, po.into_right) == reference_coprojections(B, C, po.algebra)
+        po = pushout(f, f)
+        assert codiagonal(po, f) == reference_codiagonal(po.algebra, f.target)

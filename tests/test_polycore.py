@@ -13,6 +13,7 @@ from tangentcat.polycore import (
     GREVLEX,
     LEX,
     MAX_COEFFICIENT_BITS,
+    MAX_DIGITS,
     MAX_NESTING,
     NN,
     PRIME_TEST_LIMIT,
@@ -379,6 +380,15 @@ def test_a_power_of_a_constant_past_the_bit_budget_is_refused_before_it_is_compu
     assert time.perf_counter() - start < 1.0
     assert qq("2^64") == Polynomial.constant(XY, QQ, 2**64)
     assert qq("2^65536").terms == {(0, 0): 2**65536}  # 65536 bits: at the budget
+
+
+def test_an_integer_literal_past_the_digit_limit_is_refused_before_it_is_read():
+    big = "9" * (MAX_DIGITS + 1)
+    for text in (f"x - {big}", f"x^{big}", f"x - 1/{big}", f"x - {big}/2"):
+        with pytest.raises(ResourceLimit, match=f"{MAX_DIGITS + 1} digits exceeds the limit of {MAX_DIGITS}"):
+            qq(text)
+    at_limit = "9" * MAX_DIGITS
+    assert qq(f"x - {at_limit}") == qq("x") - Polynomial.constant(XY, QQ, 10**MAX_DIGITS - 1)
 
 
 def test_parentheses_nest_up_to_the_limit():
