@@ -520,9 +520,9 @@ def classify_linear(rows, domain, name="f", arity_in=None):
         inj_ev = {"rank": r, "columns": n}
         if not inj:
             inj_ev["kernel_vector"] = _kernel_vector(ech, n, False)
-        inj_status = from_bool(inj, inj_ev, inj_ev)
+        inj_status = from_bool(inj, inj_ev)
         surj_ev = {"rank": r, "rows": m}
-        surj_status = from_bool(surj, surj_ev, surj_ev)
+        surj_status = from_bool(surj, surj_ev)
         if surj:
             columns = [ech.solution(n + m, n + j) for j in range(m)]
             right_inv = [[str(columns[j][i]) for j in range(m)] for i in range(n)]
@@ -539,7 +539,7 @@ def classify_linear(rows, domain, name="f", arity_in=None):
         inj_ev = {"rational_rank": rr, "columns": n}
         if not inj:
             inj_ev["kernel_vector"] = _kernel_vector(ech, n, True)
-        inj_status = from_bool(inj, inj_ev, inj_ev)
+        inj_status = from_bool(inj, inj_ev)
         smith = smith_form(rows)
         diag = smith[0]
         invariants = [diag[i][i] for i in range(min(m, n)) if i < len(diag) and diag[i][i] != 0]
@@ -558,17 +558,17 @@ def classify_linear(rows, domain, name="f", arity_in=None):
             det = 1
             for i in range(n):
                 det *= diag[i][i]
-            etale_status = from_bool(det in (1, -1), {"determinant": det}, {"determinant": det})
+            etale_status = from_bool(det in (1, -1), {"determinant": det})
         else:
             etale_status = fails({"rows": m, "columns": n, "note": "shape is not square"})
         unram_status = inj_status
     elif domain.kind == "N":
         zero_cols = [j for j in range(n) if all(row[j] == 0 for row in rows)]
         unram_ev = {"zero_columns": zero_cols}
-        unram_status = from_bool(not zero_cols, unram_ev, unram_ev)
+        unram_status = from_bool(not zero_cols, unram_ev)
         rr = rational_rank(rows)
         inj_ev = {"rational_rank": rr, "columns": n}
-        inj_status = from_bool(rr == n, inj_ev, inj_ev)
+        inj_status = from_bool(rr == n, inj_ev)
         reason = "epimorphism-flavoured predicates over N need negation"
         submersion_status = undetermined(reason)
         split_status = undetermined(reason)
@@ -638,40 +638,3 @@ def random_cdc_map(rng, domain, arity_in, arity_out, max_degree=2, max_terms=3):
     )
     return CdcMap(domain, ctx, comps)
 
-
-def random_theta_section(rng, domain, n, m, max_degree=2):
-    """A map f: n -> m together with an exact, generally nonlinear section.
-
-    f sends the first m coordinates to themselves plus polynomials in the
-    remaining ones, so its differential is unipotent in the fibre block;
-    choosing the tail directions freely and solving for the leading ones
-    gives an exact section of theta(f), nonlinear when the tail choices are.
-    """
-    if m > n:
-        raise ArityMismatch("this family needs at least as many inputs as outputs")
-    ctx = cdc_context(n)
-    sctx = section_context(n, m)
-    tail = list(range(m, n))
-    comps = []
-    for i in range(m):
-        c = Polynomial.variable(ctx, domain, i)
-        if tail:
-            extra = random_polynomial(rng, ctx, domain, max_degree, 2)
-            c = c + extra.rename(ctx, [None] * m + tail)
-        comps.append(c)
-    f = CdcMap(domain, ctx, tuple(comps))
-
-    tail_choices = [
-        random_polynomial(rng, sctx, domain, max_degree, 2) for _ in tail
-    ]
-    fibre = [None] * n
-    for k, j in enumerate(tail):
-        fibre[j] = tail_choices[k]
-    for i in range(m):
-        lead = Polynomial.variable(sctx, domain, n + i)
-        for k, j in enumerate(tail):
-            slope = f.components[i].partial(j).rename(sctx, list(range(n)))
-            lead = lead - slope * tail_choices[k]
-        fibre[i] = lead
-    base = projection_map(domain, n + m, range(n), sctx).components
-    return f, CdcMap(domain, sctx, base + tuple(fibre))

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InconsistentClassification, NotSurjective
+from .groebner import ring_map_kernel
 from .kahler import (
     classify_cotangent,
     cotangent_map,
@@ -30,7 +31,6 @@ from .presentations import (
     is_surjective,
     linear_section_exists,
     pushout,
-    relative_tangent_calg,
 )
 
 PREDICATES = (
@@ -87,12 +87,12 @@ def undetermined(reason, evidence=None):
     return PredicateStatus(UNDETERMINED, evidence or {}, reason)
 
 
-def from_bool(value, ev_holds=None, ev_fails=None, reason=None, ev_und=None):
+def from_bool(value, evidence, reason=None):
     if value is True:
-        return holds(ev_holds)
+        return holds(evidence)
     if value is False:
-        return fails(ev_fails)
-    return undetermined(reason or "not decided", ev_und)
+        return fails(evidence)
+    return undetermined(reason or "not decided", evidence)
 
 
 def and3(*statuses):
@@ -150,11 +150,11 @@ COHERENCE_LAWS = (
 )
 
 
-def coherence_check(predicates, has_negation=True, raise_on_violation=True):
+def coherence_check(predicates, has_negation=True):
     """Evaluate the theorem-backed implications between computed verdicts.
 
     Undetermined inputs skip a law; a decided violation raises
-    InconsistentClassification (or is reported when raising is disabled).
+    InconsistentClassification.
     """
     results = []
     for name, keys, mode in COHERENCE_LAWS:
@@ -172,15 +172,12 @@ def coherence_check(predicates, has_negation=True, raise_on_violation=True):
             ok = (not values[0]) or values[1]
         else:  # iff_conjunction
             ok = values[0] == all(values[1:])
-        if ok:
-            results.append({"law": name, "status": "checked"})
-        else:
-            results.append({"law": name, "status": "violated"})
-            if raise_on_violation:
-                raise InconsistentClassification(
-                    f"coherence law {name} is violated by the computed verdicts",
-                    law=name,
-                )
+        if not ok:
+            raise InconsistentClassification(
+                f"coherence law {name} is violated by the computed verdicts",
+                law=name,
+            )
+        results.append({"law": name, "status": "checked"})
     return results
 
 
@@ -195,20 +192,20 @@ def classify_calg(f, name="f", base_name=None):
     and an element a with f(a) = 1 and Ker(f)·a = 0 decides the splitting.
     """
     t0 = time.perf_counter()
-    kernel = relative_tangent_calg(f)
+    kernel = ring_map_kernel(f)
     injective = len(kernel) == 0
     if injective:
         inj_ev = {"kernel": "zero"}
     else:
         inj_ev = {"kernel_generators": [str(k) for k in kernel]}
-    inj_status = from_bool(injective, inj_ev, inj_ev)
+    inj_status = from_bool(injective, inj_ev)
 
     surjective, surj_data = is_surjective(f)
     if surjective:
         surj_ev = {"preimages": {k: str(v) for k, v in surj_data.items()}}
     else:
         surj_ev = {"missing_preimages": list(surj_data)}
-    surj_status = from_bool(surjective, surj_ev, surj_ev)
+    surj_status = from_bool(surjective, surj_ev)
 
     if surjective:
         section = linear_section_exists(f)
@@ -263,35 +260,25 @@ def classify_affine(f, name="f", base_name=None):
     f = absolute(f)
     po = pushout(f, f)
     mu = codiagonal(po, f)
-    mu_kernel = relative_tangent_calg(mu)
+    mu_kernel = ring_map_kernel(mu)
     if mu_kernel:
         monic_ev = {"codiagonal_kernel_generators": [str(k) for k in mu_kernel]}
     else:
         monic_ev = {"codiagonal_kernel": "zero"}
-    monic_status = from_bool(len(mu_kernel) == 0, monic_ev, monic_ev)
+    monic_status = from_bool(len(mu_kernel) == 0, monic_ev)
 
     seq = cotangent_map(f)
     verdicts = classify_cotangent(seq)
-    immersion_status = from_bool(
-        verdicts.cokernel_zero[0], verdicts.cokernel_zero[1], verdicts.cokernel_zero[1]
-    )
+    immersion_status = from_bool(*verdicts.cokernel_zero)
 
     rel = relative_kahler(f)
     rel_zero, rel_ev = zero_module_evidence(rel)
-    unramified_status = from_bool(rel_zero, rel_ev, rel_ev)
+    unramified_status = from_bool(rel_zero, rel_ev)
 
-    submersion_status = from_bool(
-        verdicts.monic[0], verdicts.monic[1], verdicts.monic[1]
-    )
+    submersion_status = from_bool(*verdicts.monic)
     split_val, split_ev = verdicts.split_monic
-    split_status = from_bool(
-        split_val, split_ev, split_ev,
-        reason=split_ev.get("reason"), ev_und=split_ev,
-    )
-    etale_status = from_bool(
-        verdicts.iso[0], verdicts.iso[1], verdicts.iso[1],
-        reason="isomorphism undecided", ev_und=verdicts.iso[1],
-    )
+    split_status = from_bool(split_val, split_ev, reason=split_ev.get("reason"))
+    etale_status = from_bool(*verdicts.iso, reason="isomorphism undecided")
 
     predicates = {
         "T_monic": monic_status,

@@ -88,12 +88,10 @@ from .presentations import free_algebra, morphism, present
 @dataclass
 class Workspace:
     algebras: dict = field(default_factory=dict)
-    algebra_base: dict = field(default_factory=dict)
     morphisms: dict = field(default_factory=dict)
     morphism_decls: dict = field(default_factory=dict)
     cdcmaps: dict = field(default_factory=dict)
     sections: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
 
 
 _NAME = r"[A-Za-z_]\w*"
@@ -154,12 +152,6 @@ def _domain_from_spec(spec, ln):
         except TangentError as e:
             raise ParseError(str(e), line=ln)
     raise ParseError(f"unknown coefficient domain {spec!r}", line=ln)
-
-
-def domain_label(dom):
-    if dom.kind == "Fp":
-        return f"Fp {dom.p}"
-    return dom.kind
 
 
 def _require_new(ws, name, ln):
@@ -241,8 +233,6 @@ def parse_workspace(text):
             except TangentError as e:
                 raise ParseError(str(e), line=ln)
             ws.algebras[name] = alg
-            ws.algebra_base[name] = over
-            ws.order.append((kind, name))
         elif head == "morphism":
             m = MOR_RE.fullmatch(line)
             if not m:
@@ -292,7 +282,6 @@ def parse_workspace(text):
                 raise ParseError(str(e), line=ln)
             ws.morphisms[name] = f
             ws.morphism_decls[name] = (src_name, tgt_name, over)
-            ws.order.append(("morphism", name))
         elif head == "cdcmap":
             m = CDC_RE.fullmatch(line)
             if not m:
@@ -316,7 +305,6 @@ def parse_workspace(text):
                     f"declared {m_out} components but found {len(comps)}", line=ln
                 )
             ws.cdcmaps[name] = cdc_map(dom, n, comps, context=ctx)
-            ws.order.append(("cdcmap", name))
         elif head == "section":
             m = SEC_RE.fullmatch(line)
             if not m:
@@ -337,53 +325,9 @@ def parse_workspace(text):
             except (TangentError, NotASection) as e:
                 raise ParseError(str(e), line=ln)
             ws.sections[name] = (map_name, s)
-            ws.order.append(("section", name))
         else:
             raise ParseError(f"unknown declaration {head!r}", line=ln)
     return ws
-
-
-def emit_workspace(ws):
-    """Regenerate workspace text; parsing it back yields an equal workspace."""
-    lines = []
-    current_label = None
-    for kind, name in ws.order:
-        if kind in ("base", "algebra"):
-            alg = ws.algebras[name]
-            over = ws.algebra_base.get(name)
-            if not over:
-                label = domain_label(alg.domain)
-                if label != current_label:
-                    lines.append(f"field {label}")
-                    current_label = label
-            head = f"{kind} {name}"
-            if over:
-                head += f" over {over}"
-            body = f"vars({', '.join(alg.relative_names)})"
-            rels = alg.relative_ideal
-            if rels:
-                body += " / (" + ", ".join(str(r) for r in rels) + ")"
-            lines.append(f"{head} = {body}")
-        elif kind == "morphism":
-            src, tgt, over = ws.morphism_decls[name]
-            f = ws.morphisms[name]
-            pairs = ", ".join(f"{v} -> {img}" for v, img in f.describe().items())
-            head = f"morphism {name} : {src} -> {tgt}"
-            if over:
-                head += f" over {over}"
-            lines.append(f"{head} = {{ {pairs} }}" if pairs else f"{head} = {{}}")
-        elif kind == "cdcmap":
-            fmap = ws.cdcmaps[name]
-            comps = ", ".join(str(c) for c in fmap.components)
-            lines.append(
-                f"cdcmap {name} : {fmap.arity_in} -> {fmap.arity_out} "
-                f"over {domain_label(fmap.domain)} = ({comps})"
-            )
-        elif kind == "section":
-            map_name, s = ws.sections[name]
-            comps = ", ".join(str(c) for c in s.components)
-            lines.append(f"section {name} for {map_name} = ({comps})")
-    return "\n".join(lines) + "\n"
 
 
 def load_workspace(path):
@@ -746,10 +690,7 @@ def build_parser():
     """The ``tgc`` argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write a JSON report (- for stdout)")
-    common.add_argument("--oracle", action="store_true", help="replay evidence certificates")
-    common.add_argument("--strict", action="store_true", help="exit 4 on undetermined verdicts")
     common.add_argument("--degree-cap", type=int, metavar="N", help="abort once any degree exceeds N")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     parser = argparse.ArgumentParser(
         prog="tgc", description="classify morphisms by their tangent-bundle behaviour"
@@ -760,6 +701,8 @@ def build_parser():
     p.add_argument("--workspace", required=True)
     p.add_argument("--instance", required=True, choices=("calg", "affine", "cdc-linear"))
     p.add_argument("--morphism", required=True)
+    p.add_argument("--oracle", action="store_true", help="replay evidence certificates")
+    p.add_argument("--strict", action="store_true", help="exit 4 on undetermined verdicts")
     p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("kahler", parents=[common], help="differentials of one algebra")
@@ -788,6 +731,8 @@ def build_parser():
     p = sub.add_parser("verify", parents=[common], help="randomized law suites")
     p.add_argument("--suite", required=True, choices=tuple(SUITES))
     p.add_argument("--count", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    p.add_argument("--oracle", action="store_true", help="recorded in the report; no suite reads it")
     p.set_defaults(run=_cmd_verify)
 
     return parser
@@ -796,6 +741,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "count", None) is not None and args.count < 0:
+        parser.error(f"--count must be 0 or more, got {args.count}")
     cap = args.degree_cap
     if cap is None:
         return _dispatch(args)

@@ -609,11 +609,6 @@ class Polynomial:
         return f"Polynomial({self.to_str()!r})"
 
 
-def variables(ctx, domain):
-    """Return the tuple of variable polynomials of a context."""
-    return tuple(Polynomial.variable(ctx, domain, i) for i in range(len(ctx)))
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -629,7 +624,7 @@ def read_int(digits):
     return int(digits)
 
 
-def _tokenize(text, offset):
+def _tokenize(text):
     tokens = []
     i = 0
     while i < len(text):
@@ -641,20 +636,20 @@ def _tokenize(text, offset):
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("NAME", text[i:j], offset + i))
+            tokens.append(("NAME", text[i:j], i))
             i = j
         elif ch.isdigit():
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", text[i:j], offset + i))
+            tokens.append(("INT", text[i:j], i))
             i = j
         elif ch in "+-*^()/":
-            tokens.append(("OP", ch, offset + i))
+            tokens.append(("OP", ch, i))
             i += 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", column=offset + i + 1)
-    tokens.append(("END", "", offset + len(text)))
+            raise ParseError(f"unexpected character {ch!r}", column=i + 1)
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
@@ -794,14 +789,13 @@ class _PolyParser:
         self.fail("a variable, number, or '('")
 
 
-def poly_parse(text, ctx, domain, offset=0):
+def poly_parse(text, ctx, domain):
     """Parse polynomial text over the given context and domain.
 
-    ``offset`` shifts reported column numbers, for callers embedding the
-    text inside a longer line.  A power whose degree exceeds ``degree_cap``
-    raises ResourceLimit before it is expanded, unless its base is a single
-    term with coefficient 1 or -1; so does a power of a constant over Q, Z
-    or N whose value would exceed ``MAX_COEFFICIENT_BITS`` bits.
+    A power whose degree exceeds ``degree_cap`` raises ResourceLimit before
+    it is expanded, unless its base is a single term with coefficient 1 or
+    -1; so does a power of a constant over Q, Z or N whose value would
+    exceed ``MAX_COEFFICIENT_BITS`` bits.
     """
-    tokens = _tokenize(text, offset)
+    tokens = _tokenize(text)
     return _PolyParser(tokens, ctx, domain).parse()

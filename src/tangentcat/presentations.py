@@ -3,12 +3,9 @@
 An algebra is a quotient k[x_1..x_n]/(relations), optionally presented over
 a named base algebra whose variables form a prefix of the context.  A
 morphism stores one image polynomial per (relative) source variable and is
-only constructed after its well-definedness certificate checks out: every
-source relation must reduce to zero in the target.
+only constructed once every source relation reduces to zero in the target.
 
-The tangent construction here is the dual-numbers functor A -> A[e]/(e^2);
-its bundle map over a morphism f factors through the semidirect product
-A x B with multiplication (a, b)(x, y) = (ax, f(a)y + bf(x)).
+The tangent construction here is the dual-numbers functor A -> A[e]/(e^2).
 """
 
 from __future__ import annotations
@@ -84,8 +81,8 @@ class AlgebraPresentation:
         nb = len(self.base.ideal) if self.base is not None else 0
         return self.ideal[nb:]
 
-    def gb(self, order=GREVLEX):
-        return ideal_basis(self.ideal, self.context, self.domain, order)
+    def gb(self):
+        return ideal_basis(self.ideal, self.context, self.domain, GREVLEX)
 
     def reduce(self, p):
         if p.context != self.context:
@@ -233,11 +230,6 @@ def absolute(f):
     return morphism(replace(f.source, base=None), replace(f.target, base=None), f.images, check=False)
 
 
-def well_definedness_certificate(f):
-    """Reductions of every source relation's image; all must be zero."""
-    return tuple((g, f.apply(g)) for g in f.source.ideal)
-
-
 def _variable_map(A, P, positions, over_base):
     """The morphism A -> P sending each variable i that it covers to the
     variable ``positions[i]`` of P; unchecked."""
@@ -260,13 +252,7 @@ def compose(g, f):
 
 
 # ---------------------------------------------------------------------------
-# injectivity, surjectivity, preimages
-
-def is_injective(f):
-    """(verdict, kernel generators reduced modulo the source ideal)."""
-    kernel = ring_map_kernel(f)
-    return (len(kernel) == 0, kernel)
-
+# surjectivity and preimages
 
 def is_surjective(f):
     """(verdict, data): preimages per target variable, or the missing ones.
@@ -281,7 +267,7 @@ def is_surjective(f):
 
 
 # ---------------------------------------------------------------------------
-# dual numbers and the semidirect bundle target
+# dual numbers
 
 def _fresh_eps(names):
     k = 0
@@ -299,63 +285,6 @@ def dual_numbers(A):
     e = Polynomial.variable(ctx, A.domain, len(A.context))
     ideal.append(e * e)
     return AlgebraPresentation(A.domain, ctx, tuple(ideal), A.base)
-
-
-def dual_numbers_map(f):
-    """The induced map A[e]/(e^2) -> B[e]/(e^2), sending e to e."""
-    TA, TB = dual_numbers(f.source), dual_numbers(f.target)
-    embed = list(range(len(f.target.context)))
-    images = tuple(img.rename(TB.context, embed) for img in f.images)
-    eps_image = Polynomial.variable(TB.context, TB.domain, len(f.target.context))
-    return morphism(TA, TB, images + (eps_image,), over_base=f.over_base, check=False)
-
-
-def dual_parts(TA, p):
-    """Split an element of A[e]/(e^2) as (constant part, e-coefficient)."""
-    n = len(TA.context) - 1
-    ctx = VariableContext(TA.context.names[:n])
-    lower = {}
-    upper = {}
-    for mono, c in p.terms.items():
-        if mono[n] == 0:
-            lower[mono[:n]] = c
-        elif mono[n] == 1:
-            upper[mono[:n]] = c
-        else:
-            raise ContextMismatch("element is not reduced modulo e^2")
-    return (
-        Polynomial(ctx, p.domain, lower),
-        Polynomial(ctx, p.domain, upper),
-    )
-
-
-@dataclass(frozen=True)
-class SemidirectElement:
-    """An element (a, b) of the bundle target A x B of a morphism."""
-
-    first: Polynomial
-    second: Polynomial
-
-    def __str__(self):
-        return f"({self.first}, {self.second})"
-
-
-def theta_calg_eval(f, a, a_prime):
-    """Descend a tangent element a + a'e along f: the result is (a, f(a'))."""
-    return SemidirectElement(f.source.reduce(a), f.apply(a_prime))
-
-
-def semidirect_mul(f, u, v):
-    """Multiply in A x B twisted by f: (a,b)(x,y) = (ax, f(a)y + bf(x))."""
-    A, B = f.source, f.target
-    first = A.reduce(u.first * v.first)
-    second = B.reduce(f.apply(u.first) * v.second + u.second * f.apply(v.first))
-    return SemidirectElement(first, second)
-
-
-def relative_tangent_calg(f):
-    """Kernel generators of f; the morphism is unramified iff this is empty."""
-    return ring_map_kernel(f)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from tangentcat.cdc import (
     pick,
     projection_map,
     random_cdc_map,
-    random_theta_section,
     reindex,
     section_context,
     tangent,
@@ -39,6 +38,7 @@ from tangentcat.errors import InconsistentClassification, NotASection, Unsupport
 from tangentcat.polycore import NN, QQ, ZZ, poly_parse, prime_field
 
 from conftest import run_cli
+from theta_sections import random_theta_section
 
 F5 = prime_field(5)
 DOMAINS = (QQ, F5, ZZ)

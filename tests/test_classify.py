@@ -143,30 +143,24 @@ def fabricate(row):
 def test_violated_law_raises():
     with pytest.raises(InconsistentClassification) as exc:
         coherence_check(fabricate("hhfhhhh"))
+    assert exc.value.law == "immersion_implies_unramified"
     assert "immersion_implies_unramified" in str(exc.value)
-
-
-def test_violations_can_be_reported_instead():
-    rows = coherence_check(fabricate("hhfhhhh"), raise_on_violation=False)
-    table = {r["law"]: r["status"] for r in rows}
-    assert table["immersion_implies_unramified"] == "violated"
-    assert table["split_implies_submersion"] == "checked"
 
 
 def test_converse_law_needs_negation():
     # unramified holds, immersion fails: only contradictory with negation
-    rows = coherence_check(fabricate("ffhfffff"[:7]), has_negation=False,
-                           raise_on_violation=False)
+    rows = coherence_check(fabricate("ffhfffff"[:7]), has_negation=False)
     table = {r["law"]: r for r in rows}
     row = table["unramified_implies_immersion"]
     assert row["status"] == "skipped"
     assert row["note"] == "no negation in this instance"
-    with pytest.raises(InconsistentClassification):
+    with pytest.raises(InconsistentClassification) as exc:
         coherence_check(fabricate("ffhfffff"[:7]), has_negation=True)
+    assert exc.value.law == "unramified_implies_immersion"
 
 
 def test_undetermined_inputs_skip_the_law():
-    rows = coherence_check(fabricate("uuuuuuu"), raise_on_violation=False)
+    rows = coherence_check(fabricate("uuuuuuu"))
     assert all(r["status"] == "skipped" for r in rows)
     assert all(r["note"] == "undetermined input" for r in rows)
 
@@ -179,10 +173,11 @@ def test_consistent_table_checks_clean():
 # --- three-valued helpers ----------------------------------------------------
 
 def test_from_bool_covers_the_three_values():
-    assert from_bool(True, ev_holds={"a": 1}).status == "holds"
-    assert from_bool(False).status == "fails"
-    s = from_bool(None, reason="later")
+    assert from_bool(True, {"a": 1}) == holds({"a": 1})
+    assert from_bool(False, {"a": 1}) == fails({"a": 1})
+    s = from_bool(None, {"a": 1}, reason="later")
     assert s.status == "undetermined" and s.reason == "later"
+    assert s.evidence == {"a": 1}
     assert not s.decided
 
 

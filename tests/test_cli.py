@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from tangentcat.cdc import cdc_context, random_polynomial, section_context
-from tangentcat.cli import _dispatch, domain_label, emit_workspace, main, parse_workspace
+from tangentcat.cli import _dispatch, main, parse_workspace
 from tangentcat.errors import InconsistentClassification
 from tangentcat.groebner import degree_cap
 from tangentcat.polycore import NN, QQ, ZZ, VariableContext, prime_field
@@ -157,6 +157,46 @@ GOLDEN = [
     ("cotangent_trunc.json", ["cotangent", "--morphism", "trunc"]),
     ("linearize_tap.json", ["cdc", "linearize", "--map", "tap", "--section", "s"]),
 ]
+
+
+def domain_label(dom):
+    """A coefficient domain as a workspace spells it."""
+    return f"Fp {dom.p}" if dom.kind == "Fp" else dom.kind
+
+
+def emit_workspace(ws):
+    """Workspace text that parses back to ``ws``: the algebras in declaration
+    order, then the morphisms, cdcmaps and sections.  An algebra over a base
+    names the declared algebra that is its base object."""
+    lines, current_label = [], None
+    for name, alg in ws.algebras.items():
+        head = f"algebra {name}"
+        if alg.base is None:
+            label = domain_label(alg.domain)
+            if label != current_label:
+                lines.append(f"field {label}")
+                current_label = label
+        else:
+            head += " over " + next(b for b, base in ws.algebras.items() if base is alg.base)
+        body = f"vars({', '.join(alg.relative_names)})"
+        if alg.relative_ideal:
+            body += " / (" + ", ".join(str(r) for r in alg.relative_ideal) + ")"
+        lines.append(f"{head} = {body}")
+    for name, f in ws.morphisms.items():
+        src, tgt, over = ws.morphism_decls[name]
+        head = f"morphism {name} : {src} -> {tgt}" + (f" over {over}" if over else "")
+        pairs = ", ".join(f"{v} -> {img}" for v, img in f.describe().items())
+        lines.append(f"{head} = {{ {pairs} }}" if pairs else f"{head} = {{}}")
+    for name, fmap in ws.cdcmaps.items():
+        comps = ", ".join(str(c) for c in fmap.components)
+        lines.append(
+            f"cdcmap {name} : {fmap.arity_in} -> {fmap.arity_out} "
+            f"over {domain_label(fmap.domain)} = ({comps})"
+        )
+    for name, (map_name, s) in ws.sections.items():
+        comps = ", ".join(str(c) for c in s.components)
+        lines.append(f"section {name} for {map_name} = ({comps})")
+    return "\n".join(lines) + "\n"
 
 
 def _random_poly(rng, names, dom):
@@ -526,6 +566,46 @@ class TestExitCodes:
         assert "inconsistency: fabricated violation" in capsys.readouterr().err
 
 
+class TestFlags:
+    """Each command takes --json and --degree-cap, and only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--workspace", WORKSPACE, "--instance", "calg",
+         "--morphism", "point", "--oracle", "--strict"),
+        ("kahler", "--workspace", WORKSPACE, "--algebra", "D2"),
+        ("cotangent", "--workspace", WORKSPACE, "--morphism", "trunc"),
+        ("cdc", "axioms", "--workspace", WORKSPACE, "--map", "cube", "--with", "fold"),
+        ("cdc", "linearize", "--workspace", WORKSPACE, "--map", "tap", "--section", "s"),
+        ("verify", "--suite", "theta-laws", "--count", "2", "--seed", "3", "--oracle"),
+    ], ids=("classify", "kahler", "cotangent", "cdc-axioms", "cdc-linearize", "verify"))
+    def test_every_flag_a_command_reads_is_accepted(self, argv: tuple[str, ...]) -> None:
+        code, out = tgc(*argv, "--json", "-", "--degree-cap", "64")
+        assert code == 0
+        assert json.loads(out)["schema_version"] == "1"
+
+    @pytest.mark.parametrize("argv", [
+        ("kahler", "--workspace", WORKSPACE, "--algebra", "D2", "--seed", "1"),
+        ("cotangent", "--workspace", WORKSPACE, "--morphism", "trunc", "--strict"),
+        ("cdc", "axioms", "--workspace", WORKSPACE, "--map", "cube", "--oracle"),
+    ], ids=("kahler-seed", "cotangent-strict", "cdc-axioms-oracle"))
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        self, argv: tuple[str, ...], capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_negative_count_is_a_usage_error(
+        self, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """A negative --count is rejected before any case runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "theta-laws", "--count", "-5"])
+        assert exc.value.code == 2
+        assert "--count must be 0 or more, got -5" in capsys.readouterr().err
+
+
 class TestDeterminism:
     """Test that repeated runs serialize identically."""
 
@@ -562,7 +642,7 @@ class TestDeterminism:
             ("classify", "--workspace", WORKSPACE, "--instance", "calg", "--morphism", "point"),
             ("cotangent", "--workspace", WORKSPACE, "--morphism", "trunc", "--json", "-"),
             ("cdc", "axioms", "--workspace", WORKSPACE, "--map", "cube",
-             "--with", "fold", "--oracle"),
+             "--with", "fold"),
         ]
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         fresh = []

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,45 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append((path.name, node.lineno))
     assert found == []
+
+
+def _all_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("the package defines no __all__")
+
+
+def _referenced(node):
+    """Every name and attribute read anywhere inside ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_top_level_definition_has_a_caller():
+    """A top-level def or class is used elsewhere in the package, exported in
+    ``__all__``, or named by the benchmark (read as text, like
+    ``test_bench_names.py``); what only tests read lives in the tests."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    used = sum((_referenced(tree) for tree in trees), Counter())
+    bench = ROOT / "bench"
+    named = _all_names() | {
+        word
+        for name in ("tracing.py", "workloads.py")
+        for word in re.findall(r"\w+", (bench / name).read_text(encoding="utf-8"))
+    }
+    unused = sorted(
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in named
+        and used[node.name] == _referenced(node)[node.name]
+    )
+    assert unused == []

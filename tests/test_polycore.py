@@ -25,7 +25,6 @@ from tangentcat.polycore import (
     elimination_order,
     poly_parse,
     prime_field,
-    variables,
     _is_prime,
 )
 
@@ -274,20 +273,20 @@ def test_rename_embeds_into_a_larger_context():
 
 
 def test_power_and_scale():
-    x, y = variables(XY, QQ)
+    x, y = (Polynomial.variable(XY, QQ, i) for i in range(2))
     assert (x + y) ** 0 == Polynomial.one(XY, QQ)
     assert (x - y) ** 2 == qq("x^2 - 2*x*y + y^2")
     assert x.scale(Fraction(1, 2)) == qq("1/2*x")
 
 
 def test_subtraction_unavailable_over_nn():
-    xn, yn = variables(XY, NN)
+    xn, yn = (Polynomial.variable(XY, NN, i) for i in range(2))
     with pytest.raises(UnsupportedDomain):
         _ = xn - yn
 
 
 def test_subtraction_over_nn_fails_only_on_a_nonzero_subtrahend():
-    xn, yn = variables(XY, NN)
+    xn, yn = (Polynomial.variable(XY, NN, i) for i in range(2))
     zero = Polynomial.zero(XY, NN)
     assert xn - zero == xn and zero - zero == zero
     with pytest.raises(UnsupportedDomain, match="subtraction is not available over N"):
@@ -404,7 +403,7 @@ def test_evaluate_mod_p_uses_modular_powers():
 
 
 def test_substitute_reaches_high_powers_without_recursion():
-    x, y = variables(XY, F5)
+    x, y = (Polynomial.variable(XY, F5, i) for i in range(2))
     p = x ** 1500
     assert p.substitute((y, x)) == y ** 1500
     assert qq("x^1500").substitute((qq("2*y"), qq("x"))) == qq("y^1500").scale(2**1500)
