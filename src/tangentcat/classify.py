@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import InconsistentClassification, NotSurjective
+from .errors import InconsistentClassification
 from .groebner import ring_map_kernel
 from .kahler import (
     classify_cotangent,

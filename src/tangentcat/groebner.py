@@ -8,12 +8,17 @@ and cofactor (extended) bases, syzygies and division with quotients run on
 vectors extended by unit tag columns.
 
 A basis is kept once, as the reducer table ``_reduce`` consumes: per
-position, the leading monomial, its support mask (tested before
-``mono_div``), the leading coefficient and the term dicts of each element
-led there, primitive integers over Q (every step is fraction-free) and
-monic over F_p.  Its Polynomials are built when ``generators`` is read.
+position, the leading monomial, the leading coefficient and the term dicts of
+each element led there, primitive integers over Q (every step is
+fraction-free) and monic over F_p.  Its monomials are ints (``_Packing``;
+Bachmann & Schoenemann 1998): n fields of ``width`` bits, field i holding
+M - e_i (M = 2^(width-1) - 1, x_{n-1} highest), the degree above them, so int
+order is grevlex; lex and block orders compare ``order.key`` of the tuple.  A
+product is a + b - P(1), b | a iff a - b + P(1) sets no field's top (guard)
+bit, and an lcm selects fields by guard bits.  An exponent past M sets a guard
+bit, and the call reruns twice as wide.  Polynomials are built on first use.
 
-S-pairs wait in a heap keyed (lcm degree, lcm, position, i, j), and each
+S-pairs wait in a heap keyed (lcm degree, lcm tuple, position, i, j), and each
 basis element's leading position and monomial is stored once, on insert.
 Inserting an element applies the Gebauer-Moeller criteria M, F and B
 (Gebauer & Moeller 1988) to the pairs in its position; the product
@@ -34,6 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     ContextMismatch,
@@ -49,8 +55,6 @@ from .polycore import (
     elimination_order,
     mono_deg,
     mono_div,
-    mono_lcm,
-    mono_mul,
     within_cap,
 )
 
@@ -89,8 +93,7 @@ class GroebnerBasis:
         return tuple(v[0] for v in self.module.generators)
 
     def normal_form(self, p):
-        m = self.module
-        return _normal_form((p,), m.table, m.order, m.context, m.domain)[0]
+        return self.module._normal_form((p,))[0]
 
     def contains(self, p):
         return self.normal_form(p).is_zero()
@@ -114,9 +117,9 @@ def buchberger_extended(gens, order=GREVLEX):
     ctx, dom = nonzero[0].context, nonzero[0].domain
     tagged = _tagged([(g,) for g in gens], ctx, dom)
     mgb = module_buchberger(tagged, 1 + len(gens), ctx, dom, order)
-    ideal = [_entry(v[:1], 0, m, dom.p) for m, _, _, v in mgb.table[0]]
+    ideal = [_entry(v[:1], 0, m, dom.p) for m, _, v in mgb.table[0]]
     cofactors = tuple(w[1:] for w in mgb.generators[: len(ideal)])
-    return GroebnerBasis(ModuleGroebnerBasis([ideal], 1, order, ctx, dom)), cofactors
+    return GroebnerBasis(ModuleGroebnerBasis([ideal], 1, order, ctx, dom, mgb.packing)), cofactors
 
 
 @lru_cache(maxsize=None)
@@ -291,15 +294,6 @@ def vec_is_zero(v):
     return all(c.is_zero() for c in v)
 
 
-def module_lt(v, order):
-    """Leading (position, monomial, coefficient) of a vector, or None."""
-    for i, c in enumerate(v):
-        if not c.is_zero():
-            m, coeff = c.leading_term(order)
-            return i, m, coeff
-    return None
-
-
 def _vec_check(vectors):
     ranks = {len(v) for v in vectors}
     if len(ranks) != 1:
@@ -312,20 +306,48 @@ def _vec_check(vectors):
     return ranks.pop(), ctx, dom
 
 
-class _Keys(dict):
-    """``order.key`` of each monomial, computed once per reduction or run."""
-
-    def __init__(self, order):
-        self.key = order.key
-
-    def __missing__(self, m):
-        k = self[m] = self.key(m)
-        return k
+class _Overflow(Exception):
+    """A packed exponent left its field."""
 
 
-def _mask(m):
-    """Support mask of a monomial: byte i is 1 when exponent i is positive."""
-    return int.from_bytes(bytes(map(bool, m)), "little")
+def _widening(run, n, cap):
+    """``run(packing)``, first with M at least twice the degree cap, then twice as wide after each overflow."""
+    width = (2 * max(cap, 1)).bit_length() + 1
+    while True:
+        try:
+            return run(_Packing(n, width))
+        except _Overflow:
+            width *= 2
+
+
+@lru_cache(maxsize=16)
+class _Packing:
+    """Monomials in ``n`` variables as ints of ``width``-bit fields, one instance
+    per layout, with bounded memos from tuples (``codes``) and back (``monos``)."""
+
+    def __init__(self, n, width):
+        self.top, self.limit, self._shifts = n * width, (1 << width - 1) - 1, range(0, n * width, width)
+        self._weights = [(1 << self.top) - (1 << s) for s in self._shifts]
+        self.one = sum(self.limit << s for s in self._shifts)  # P(1)
+        self.guards, self.low = sum(1 << s + width - 1 for s in self._shifts), (1 << self.top) - 1
+        self.codes, self.monos = lru_cache(maxsize=4096)(self._pack), lru_cache(maxsize=4096)(self._unpack)
+
+    def _pack(self, m):
+        if max(m, default=0) > self.limit:
+            raise _Overflow
+        return self.one + sum(map(mul, m, self._weights))
+
+    def _unpack(self, x):
+        return tuple([self.limit - (x >> s & self.limit) for s in self._shifts])
+
+    def lcm(self, a, b):
+        """The fields of lcm(a, b), degree left out: per field the smaller value."""
+        g = ((a | self.guards) - b) & self.guards  # where a's value is not smaller
+        return (a ^ (a ^ b) & (g - (g >> self._shifts.step - 1))) & self.low
+
+    def key(self, order):
+        """Sort key of packed monomials under ``order``: None, the int itself, for grevlex."""
+        return None if order.kind == "grevlex" else lru_cache(maxsize=4096)(lambda m: order.key(self.monos(m)))
 
 
 def _entry(v, pos, m, p):
@@ -342,19 +364,19 @@ def _entry(v, pos, m, p):
             v = [{t: a.numerator * (den // a.denominator) for t, a in comp.items()} for comp in v]
         g = gcd(*(a for comp in v for a in comp.values())) * (1 if lc > 0 else -1)
         v = v if g == 1 else [{t: a // g for t, a in comp.items()} for comp in v]
-    return m, _mask(m), v[pos][m], v
+    return m, v[pos][m], v
 
 
-def _reduce(work, reducers, key, dom):
-    """Reduce term dicts completely, in place; return (remainder, scale).
+def _reduce(work, reducers, key, dom, pk):
+    """Reduce packed term dicts completely, in place; return (remainder, scale).
 
-    ``reducers[pos]`` lists (leading monomial, mask, leading coefficient, term
+    ``reducers[pos]`` lists (leading monomial, leading coefficient, term
     dicts) of the elements led in position ``pos``, monic over F_p, primitive
     over Q, in the order tried.  A step over Q multiplies the whole vector,
     remainder included, and the scale by bc/g, g = gcd(c, bc), then subtracts
     (c/g)*x^q*b: the remainder is the returned one over the scale.
     """
-    p, field = dom.p, dom.is_field
+    p, field, one, guards = dom.p, dom.is_field, pk.one, pk.guards
     rem = [{} for _ in work]
     scale = 1
     # the leading position never moves back: reducers vanish before theirs
@@ -362,96 +384,107 @@ def _reduce(work, reducers, key, dom):
         while w:
             m = max(w, key=key)
             c = w[m]
-            outside = ~_mask(m)
-            for bm, bmask, bc, bterms in reducers[pos]:
-                if bmask & outside:
+            mo = m + one
+            for bm, bc, bterms in reducers[pos]:
+                if (mo - bm) & guards:
                     continue
-                q = mono_div(m, bm)
-                if q is not None:
-                    if not field:
-                        raise UnsupportedDomain(f"exact division is not available over {dom}")
-                    if not p:
-                        g = gcd(c, bc)
-                        a, c = bc // g, c // g
-                        if a != 1:
-                            scale *= a
-                            for d in chain(rem, work):
-                                for mk in d:
-                                    d[mk] *= a
-                    for k in range(pos, len(work)):
-                        wk = work[k]
-                        for bm2, bc2 in bterms[k].items():
-                            mq = mono_mul(bm2, q)
-                            s = wk.get(mq, 0) - bc2 * c
-                            if p:
-                                s %= p
-                            if s:
-                                wk[mq] = s
-                            else:
-                                del wk[mq]
-                    break
+                if not field:
+                    raise UnsupportedDomain(f"exact division is not available over {dom}")
+                if not p:
+                    g = gcd(c, bc)
+                    a, c = bc // g, c // g
+                    if a != 1:
+                        scale *= a
+                        for d in chain(rem, work):
+                            for mk in d:
+                                d[mk] *= a
+                q, made = m - bm, 0  # x^q*t packs as t + q
+                for k in range(pos, len(work)):
+                    wk = work[k]
+                    for t, a in bterms[k].items():
+                        t += q
+                        made |= t
+                        s = wk.get(t, 0) - a * c
+                        if p:
+                            s %= p
+                        if s:
+                            wk[t] = s
+                        else:
+                            del wk[t]
+                if made & guards:
+                    raise _Overflow
+                break
             else:
                 rem[pos][m] = c
                 del w[m]
     return rem, scale
 
 
-def _normal_form(v, table, order, ctx, dom):
-    """Complete normal form of a vector against a reducer table.  Over Q the
-    input's denominators are cleared once and divided out, with the scale, at the end."""
+def _normal_form(v, table, pk, order, ctx, dom):
+    """Complete normal form of a vector against a reducer table packed by ``pk``.  Over
+    Q the input's denominators are cleared once and divided out, with the scale, at the end."""
     if not any(table):
         return tuple(v)
     den = lcm(*(a.denominator for c in v for a in c.terms.values()))  # 1 unless a Fraction is met
-    work = [{m: a.numerator * (den // a.denominator) for m, a in c.terms.items()} if den != 1
-            else dict(c.terms) for c in v]
-    rem, scale = _reduce(work, table, _Keys(order).__getitem__, dom)
+    work = [{pk.codes(m): a.numerator * (den // a.denominator) if den != 1 else a for m, a in c.terms.items()}
+            for c in v]
+    rem, scale = _reduce(work, table, pk.key(order), dom, pk)
     d = den * scale  # 1 over F_p
-    if d != 1:
-        rem = [{m: dom.div(a, d) for m, a in r.items()} for r in rem]
-    return tuple(Polynomial._clean(ctx, dom, r) for r in rem)
+    return tuple(Polynomial._clean(ctx, dom, {pk.monos(m): a if d == 1 else dom.div(a, d) for m, a in r.items()})
+                 for r in rem)
 
 
 def module_normal_form(v, basis, order=GREVLEX):
     """Complete normal form of a vector against module generators, in order."""
-    table = [[] for _ in v]
-    for b in basis:
-        lt = module_lt(b, order)
-        if lt is not None:
-            table[lt[0]].append(_entry([c.terms for c in b], lt[0], lt[1], b[0].domain.p))
-    return _normal_form(v, table, order, v[0].context, v[0].domain)
+    def run(pk):
+        table, key = [[] for _ in v], pk.key(order)
+        for b in basis:
+            vec = [{pk.codes(m): a for m, a in c.terms.items()} for c in b]
+            pos = next((k for k, comp in enumerate(vec) if comp), None)
+            if pos is not None:
+                table[pos].append(_entry(vec, pos, max(vec[pos], key=key), b[0].domain.p))
+        return _normal_form(v, table, pk, order, v[0].context, v[0].domain)
+    return _widening(run, len(v[0].context), degree_cap.get())
 
 
 @dataclass(frozen=True, eq=False)
 class ModuleGroebnerBasis:
     """Reduced Groebner basis of a submodule of a free module; ``table[pos]``
-    lists its elements led in position ``pos`` as ``_reduce`` takes them."""
+    lists its elements led in position ``pos`` as ``_reduce`` takes them, packed by ``packing``."""
 
     table: list
     rank: int
     order: object
     context: VariableContext
     domain: object
+    packing: _Packing = None
 
     @cached_property
     def generators(self):
         """The basis as monic vectors, in position order, built on first use."""
-        ctx, dom = self.context, self.domain
+        ctx, dom, monos = self.context, self.domain, getattr(self.packing, "monos", None)
         return tuple(
-            tuple(Polynomial._clean(ctx, dom, comp if c == 1 else {m: dom.div(a, c) for m, a in comp.items()})
+            tuple(Polynomial._clean(ctx, dom, {monos(m): a if c == 1 else dom.div(a, c) for m, a in comp.items()})
                   for comp in v)
-            for entries in self.table for _, _, c, v in entries
+            for entries in self.table for _, c, v in entries
         )
 
     def normal_form(self, v):
         if len(v) != self.rank:
             raise ShapeMismatch(f"vector rank {len(v)} != module rank {self.rank}")
-        return _normal_form(v, self.table, self.order, self.context, self.domain)
+        return self._normal_form(v)
+
+    def _normal_form(self, v):
+        try:
+            return _normal_form(v, self.table, self.packing, self.order, self.context, self.domain)
+        except _Overflow:  # the same reducers, packed wider
+            return module_normal_form(v, self.generators, self.order)
 
     def contains(self, v):
         return vec_is_zero(self.normal_form(v))
 
     def leading_positions(self):
-        return tuple((pos, m) for pos, entries in enumerate(self.table) for m, *_ in entries)
+        return tuple((pos, self.packing.monos(m)) for pos, entries in enumerate(self.table) for m, *_ in entries)
 
 
 def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
@@ -468,17 +501,21 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
         raise ShapeMismatch("vectors do not match the declared module shape")
     if not dom.is_field:
         raise UnsupportedDomain("Groebner bases require a field domain")
+    return _widening(lambda pk: _buchberger(vectors, rank, ctx, dom, order, cap, pk), len(ctx), cap)
 
-    key, p = _Keys(order).__getitem__, dom.p
+
+def _buchberger(vectors, rank, ctx, dom, order, cap, pk):
+    """The body of ``module_buchberger``, on monomials packed by ``pk``."""
+    key, p, top, one, guards, low = pk.key(order), dom.p, pk.top, pk.one, pk.guards, pk.low
     basis, leads = [], []  # reducer entries (see _reduce) and their (position, monomial)
     reducers = [[] for _ in range(rank)]  # basis entries per position, in basis order
     live = []  # elements whose leading term no later element's divides
-    pairs = []  # heap of (deg lcm, lcm, position, i, j)
+    pairs = []  # heap of (deg lcm, lcm tuple, position, i, j, lcm)
 
     def insert(v):
         nonlocal pairs
         for comp in v:
-            within_cap(max(map(mono_deg, comp), default=-1), cap)
+            within_cap(max(comp) >> top if comp else -1, cap)
         pos = next(k for k, comp in enumerate(v) if comp)
         m = max(v[pos], key=key)
         new = len(basis)
@@ -490,9 +527,9 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
         kept = [
             pair for pair in pairs
             if pair[2] != pos
-            or mono_div(pair[1], m) is None
-            or mono_lcm(leads[pair[3]][1], m) == pair[1]
-            or mono_lcm(leads[pair[4]][1], m) == pair[1]
+            or (pair[5] + one - m) & guards
+            or pk.lcm(leads[pair[3]][1], m) == pair[5] & low
+            or pk.lcm(leads[pair[4]][1], m) == pair[5] & low
         ]
         if len(kept) != len(pairs):
             heapq.heapify(kept)
@@ -503,44 +540,46 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
         for i in live:
             ipos, mi = leads[i]
             if ipos == pos:
-                lcm = mono_lcm(mi, m)
-                coprime = rank == 1 and mono_deg(lcm) == mono_deg(mi) + mono_deg(m)
+                lcm = pk.lcm(mi, m)
+                coprime = rank == 1 and lcm == (mi + m - one) & low
                 todo.append((lcm, i, coprime))
         done = []
         while todo:
             lcm, i, coprime = cand = todo.pop(0)
-            if coprime or all(mono_div(lcm, other[0]) is None for other in todo + done):
+            if coprime or all((lcm + one - other[0]) & guards for other in todo + done):
                 done.append(cand)
         for lcm, i, coprime in done:
             if not coprime:
-                heapq.heappush(pairs, (mono_deg(lcm), lcm, pos, i, new))
-        live[:] = [i for i in live if leads[i][0] != pos or mono_div(leads[i][1], m) is None]
+                t = pk.monos(lcm)
+                heapq.heappush(pairs, (sum(t), t, pos, i, new, lcm + (sum(t) << top)))
+        live[:] = [i for i in live if leads[i][0] != pos or (leads[i][1] + one - m) & guards]
         live.append(new)
 
     for v in vectors:
-        insert([comp.terms for comp in v])
+        insert([{pk.codes(m): a for m, a in c.terms.items()} for c in v])
     while pairs:
-        _, lcm, _, i, j = heapq.heappop(pairs)
-        # the S-vector (c_j/g)*x^a*b_i - (c_i/g)*x^b*b_j, g = gcd(c_i, c_j)
-        _, _, ci, bi = basis[i]
-        _, _, cj, bj = basis[j]
+        *_, i, j, lcm = heapq.heappop(pairs)
+        # the S-vector (c_j/g)*x^a*b_i - (c_i/g)*x^b*b_j, g = gcd(c_i, c_j); basis
+        # exponents are at most the cap, so its own, at most twice that, fit
+        _, ci, bi = basis[i]
+        _, cj, bj = basis[j]
         g = gcd(ci, cj)
         ci, cj = ci // g, cj // g
-        qi, qj = mono_div(lcm, leads[i][1]), mono_div(lcm, leads[j][1])
-        s = [{mono_mul(mono, qi): a * cj for mono, a in comp.items()} for comp in bi]
+        qi, qj = lcm - leads[i][1], lcm - leads[j][1]
+        s = [{t + qi: a * cj for t, a in comp.items()} for comp in bi]
         for d, comp in zip(s, bj):
-            for mono, a in comp.items():
-                mono = mono_mul(mono, qj)
-                a = d.get(mono, 0) - a * ci
+            for t, a in comp.items():
+                t += qj
+                a = d.get(t, 0) - a * ci
                 if p:
                     a %= p
                 if a:
-                    d[mono] = a
+                    d[t] = a
                 else:
-                    del d[mono]
+                    del d[t]
         # superseded elements still reduce: their short tails keep
         # coefficients small, where reducing by survivors alone swells them
-        r, _ = _reduce(s, reducers, key, dom)
+        r, _ = _reduce(s, reducers, key, dom, pk)
         if any(r):
             insert(r)
 
@@ -549,21 +588,21 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
     minimal = [
         i for i in live
         if not any(
-            j != i and leads[j][0] == leads[i][0] and mono_div(leads[i][1], leads[j][1]) is not None
+            j != i and leads[j][0] == leads[i][0] and not (leads[i][1] + one - leads[j][1]) & guards
             for j in live
         )
     ]
-    minimal.sort(key=lambda i: (leads[i][0], key(leads[i][1])))
+    minimal.sort(key=lambda i: (leads[i][0], leads[i][1] if key is None else key(leads[i][1])))
     table = [[] for _ in range(rank)]
     for i in minimal:
         pos, m = leads[i]
         entry = basis[i]
         if len(minimal) > 1:  # the leading term is never reduced
             others = [[basis[k] for k in minimal if k != i and leads[k][0] == q] for q in range(rank)]
-            r, _ = _reduce([dict(comp) for comp in entry[3]], others, key, dom)
+            r, _ = _reduce([dict(comp) for comp in entry[2]], others, key, dom, pk)
             entry = _entry(r, pos, m, p)
         table[pos].append(entry)
-    return ModuleGroebnerBasis(table, rank, order, ctx, dom)
+    return ModuleGroebnerBasis(table, rank, order, ctx, dom, pk)
 
 
 def _tagged(vectors, ctx, dom):

@@ -221,10 +221,6 @@ def mono_div(a, b):
     return q if min(q, default=0) >= 0 else None
 
 
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a):
     return sum(a)
 

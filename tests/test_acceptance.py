@@ -29,7 +29,6 @@ from conftest import DATA, run_cli, scrub_timings
 from theta_sections import random_theta_section
 from tangentcat.cdc import (
     add_maps,
-    cdc_context,
     classify_cdc_map,
     classify_linear,
     differential,

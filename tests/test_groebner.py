@@ -24,7 +24,6 @@ from tangentcat.groebner import (
     groebner_basis,
     ideal_basis,
     module_buchberger,
-    module_lt,
     module_normal_form,
     morphism_graph,
     normal_form,
@@ -40,12 +39,25 @@ from tangentcat.polycore import (
     elimination_order,
     mono_deg,
     mono_div,
-    mono_lcm,
     poly_parse,
     prime_field,
 )
 
 XY = context("x", "y")
+
+
+def module_lt(v, order):
+    """Leading (position, monomial, coefficient) of a vector, or None."""
+    for i, c in enumerate(v):
+        if not c.is_zero():
+            m, coeff = c.leading_term(order)
+            return i, m, coeff
+    return None
+
+
+def mono_lcm(a, b):
+    """The lcm of exponent tuples, for the reference loops."""
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def vec_sub(u, v):
@@ -756,14 +768,73 @@ def test_a_later_step_scales_the_remainder_collected_before_it():
 
 
 def test_normal_form_past_sixty_four_variables():
-    # leading monomials in variables 64..69 put the mask bits past 64
+    # leading monomials in variables 64..69 put their fields past bit 64:
+    # the degree sits above 70 fields of 9 bits, field i holding M - e_i
     ctx = context(*(f"x{i}" for i in range(70)))
-    assert groebner._mask((1,) + (0,) * 63 + (2, 0, 0, 0, 0, 1)) == 1 | 1 << 8 * 64 | 1 << 8 * 69
+    pk = groebner._Packing(70, 9)
+    m = (1,) + (0,) * 63 + (2, 0, 0, 0, 0, 1)
+    assert pk.codes(m) == (4 << 9 * 70) + pk.one - (1 + (2 << 9 * 64) + (1 << 9 * 69))
+    assert pk.monos(pk.codes(m)) == m
     gens = [poly_parse(text, ctx, QQ) for text in ("x69*x0 - x68", "x66^2 - 2*x65", "3*x64*x67 + x1")]
     p = poly_parse("x69^2*x0^2 + x66^3*x67 + x64^2*x67^2*x69 + x2", ctx, QQ)
     basis = [(g,) for g in gens]
     assert exact(module_normal_form((p,), basis, GREVLEX)) == exact(reference_normal_form((p,), basis, GREVLEX))
     assert str(normal_form(p, gens)) == "2*x65*x66*x67 + 1/9*x1^2*x69 + x68^2 + x2"
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 70])
+@pytest.mark.parametrize("width", [2, 5, 9, 33])
+def test_packed_monomials_agree_with_the_tuple_functions(n, width):
+    pk = groebner._Packing(n, width)
+    top = pk.limit
+    rng = random.Random(n * 100 + width)
+
+    def mono(bound=top):
+        return tuple(rng.choice((0, 1, bound, rng.randint(0, bound))) for _ in range(n))
+
+    for _ in range(60):
+        a = mono()
+        b = mono() if rng.random() < 0.5 else tuple(rng.randint(0, e) for e in a)  # often b | a
+        ca, cb = pk.codes(a), pk.codes(b)
+        assert pk.monos(ca) == a and pk.monos(cb) == b and ca >> pk.top == mono_deg(a)
+        assert (ca > cb) - (ca < cb) == (GREVLEX.key(a) > GREVLEX.key(b)) - (GREVLEX.key(a) < GREVLEX.key(b))
+        assert (not (ca - cb + pk.one) & pk.guards) == (mono_div(a, b) is not None)
+        assert pk.monos(pk.lcm(ca, cb)) == mono_lcm(a, b)
+        # a product decodes to the sum when every exponent fits, and else sets a guard bit
+        product = tuple(x + y for x, y in zip(a, b))
+        if max(product, default=0) <= top:
+            assert pk.monos(ca + cb - pk.one) == product
+        else:
+            assert (ca + cb - pk.one) & pk.guards
+    if n:
+        with pytest.raises(groebner._Overflow):
+            pk.codes((top + 1,) + (0,) * (n - 1))
+
+
+def test_exponents_past_the_first_packing_width_give_the_same_results():
+    # values recorded from the engine before it packed monomials: x^100000
+    # is far past the fields of a default-cap basis, so each call reruns at a
+    # wider packing, and lex and block orders do not bound it by the degree
+    p = Polynomial(XY, QQ, {(100000, 1): 1, (0, 1): 1})
+    for order in (GREVLEX, LEX, elimination_order(1)):
+        assert str(ideal_basis((qq("x^2 - x"),), XY, QQ, order).normal_form(p)) == "x*y + y"
+    token = degree_cap.set(100000)
+    try:
+        gb = groebner_basis((qq("x^100000 - 1"), qq("x^2*y - y")))
+        assert [str(g) for g in gb.generators] == ["x^2*y - y", "x^100000 - 1"]
+        assert str(gb.normal_form(qq("x^99999*y^2 + x^3"))) == "x^3 + x*y^2"
+    finally:
+        degree_cap.reset(token)
+    # products past the fields of a cap-1000 packing, made while reducing
+    xyz = context("x", "y", "z")
+    token = degree_cap.set(1000)
+    try:
+        gb = ideal_basis((qq("x - y^1000", xyz),), xyz, QQ, LEX)
+        assert str(gb.normal_form(qq("x^3 + z", xyz))) == "y^3000 + z"
+        with pytest.raises(ResourceLimit, match="degree 3001 exceeds the degree cap 1000"):
+            groebner_basis((qq("x - y^1000", xyz), qq("x^3*z - 1", xyz)), LEX)
+    finally:
+        degree_cap.reset(token)
 
 
 def test_reducers_are_not_shared_across_order_domain_or_rank():

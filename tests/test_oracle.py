@@ -1,6 +1,5 @@
 """Randomized corroboration and certificate replay."""
 
-import math
 import random
 from fractions import Fraction
 

@@ -87,3 +87,19 @@ def test_every_top_level_definition_has_a_caller():
         and used[node.name] == _referenced(node)[node.name]
     )
     assert unused == []
+
+
+def test_every_imported_name_is_read():
+    """A name a package module imports is read in that module; ``__init__.py``
+    may export it through ``__all__`` instead."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read |= _all_names()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                unread += [(path.name, name) for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                           if name not in read]
+    assert unread == []
