@@ -13,14 +13,14 @@ subtraction is needed to compare two sides, which keeps the checks valid over N.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .classify import (
     PREDICATES,
-    ClassificationReport,
     and3,
-    coherence_check,
+    build_report,
     fails,
     from_bool,
     holds,
@@ -500,6 +500,7 @@ def classify_linear(rows, domain, name="f", arity_in=None):
     N the kernel and injectivity are decided combinatorially and the
     epimorphism-flavoured predicates stay undetermined.
     """
+    t0 = time.perf_counter()
     m = len(rows)
     n = arity_in if arity_in is not None else (len(rows[0]) if rows else 0)
     for row in rows:
@@ -584,35 +585,20 @@ def classify_linear(rows, domain, name="f", arity_in=None):
         "split_T_submersion": split_status,
         "T_etale": etale_status,
     }
-    predicates["monic_T_etale"] = and3(inj_status, split_status)
-    coherence = coherence_check(predicates, has_negation=domain.has_negation)
-    return ClassificationReport(
-        instance="cdc-linear",
-        morphism=name,
-        base=None,
-        predicates=predicates,
-        coherence=coherence,
-        annotations=_linear_annotations(rows, domain),
-        timings_ms={},
-    )
+    return build_report("cdc-linear", name, None, predicates, t0,
+                        _linear_annotations(rows, domain), domain.has_negation)
 
 
 def classify_cdc_map(f, name="f"):
     """Classify a polynomial map; only the (affine-)linear fragment decides."""
+    t0 = time.perf_counter()
     rows = linear_matrix(f)
     if rows is None:
         reason = "only the linear fragment is classified; this map is nonlinear"
         predicates = {key: undetermined(reason) for key in PREDICATES}
         degree = max(c.degree() for c in f.components) if f.components else 0
-        return ClassificationReport(
-            instance="cdc-linear",
-            morphism=name,
-            base=None,
-            predicates=predicates,
-            coherence=coherence_check(predicates, has_negation=f.domain.has_negation),
-            annotations={"degree": degree},
-            timings_ms={},
-        )
+        return build_report("cdc-linear", name, None, predicates, t0,
+                            {"degree": degree}, f.domain.has_negation)
     return classify_linear(rows, f.domain, name, arity_in=f.arity_in)
 
 

@@ -62,11 +62,7 @@ class PredicateStatus:
 
     @property
     def value(self):
-        if self.status == HOLDS:
-            return True
-        if self.status == FAILS:
-            return False
-        return None
+        return {HOLDS: True, FAILS: False}.get(self.status)
 
     def to_json(self):
         out = {"status": self.status, "evidence": self.evidence}
@@ -181,6 +177,17 @@ def coherence_check(predicates, has_negation=True):
     return results
 
 
+def build_report(instance, name, base, predicates, t0, annotations=None, has_negation=True):
+    """Assemble a report: derive monic T-etale unless the caller set it,
+    check the coherence laws and stamp the time since ``t0``."""
+    if "monic_T_etale" not in predicates:
+        predicates["monic_T_etale"] = and3(predicates["T_monic"], predicates["split_T_submersion"])
+    coherence = coherence_check(predicates, has_negation)
+    total = round((time.perf_counter() - t0) * 1000.0, 3)
+    return ClassificationReport(instance, name, base, predicates, coherence,
+                                annotations or {}, {"total": total})
+
+
 # ---------------------------------------------------------------------------
 # commutative-algebra instance: the bundle map lands in A x B
 
@@ -230,19 +237,7 @@ def classify_calg(f, name="f", base_name=None):
         "split_T_submersion": split_status,
     }
     predicates["T_etale"] = and3(inj_status, surj_status)
-    predicates["monic_T_etale"] = and3(inj_status, split_status)
-
-    coherence = coherence_check(predicates, has_negation=True)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return ClassificationReport(
-        instance="calg",
-        morphism=name,
-        base=base_name,
-        predicates=predicates,
-        coherence=coherence,
-        annotations={},
-        timings_ms={"total": round(elapsed, 3)},
-    )
+    return build_report("calg", name, base_name, predicates, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +283,13 @@ def classify_affine(f, name="f", base_name=None):
         "split_T_submersion": split_status,
         "T_etale": etale_status,
     }
-    predicates["monic_T_etale"] = and3(monic_status, split_status)
 
-    annotations = {}
     jac, jac_ev = jacobian_split_verdict(f.target)
-    if jac is True:
-        annotations["jacobian_criterion"] = {"verdict": "passes", **jac_ev}
-    elif jac is False:
-        annotations["jacobian_criterion"] = {"verdict": "fails", **jac_ev}
-    else:
-        annotations["jacobian_criterion"] = {"verdict": "undetermined", **jac_ev}
+    verdict = {True: "passes", False: "fails", None: "undetermined"}[jac]
+    annotations = {"jacobian_criterion": {"verdict": verdict, **jac_ev}}
     if etale_status.status == HOLDS and jac is False:
         annotations["note"] = (
             "tangent-etale but not formally etale: the Jacobian splitting "
             "criterion fails for the target presentation"
         )
-
-    coherence = coherence_check(predicates, has_negation=True)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return ClassificationReport(
-        instance="affine",
-        morphism=name,
-        base=base_name,
-        predicates=predicates,
-        coherence=coherence,
-        annotations=annotations,
-        timings_ms={"total": round(elapsed, 3)},
-    )
+    return build_report("affine", name, base_name, predicates, t0, annotations)

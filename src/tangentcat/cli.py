@@ -357,7 +357,7 @@ _SUMMARY_KEYS = (
     "kernel", "codiagonal_kernel", "kernel_vector", "right_inverse",
     "rank", "rational_rank", "determinant", "smith_invariants",
     "zero_columns", "preimages", "missing_preimages", "route",
-    "dimension", "surviving_generator", "reason", "note",
+    "surviving_generator", "reason", "note",
 )
 
 

@@ -375,12 +375,11 @@ def linear_section_exists(f):
 
 @dataclass(frozen=True)
 class Pushout:
-    """B ⊗_A C with its two coprojections and the names given to C's variables."""
+    """B ⊗_A C with its two coprojections."""
 
     algebra: AlgebraPresentation
     into_left: AlgebraMorphism
     into_right: AlgebraMorphism
-    right_names: tuple
 
 
 def glued_algebra(f, g):
@@ -412,7 +411,7 @@ def pushout(f, g):
         raise BaseMismatch("pushout targets over different bases")
     P, embed_c = glued_algebra(f, g)
     nB, over = len(B.context), B.base is not None
-    return Pushout(P, _variable_map(B, P, range(nB), over), _variable_map(C, P, embed_c, over), P.context.names[nB:])
+    return Pushout(P, _variable_map(B, P, range(nB), over), _variable_map(C, P, embed_c, over))
 
 
 def codiagonal(push, f):

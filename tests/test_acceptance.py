@@ -64,6 +64,7 @@ from tangentcat.kahler import (
 )
 from tangentcat.modlin import (
     coords,
+    echelon,
     fd_basis,
     matrix_rank,
     retraction_solve_matrices,
@@ -297,6 +298,42 @@ def test_criterion_05_immersion_iff_unramified(random_suite):
         assert immersion == unramified, f.var_images
     verdicts = {row[2] for row in random_suite}
     assert verdicts == {True, False}  # both outcomes are exercised
+
+
+def _macaulay_is_zero(M):
+    """M = B^r / <relations> is zero exactly when the products m·rel, for m on
+    B's staircase and each relation rel, span all r·dim(B) coordinates once
+    reduced into that staircase: one echelon and B's ring basis, no module
+    basis."""
+    B = M.algebra
+    staircase = B.finite_basis()
+    d = len(staircase)
+    column = {mono: i for i, mono in enumerate(staircase)}
+    rows = []
+    for mono in staircase:
+        m = Polynomial(B.context, B.domain, {mono: B.domain.one()})
+        for rel in M.relations:
+            rows.append({pos * d + column[t]: c
+                         for pos, entry in enumerate(rel)
+                         for t, c in B.reduce(m * entry).terms.items()})
+    return len(echelon(rows, B.domain).pivots) == M.rank * d
+
+
+def test_zero_module_verdicts_agree_with_a_macaulay_echelon(random_suite, monkeypatch):
+    """The cokernel and relative-differentials verdicts of all 200 morphisms,
+    rechecked by linear algebra that builds no module Groebner basis."""
+    modules = [(seq.cokernel, imm) for _f, seq, imm, _unr in random_suite]
+    modules += [(relative_kahler(f), unr) for f, _seq, _imm, unr in random_suite]
+    real = groebner.module_buchberger
+
+    def ring_bases_only(vectors, rank, *args):
+        assert rank == 1, "the echelon check built a module basis"
+        return real(vectors, rank, *args)
+
+    monkeypatch.setattr(groebner, "module_buchberger", ring_bases_only)
+    verdicts = [_macaulay_is_zero(M) for M, _ in modules]
+    assert verdicts == [zero for _, zero in modules]
+    assert verdicts.count(True) == 120 and verdicts.count(False) == 280
 
 
 def test_finite_and_general_monic_routes_agree(random_suite):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tangentcat.cdc import cdc_context, cdc_map, classify_cdc_map
 from tangentcat.classify import (
     and3,
     classify_affine,
@@ -129,6 +130,23 @@ def test_report_serialization_shape():
     assert doc["morphism"] == "point"
     assert doc["base"] is None
     assert list(doc["predicates"]) == list(ORDER)
+
+
+def test_every_instance_stamps_a_total_time():
+    """calg, affine and both cdc-linear branches time their reports, and a
+    monic T-etale verdict the caller set is kept as it is."""
+    ctx = cdc_context(2)
+    shear = cdc_map(QQ, 2, (poly_parse("x1 + x2", ctx, QQ), poly_parse("x2", ctx, QQ)))
+    cube = cdc_map(QQ, 2, (poly_parse("x1^3", ctx, QQ),))
+    trunc = build_morphisms()["trunc"]
+    reports = [classify_calg(trunc), classify_affine(trunc),
+               classify_cdc_map(shear), classify_cdc_map(cube)]
+    for report in reports:
+        assert list(report.timings_ms) == ["total"]
+        assert isinstance(report.timings_ms["total"], float)
+        assert report.timings_ms["total"] >= 0
+    nonlinear = reports[-1].predicates
+    assert nonlinear["monic_T_etale"].reason == nonlinear["T_monic"].reason
 
 
 # --- coherence laws in isolation --------------------------------------------

@@ -103,3 +103,34 @@ def test_every_imported_name_is_read():
                 unread += [(path.name, name) for name in (a.asname or a.name.split(".")[0] for a in node.names)
                            if name not in read]
     assert unread == []
+
+
+def _is_dataclass(node):
+    """``@dataclass`` or ``@dataclass(...)`` decorates the class."""
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    """A field of a package dataclass is read as an attribute somewhere in the
+    package, the benchmark, the tests or the demos; a field nothing reads is
+    dead data."""
+    read = set()
+    for folder in ("src", "bench", "tests", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            read |= {
+                n.attr
+                for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            }
+    unread = sorted(
+        f"{node.name}.{item.target.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and item.target.id not in read
+    )
+    assert unread == []
