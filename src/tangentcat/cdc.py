@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedDomain,
 )
 from .modlin import echelon, rational_rank, smith_form, smith_right_inverse
-from .polycore import QQ, Polynomial, VariableContext, settle
+from .polycore import QQ, Polynomial, VariableContext, settle, substitute_all
 
 
 MAX_ARITY = 1000  # cdc_context(n) names every variable and each monomial is an n-tuple
@@ -108,21 +108,15 @@ def zero_map(domain, n, m, context=None):
 
 
 def compose(g, f):
-    """g after f."""
+    """g after f: all of g's components in one substitution pass."""
     if g.arity_in != f.arity_out:
         raise ArityMismatch(
             f"cannot compose {g.arity_in}-ary map after a map with {f.arity_out} outputs"
         )
     if g.domain != f.domain:
         raise DomainMismatch("composition across domains")
-    if g.arity_in == 0:
-        comps = tuple(
-            Polynomial.constant(f.context, f.domain, c.constant_value())
-            for c in g.components
-        )
-    else:
-        comps = tuple(c.substitute(f.components) for c in g.components)
-    return CdcMap(f.domain, f.context, comps)
+    comps = substitute_all(g.components, f.components, f.context, f.domain)
+    return CdcMap(f.domain, f.context, tuple(comps))
 
 
 def pair(f, g):
@@ -606,15 +600,20 @@ def classify_cdc_map(f, name="f"):
 # deterministic random maps for the verification suites
 
 def random_polynomial(rng, ctx, domain, max_degree=2, max_terms=3):
-    p = Polynomial.zero(ctx, domain)
-    nvars = len(ctx)
+    """Up to ``max_terms`` random terms summed in draw order; equal monomials merge."""
+    nvars, p = len(ctx), domain.p
     lo = -3 if domain.has_negation else 0
+    terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = [0] * nvars
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.randrange(nvars)] += 1
-        p = p + Polynomial(ctx, domain, {tuple(mono): rng.randint(lo, 3)})
-    return p
+        mono = tuple(mono)
+        s = terms.get(mono, 0) + rng.randint(lo, 3)
+        terms[mono] = s % p if p else s
+        if not terms[mono]:  # a cancelled term leaves; the others keep their places
+            del terms[mono]
+    return Polynomial._clean(ctx, domain, terms)
 
 
 def random_cdc_map(rng, domain, arity_in, arity_out, max_degree=2, max_terms=3):

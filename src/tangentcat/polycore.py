@@ -322,7 +322,7 @@ class Polynomial:
     def variable(context, domain, i):
         if not 0 <= i < len(context):
             raise IndexOutOfRange(f"variable index {i} out of range")
-        mono = tuple(1 if j == i else 0 for j in range(len(context)))
+        mono = (0,) * i + (1,) + (0,) * (len(context) - 1 - i)
         return Polynomial._clean(context, domain, {mono: domain.one()})
 
     # -- basic queries -----------------------------------------------------
@@ -491,31 +491,7 @@ class Polynomial:
                 raise DomainMismatch("substitution images disagree on domain")
         if dom != self.domain:
             raise DomainMismatch("substitution across domains is not defined")
-        one = Polynomial.one(ctx, dom)
-        powers = [[one] for _ in images]
-
-        def power(i, e):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * images[i])
-            return cache[e]
-
-        zero, p = dom.zero(), dom.p
-        total = {}
-        for m, c in self.terms.items():
-            acc = one
-            for i, e in enumerate(m):
-                if e:
-                    acc = power(i, e) if acc is one else acc * power(i, e)
-            for m2, c2 in acc.terms.items():
-                s = total.get(m2, zero) + c * c2
-                if p:
-                    s %= p
-                if s:
-                    total[m2] = s
-                else:
-                    del total[m2]
-        return Polynomial._clean(ctx, dom, settle(dom, total))
+        return substitute_all((self,), images, ctx, dom)[0]
 
     def rename(self, new_context, index_map):
         """Transport into ``new_context``, sending old variable i to index_map[i].
@@ -603,6 +579,50 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.to_str()!r})"
+
+
+def substitute_all(polys, images, context, domain):
+    """Compose each of ``polys`` with ``images``, one image per variable.
+
+    The images must all live over ``context`` and ``domain``; the callers
+    check that once.  The powers of each image are built on first use and
+    shared by every polynomial, and a lone term with coefficient 1 (a unit
+    variable, say) comes back as its product of powers itself.
+    """
+    one = Polynomial.one(context, domain)
+    zero, p = domain.zero(), domain.p
+    powers = [None] * len(images)
+
+    def image_of(m):
+        acc = one
+        for i, e in enumerate(m):
+            if e:
+                cache = powers[i]
+                if cache is None:
+                    cache = powers[i] = [one, images[i]]
+                while len(cache) <= e:
+                    cache.append(cache[-1] * images[i])
+                acc = cache[e] if acc is one else acc * cache[e]
+        return acc
+
+    out = []
+    for poly in polys:
+        terms = poly.terms
+        if len(terms) == 1 and 1 in terms.values():
+            out.append(image_of(next(iter(terms))))
+            continue
+        total = {}
+        for m, c in terms.items():
+            for m2, c2 in image_of(m).terms.items():
+                s = total.get(m2, zero) + c * c2
+                if p:
+                    s %= p
+                if s:
+                    total[m2] = s
+                else:
+                    del total[m2]
+        out.append(Polynomial._clean(context, domain, settle(domain, total)))
+    return out
 
 
 # ---------------------------------------------------------------------------

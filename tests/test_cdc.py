@@ -24,6 +24,7 @@ from tangentcat.cdc import (
     pick,
     projection_map,
     random_cdc_map,
+    random_polynomial,
     reindex,
     section_context,
     tangent,
@@ -35,7 +36,7 @@ from tangentcat.cdc import (
 )
 from tangentcat import cdc
 from tangentcat.errors import InconsistentClassification, NotASection, UnsupportedDomain
-from tangentcat.polycore import NN, QQ, ZZ, poly_parse, prime_field
+from tangentcat.polycore import NN, QQ, ZZ, Polynomial, poly_parse, prime_field
 
 from conftest import run_cli
 from theta_sections import random_theta_section
@@ -117,6 +118,48 @@ def test_theta_laws_reduce_to_zero(seed):
     g = random_cdc_map(rng, QQ, 2, 1, max_degree=3)
     assert zero_diff(theta_composition_sides(f, g))
     assert zero_diff(theta_flip_sides(f))
+
+
+@pytest.mark.parametrize("dom", (QQ, F5, ZZ, NN), ids=str)
+def test_compose_through_empty_shapes(dom):
+    """A 0-ary inner map feeds constants; a map with no outputs feeds none."""
+    g = mk(dom, 3, ("2*x1 + x2*x3", "2*x1", "x3", "x1^2", "0"))
+    point = mk(dom, 0, ("2", "0", "1"))
+    h = compose(g, point)
+    assert h.context == point.context and h.arity_out == 5
+    assert [str(c) for c in h.components] == ["4", "4", "1", "4", "0"]
+    nothing = mk(dom, 2, ())
+    const = mk(dom, 0, ("3", "0", "1"))
+    k = compose(const, nothing)
+    assert k.context == nothing.context
+    assert k.components == tuple(poly_parse(t, nothing.context, dom) for t in ("3", "0", "1"))
+    assert compose(mk(dom, 0, ()), nothing).components == ()
+    # a lone scaled variable is not passed through as its image
+    f = mk(dom, 2, ("x1 + x2", "x1*x2", "1"))
+    expected = ("2*x1 + 2*x2 + x1*x2", "2*x1 + 2*x2", "1", "x1^2 + 2*x1*x2 + x2^2", "0")
+    assert compose(g, f).components == tuple(poly_parse(t, f.context, dom) for t in expected)
+
+
+def reference_random_polynomial(rng, ctx, domain, max_degree=2, max_terms=3):
+    """The same draws summed as one-term polynomials, one addition each."""
+    p = Polynomial.zero(ctx, domain)
+    lo = -3 if domain.has_negation else 0
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * len(ctx)
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(len(ctx))] += 1
+        p = p + Polynomial(ctx, domain, {tuple(mono): rng.randint(lo, 3)})
+    return p
+
+
+@pytest.mark.parametrize("dom", (QQ, F5, prime_field(2), ZZ, NN), ids=str)
+def test_random_polynomial_matches_summed_terms(dom):
+    """Same draws, same cancellations, same first-seen term order."""
+    for seed in range(200):
+        n = 1 + seed % 3
+        got = random_polynomial(random.Random(seed), cdc_context(n), dom, 2, 5)
+        ref = reference_random_polynomial(random.Random(seed), cdc_context(n), dom, 2, 5)
+        assert got == ref and list(got.terms.items()) == list(ref.terms.items())
 
 
 def test_structure_maps_compose_by_reindexing():

@@ -25,6 +25,7 @@ from tangentcat.polycore import (
     elimination_order,
     poly_parse,
     prime_field,
+    substitute_all,
     _is_prime,
 )
 
@@ -263,6 +264,97 @@ def test_substitute_composes():
     images = (qq("y + 1"), qq("x*y"))
     q = p.substitute(images)
     assert q == qq("(y + 1)^2 + x*y")
+
+
+def reference_substitute(poly, images):
+    """One polynomial at a time, each with its own power table starting at 1:
+    the substitution loop the shared kernel replaced, kept as its reference."""
+    ctx, dom = images[0].context, images[0].domain
+    one = Polynomial.one(ctx, dom)
+    powers = [[one] for _ in images]
+
+    def power(i, e):
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(cache[-1] * images[i])
+        return cache[e]
+
+    zero, p = dom.zero(), dom.p
+    total = {}
+    for m, c in poly.terms.items():
+        acc = one
+        for i, e in enumerate(m):
+            if e:
+                acc = power(i, e) if acc is one else acc * power(i, e)
+        for m2, c2 in acc.terms.items():
+            s = total.get(m2, zero) + c * c2
+            if p:
+                s %= p
+            if s:
+                total[m2] = s
+            else:
+                del total[m2]
+    return Polynomial(ctx, dom, total)
+
+
+def _random_polynomial(rng, ctx, dom, max_exp):
+    lo = 0 if dom == NN else -3
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        c = rng.randint(lo, 3)
+        mono = tuple(rng.randint(0, max_exp) if rng.random() < 0.5 else 0 for _ in range(len(ctx)))
+        terms[mono] = Fraction(c, rng.randint(1, 2)) if dom == QQ else c
+    return Polynomial(ctx, dom, terms)
+
+
+@pytest.mark.parametrize("dom", [QQ, F5, ZZ, NN], ids=str)
+@pytest.mark.parametrize("seed", range(25))
+def test_substitute_all_matches_the_reference_loop(dom, seed):
+    """The shared kernel equals per-polynomial substitution, term for term."""
+    rng = random.Random(seed)
+    images = [_random_polynomial(rng, XY, dom, 3) for _ in range(3)]
+    polys = [_random_polynomial(rng, XYZ, dom, 6) for _ in range(6)]
+    polys += [
+        Polynomial.zero(XYZ, dom),
+        Polynomial.constant(XYZ, dom, rng.randint(1, 3)),
+        Polynomial.one(XYZ, dom),
+        Polynomial.variable(XYZ, dom, rng.randrange(3)),
+        Polynomial(XYZ, dom, {(0, 1, 0): 2}),
+        Polynomial(XYZ, dom, {(2, 0, 3): 1}),
+    ]
+    got = substitute_all(polys, images, XY, dom)
+    assert len(got) == len(polys)
+    for poly, q in zip(polys, got):
+        ref = reference_substitute(poly, images)
+        assert q == ref
+        assert q.to_str() == ref.to_str()
+        assert list(q.terms) == list(ref.terms)
+        assert poly.substitute(images) == ref
+
+
+@pytest.mark.parametrize("dom", [QQ, F5, ZZ, NN], ids=str)
+def test_substitute_all_edge_cases(dom):
+    """Unit variables come back as their images; other lone terms do not."""
+    x, y, z = (Polynomial.variable(XYZ, dom, i) for i in range(3))
+    images = [poly_parse(t, XY, dom) for t in ("x + 2*y", "3*x*y + 1", "y^2")]
+    unit, double, const, zero = substitute_all(
+        (y, Polynomial(XYZ, dom, {(0, 1, 0): 2}), Polynomial.constant(XYZ, dom, 4),
+         Polynomial.zero(XYZ, dom)),
+        images, XY, dom,
+    )
+    assert unit is images[1]
+    assert double == images[1] + images[1]
+    assert double.to_str() == reference_substitute(Polynomial(XYZ, dom, {(0, 1, 0): 2}), images).to_str()
+    assert const == Polynomial.constant(XY, dom, 4) and zero.is_zero()
+    # powers up to 6 and a product of them
+    p6 = x ** 6 * z + y ** 2
+    (q6,) = substitute_all((p6,), images, XY, dom)
+    assert q6 == reference_substitute(p6, images) == images[0] ** 6 * images[2] + images[1] ** 2
+    if dom.has_negation:
+        # x - z cancels once x and z have the same image
+        q = x - z
+        (d,) = substitute_all((q,), [images[2], images[0], images[2]], XY, dom)
+        assert d.is_zero() and d == reference_substitute(q, [images[2], images[0], images[2]])
 
 
 def test_rename_embeds_into_a_larger_context():
