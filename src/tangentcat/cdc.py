@@ -27,7 +27,6 @@ from .classify import (
     undetermined,
 )
 from .errors import (
-    ArityMismatch,
     ContextMismatch,
     DomainMismatch,
     InconsistentClassification,
@@ -79,7 +78,7 @@ class CdcMap:
 def cdc_map(domain, arity_in, components, context=None):
     ctx = context if context is not None else cdc_context(arity_in)
     if len(ctx) != arity_in:
-        raise ArityMismatch("context does not match the declared input arity")
+        raise ShapeMismatch("context does not match the declared input arity")
     comps = tuple(components)
     for c in comps:
         if c.context != ctx:
@@ -110,7 +109,7 @@ def zero_map(domain, n, m, context=None):
 def compose(g, f):
     """g after f: all of g's components in one substitution pass."""
     if g.arity_in != f.arity_out:
-        raise ArityMismatch(
+        raise ShapeMismatch(
             f"cannot compose {g.arity_in}-ary map after a map with {f.arity_out} outputs"
         )
     if g.domain != f.domain:
@@ -128,7 +127,7 @@ def pair(f, g):
 
 def add_maps(f, g):
     if f.context != g.context or f.arity_out != g.arity_out:
-        raise ArityMismatch("can only add maps with equal shape")
+        raise ShapeMismatch("can only add maps with equal shape")
     comps = tuple(a + b for a, b in zip(f.components, g.components))
     return CdcMap(f.domain, f.context, comps)
 
@@ -358,7 +357,7 @@ def theta_composition_sides(f, g):
     """
     dom, n, m, l = f.domain, f.arity_in, f.arity_out, g.arity_out
     if g.arity_in != m:
-        raise ArityMismatch("the second map must be composable after the first")
+        raise ShapeMismatch("the second map must be composable after the first")
     feed = pair(reindex(f, range(n), n + m), projection_map(dom, n + m, range(n, n + m)))
     mid = pair(projection_map(dom, n + m, range(n)), compose(theta(g), feed))
     gamma = [*range(n), *range(n + m, n + m + l)]
@@ -381,7 +380,7 @@ def full_section(f, s):
     """Normalize a section to the full form (x, w) -> (x, s2(x, w))."""
     n, m = f.arity_in, f.arity_out
     if s.arity_in != n + m:
-        raise ArityMismatch(f"a section must take {n + m} inputs, got {s.arity_in}")
+        raise ShapeMismatch(f"a section must take {n + m} inputs, got {s.arity_in}")
     base = projection_map(s.domain, n + m, range(n), s.context).components
     if s.arity_out == 2 * n:
         for got, expected in zip(s.components, base):
@@ -393,7 +392,7 @@ def full_section(f, s):
         return s
     if s.arity_out == n:
         return CdcMap(s.domain, s.context, base + s.components)
-    raise ArityMismatch(
+    raise ShapeMismatch(
         f"a section must have {n} fibre outputs or {2 * n} full outputs, got {s.arity_out}"
     )
 

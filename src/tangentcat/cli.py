@@ -10,7 +10,7 @@ over a base), algebra morphisms, polynomial maps, and sections:
     cdcmap fold : 2 -> 1 over N = (x1 + x2)
     section s for f = (w1, w1^2 + x1*w1)
 
-Exit codes: 0 success, 2 parse error, 3 ill-defined input, 4 undetermined
+Exit codes: 0 success, 2 parse error, 3 any other engine error, 4 undetermined
 verdict under --strict, 5 resource limit, 6 inconsistent results.
 """
 
@@ -47,17 +47,12 @@ from .cdc import (
     verify_tangent_identities,
 )
 from .errors import (
-    DomainMismatch,
-    DuplicateName,
     EvidenceMismatch,
     IllDefinedMorphism,
     InconsistentClassification,
-    NotASection,
     ParseError,
     ResourceLimit,
     TangentError,
-    UnresolvedReference,
-    UnsupportedDomain,
 )
 from .kahler import (
     base_change_check,
@@ -157,7 +152,14 @@ def _domain_from_spec(spec, ln):
 def _require_new(ws, name, ln):
     for table in (ws.algebras, ws.morphisms, ws.cdcmaps, ws.sections):
         if name in table:
-            raise DuplicateName(f"the name {name!r} is already bound", line=ln)
+            raise ParseError(f"the name {name!r} is already bound", line=ln)
+
+
+def _lookup(table, kind, name, line=None):
+    """``table[name]``, or a parse error naming the unknown ``kind``."""
+    if name not in table:
+        raise ParseError(f"unknown {kind} {name!r}", line=line)
+    return table[name]
 
 
 def _parse_poly(text, ctx, dom, ln):
@@ -208,9 +210,7 @@ def parse_workspace(text):
             names = _identifiers(vars_txt, ln)
             base = None
             if over:
-                if over not in ws.algebras:
-                    raise UnresolvedReference(f"unknown base {over!r}", line=ln)
-                base = ws.algebras[over]
+                base = _lookup(ws.algebras, "base", over, ln)
                 dom = base.domain
                 clash = set(names) & set(base.context.names)
                 if clash:
@@ -239,14 +239,10 @@ def parse_workspace(text):
                 raise ParseError("malformed morphism declaration", line=ln)
             name, src_name, tgt_name, over, pairs_txt = m.groups()
             _require_new(ws, name, ln)
-            for ref in (src_name, tgt_name):
-                if ref not in ws.algebras:
-                    raise UnresolvedReference(f"unknown algebra {ref!r}", line=ln)
-            src, tgt = ws.algebras[src_name], ws.algebras[tgt_name]
+            src = _lookup(ws.algebras, "algebra", src_name, ln)
+            tgt = _lookup(ws.algebras, "algebra", tgt_name, ln)
             if over:
-                if over not in ws.algebras:
-                    raise UnresolvedReference(f"unknown base {over!r}", line=ln)
-                base = ws.algebras[over]
+                base = _lookup(ws.algebras, "base", over, ln)
                 if src.base != base or tgt.base != base:
                     raise ParseError(
                         f"both sides must be algebras over {over!r}", line=ln
@@ -278,6 +274,8 @@ def parse_workspace(text):
                 raise IllDefinedMorphism(
                     f"line {ln}: {e}", relation=e.relation, residue=e.residue
                 )
+            except ResourceLimit:
+                raise
             except TangentError as e:
                 raise ParseError(str(e), line=ln)
             ws.morphisms[name] = f
@@ -311,9 +309,7 @@ def parse_workspace(text):
                 raise ParseError("malformed section declaration", line=ln)
             name, map_name, comps_txt = m.groups()
             _require_new(ws, name, ln)
-            if map_name not in ws.cdcmaps:
-                raise UnresolvedReference(f"unknown cdcmap {map_name!r}", line=ln)
-            fmap = ws.cdcmaps[map_name]
+            fmap = _lookup(ws.cdcmaps, "cdcmap", map_name, ln)
             ctx = section_context(fmap.arity_in, fmap.arity_out)
             comps = [
                 _parse_poly(part, ctx, fmap.domain, ln)
@@ -322,7 +318,7 @@ def parse_workspace(text):
             s = CdcMap(fmap.domain, ctx, tuple(comps))
             try:
                 s = full_section(fmap, s)
-            except (TangentError, NotASection) as e:
+            except TangentError as e:
                 raise ParseError(str(e), line=ln)
             ws.sections[name] = (map_name, s)
         else:
@@ -429,9 +425,7 @@ def _verdict_value(pair):
 def _cmd_classify(args):
     ws = load_workspace(args.workspace)
     if args.instance in ("calg", "affine"):
-        if args.morphism not in ws.morphisms:
-            raise UnresolvedReference(f"unknown morphism {args.morphism!r}")
-        f = ws.morphisms[args.morphism]
+        f = _lookup(ws.morphisms, "morphism", args.morphism)
         base_name = ws.morphism_decls[args.morphism][2]
         if args.instance == "calg":
             report = classify_calg(f, args.morphism, base_name)
@@ -453,9 +447,7 @@ def _cmd_classify(args):
 
 def _cmd_kahler(args):
     ws = load_workspace(args.workspace)
-    if args.algebra not in ws.algebras:
-        raise UnresolvedReference(f"unknown algebra {args.algebra!r}")
-    alg = ws.algebras[args.algebra]
+    alg = _lookup(ws.algebras, "algebra", args.algebra)
     module = kahler_module(alg)
     is_zero, zero_ev = zero_module_evidence(module)
     dim = module.dimension()
@@ -481,9 +473,7 @@ def _cmd_kahler(args):
 
 def _cmd_cotangent(args):
     ws = load_workspace(args.workspace)
-    if args.morphism not in ws.morphisms:
-        raise UnresolvedReference(f"unknown morphism {args.morphism!r}")
-    f = ws.morphisms[args.morphism]
+    f = _lookup(ws.morphisms, "morphism", args.morphism)
     seq = cotangent_map(f)
     verdicts = classify_cotangent(seq)
     doc = {
@@ -525,10 +515,9 @@ def _within_degree_cap(components):
 
 def _cdcmap(ws, name):
     """A declared cdcmap whose components stay within the degree cap."""
-    if name not in ws.cdcmaps:
-        raise UnresolvedReference(f"unknown cdcmap {name!r}")
-    _within_degree_cap(ws.cdcmaps[name].components)
-    return ws.cdcmaps[name]
+    fmap = _lookup(ws.cdcmaps, "cdcmap", name)
+    _within_degree_cap(fmap.components)
+    return fmap
 
 
 def _cmd_cdc_axioms(args):
@@ -556,9 +545,7 @@ def _cmd_cdc_axioms(args):
 def _cmd_cdc_linearize(args):
     ws = load_workspace(args.workspace)
     f = _cdcmap(ws, args.map)
-    if args.section not in ws.sections:
-        raise UnresolvedReference(f"unknown section {args.section!r}")
-    for_name, s = ws.sections[args.section]
+    for_name, s = _lookup(ws.sections, "section", args.section)
     if for_name != args.map:
         raise ParseError(f"section {args.section!r} was declared for {for_name!r}")
     _within_degree_cap(s.components)
@@ -766,15 +753,15 @@ def _dispatch(args):
                 where += f", column {e.column}"
         print(f"tgc: parse error{where}: {e}", file=sys.stderr)
         return 2
-    except (DomainMismatch, IllDefinedMorphism, NotASection, UnsupportedDomain) as e:
-        print(f"tgc: {e}", file=sys.stderr)
-        return 3
     except ResourceLimit as e:
         print(f"tgc: resource limit: {e}", file=sys.stderr)
         return 5
     except (InconsistentClassification, EvidenceMismatch) as e:
         print(f"tgc: inconsistency: {e}", file=sys.stderr)
         return 6
+    except TangentError as e:
+        print(f"tgc: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,19 +6,11 @@ class TangentError(Exception):
 
 
 class ContextMismatch(TangentError):
-    """Operands live over different variable contexts."""
+    """Operands live over different variable contexts or bases."""
 
 
 class DomainMismatch(TangentError):
     """Operands live over different coefficient domains."""
-
-
-class ArityMismatch(TangentError):
-    """A map was given the wrong number of inputs or components."""
-
-
-class IndexOutOfRange(TangentError):
-    """A variable or generator index is outside the context."""
 
 
 class UnsupportedDomain(TangentError):
@@ -34,18 +26,6 @@ class ResourceLimit(TangentError):
         self.cap = cap
 
 
-class RankMismatch(TangentError):
-    """Matrix shapes are incompatible with the requested operation."""
-
-
-class AlgebraMismatch(TangentError):
-    """Modules or maps are presented over different algebras."""
-
-
-class BaseMismatch(TangentError):
-    """Morphisms do not share the base algebra the operation requires."""
-
-
 class IllDefinedMorphism(TangentError):
     """A claimed algebra morphism does not send relations to relations."""
 
@@ -58,17 +38,9 @@ class IllDefinedMorphism(TangentError):
 class NotSurjective(TangentError):
     """An operation that needs a surjective morphism received one that is not."""
 
-    def __init__(self, message, missing=None):
-        super().__init__(message)
-        self.missing = missing
-
-
-class NotFiniteDimensional(TangentError):
-    """A finite-dimensional-only operation was applied to an infinite-dimensional object."""
-
 
 class ShapeMismatch(TangentError):
-    """Vector or matrix dimensions do not match the presentation."""
+    """Arities, indices, vector or matrix shapes, or module algebras do not fit."""
 
 
 class NotASection(TangentError):
@@ -103,10 +75,3 @@ class ParseError(TangentError):
         self.line = line
         self.column = column
 
-
-class DuplicateName(ParseError):
-    """A workspace name was bound twice."""
-
-
-class UnresolvedReference(ParseError):
-    """A workspace entry refers to a name that was never defined."""

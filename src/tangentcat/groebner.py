@@ -95,9 +95,6 @@ class GroebnerBasis:
     def normal_form(self, p):
         return self.module._normal_form((p,))[0]
 
-    def contains(self, p):
-        return self.normal_form(p).is_zero()
-
     def leading_monomials(self):
         return tuple(m for _, m in self.module.leading_positions())
 
@@ -479,9 +476,6 @@ class ModuleGroebnerBasis:
             return _normal_form(v, self.table, self.packing, self.order, self.context, self.domain)
         except _Overflow:  # the same reducers, packed wider
             return module_normal_form(v, self.generators, self.order)
-
-    def contains(self, v):
-        return vec_is_zero(self.normal_form(v))
 
     def leading_positions(self):
         return tuple((pos, self.packing.monos(m)) for pos, entries in enumerate(self.table) for m, *_ in entries)

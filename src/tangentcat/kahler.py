@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .errors import (
-    AlgebraMismatch,
-    NotFiniteDimensional,
-    ShapeMismatch,
-)
+from .errors import ShapeMismatch
 from .groebner import (
     GREVLEX,
     module_buchberger,
@@ -152,7 +148,7 @@ class ModuleMap:
 
     def __post_init__(self):
         if self.source.algebra != self.target.algebra:
-            raise AlgebraMismatch("module map across different algebras")
+            raise ShapeMismatch("module map across different algebras")
         if len(self.matrix) != self.target.rank:
             raise ShapeMismatch("matrix row count differs from the target rank")
         for row in self.matrix:
@@ -302,11 +298,11 @@ def retraction_solve(phi):
 
     The unknown retraction is solved for as a k-linear map constrained to
     commute with every variable's multiplication action, which makes it a
-    module map.  Raises NotFiniteDimensional outside the finite regime.
+    module map.  None outside the finite regime.
     """
     S, T = phi.source.finite(), phi.target.finite()
     if S is None or T is None:
-        raise NotFiniteDimensional("retraction solving needs finite-dimensional modules")
+        return None
     if not S.basis:
         return RetractionResult(True, [], 0, S, T)
     dom = S.module.algebra.domain
@@ -364,10 +360,7 @@ def classify_cotangent(seq):
     and splitting may stay undetermined.
     """
     dom = seq.pullback.algebra.domain
-    try:
-        ret = retraction_solve(seq.v)
-    except NotFiniteDimensional:
-        ret = None
+    ret = retraction_solve(seq.v)
     finite = ret is not None
     source = ret.source if finite else seq.pullback.finite()
 
@@ -525,9 +518,8 @@ def jacobian_split_verdict(B):
     seq = conormal_sequence(B)
     if seq.conormal.rank == 0:
         return True, {"reason": "no relations: the conormal module is zero"}
-    try:
-        ret = retraction_solve(seq.delta)
-    except NotFiniteDimensional:
+    ret = retraction_solve(seq.delta)
+    if ret is None:
         return None, {"reason": "conormal splitting needs finite-dimensional modules"}
     if ret.exists:
         dom = B.domain

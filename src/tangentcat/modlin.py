@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .errors import InconsistentClassification, RankMismatch, ShapeMismatch, UnsupportedDomain
+from .errors import InconsistentClassification, ShapeMismatch, UnsupportedDomain
 from .polycore import GREVLEX, QQ, mono_deg, mono_div
 
 
@@ -148,7 +148,7 @@ def kernel_basis(rows, dom, ncols=None):
     which case the unit vectors come back.
     """
     if not rows and ncols is None:
-        raise RankMismatch("empty system needs an explicit column count")
+        raise ShapeMismatch("empty system needs an explicit column count")
     n = len(rows[0]) if rows else ncols
     ech = echelon(_sparse_rows(rows, dom), dom)
     return [ech.solution(n, col) for col in range(n) if col not in ech.pivots]
@@ -160,7 +160,7 @@ def solve_linear(rows, rhs, dom):
     The free columns of the solution are zero.
     """
     if len(rows) != len(rhs):
-        raise RankMismatch(f"{len(rows)} equations but {len(rhs)} right-hand sides")
+        raise ShapeMismatch(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if not rows:
         return []
     n = len(rows[0])
@@ -246,7 +246,7 @@ def retraction_solve_matrices(v_cols, d_t, act_source, act_target, dom):
     """
     d_s = len(v_cols)
     if len(act_source) != len(act_target):
-        raise RankMismatch("action lists have different lengths")
+        raise ShapeMismatch("action lists have different lengths")
     nunk = d_s * d_t
     minus_one, p = dom.from_int(-1), dom.p
     # unknown a * d_t + t is R[a][t] and column nunk holds minus the right-hand

@@ -12,7 +12,7 @@ directly, reduces mod p only over F_p, turns integral Fractions back into
 ints only over Q, drops zero coefficients, and builds its result through
 the trusted ``Polynomial._clean``.  ``CoefficientDomain.normalize`` runs
 only where coefficients enter from outside: the validating
-``Polynomial(...)`` constructor, ``constant``, ``scale`` and ``evaluate``.
+``Polynomial(...)`` constructor, ``constant`` and ``scale``.
 
 The degree budget ``degree_cap`` lives here too: the parser refuses a power
 whose degree exceeds it before expanding the power, and every Groebner
@@ -31,12 +31,11 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import (
-    ArityMismatch,
     ContextMismatch,
     DomainMismatch,
-    IndexOutOfRange,
     ParseError,
     ResourceLimit,
+    ShapeMismatch,
     UnsupportedDomain,
 )
 
@@ -201,7 +200,7 @@ class VariableContext:
         try:
             return self.names.index(name)
         except ValueError:
-            raise IndexOutOfRange(f"no variable named {name!r} in context {self.names}")
+            raise ShapeMismatch(f"no variable named {name!r} in context {self.names}")
 
 
 def context(*names):
@@ -321,7 +320,7 @@ class Polynomial:
     @staticmethod
     def variable(context, domain, i):
         if not 0 <= i < len(context):
-            raise IndexOutOfRange(f"variable index {i} out of range")
+            raise ShapeMismatch(f"variable index {i} out of range")
         mono = (0,) * i + (1,) + (0,) * (len(context) - 1 - i)
         return Polynomial._clean(context, domain, {mono: domain.one()})
 
@@ -336,16 +335,6 @@ class Polynomial:
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         return max((mono_deg(m) for m in self.terms), default=-1)
-
-    def leading_term(self, order=GREVLEX):
-        """Return (monomial, coefficient) of the largest term, or None if zero."""
-        if not self.terms:
-            return None
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), self.domain.zero())
 
     def variables_used(self):
         used = set()
@@ -433,21 +422,12 @@ class Polynomial:
         terms = {m: (v * c % p if p else v * c) for m, v in self.terms.items()} if c else {}
         return Polynomial._clean(self.context, dom, settle(dom, terms))
 
-    def monic(self, order=GREVLEX):
-        """Divide by the leading coefficient (fields only)."""
-        lt = self.leading_term(order)
-        if lt is None:
-            return self
-        dom = self.domain
-        inv = dom.div(dom.one(), lt[1])
-        return self.scale(inv)
-
     # -- calculus and substitution ----------------------------------------
 
     def partial(self, i):
         """Formal partial derivative with respect to variable ``i``."""
         if not 0 <= i < len(self.context):
-            raise IndexOutOfRange(f"variable index {i} out of range")
+            raise ShapeMismatch(f"variable index {i} out of range")
         p = self.domain.p
         terms = {}  # distinct monomials keep distinct derivatives: no collisions
         for m, c in self.terms.items():
@@ -458,31 +438,14 @@ class Polynomial:
                     terms[m[:i] + (e - 1,) + m[i + 1 :]] = c2
         return Polynomial._clean(self.context, self.domain, settle(self.domain, terms))
 
-    def evaluate(self, values):
-        """Evaluate at a point given as one domain element per variable."""
-        if len(values) != len(self.context):
-            raise ArityMismatch(
-                f"expected {len(self.context)} values, got {len(values)}"
-            )
-        dom, p = self.domain, self.domain.p
-        vals = [dom.normalize(v) for v in values]
-        total = dom.zero()
-        for m, c in self.terms.items():
-            acc = c
-            for v, e in zip(vals, m):
-                if e:
-                    acc = acc * pow(v, e, p) % p if p else acc * v**e
-            total = (total + acc) % p if p else total + acc
-        return _int_if_integral(total)
-
     def substitute(self, images):
         """Compose with polynomial images, one per variable of this context."""
         if len(images) != len(self.context):
-            raise ArityMismatch(
+            raise ShapeMismatch(
                 f"expected {len(self.context)} images, got {len(images)}"
             )
         if not images:
-            raise ArityMismatch("cannot substitute into an empty context")
+            raise ShapeMismatch("cannot substitute into an empty context")
         ctx, dom = images[0].context, images[0].domain
         for q in images:
             if q.context != ctx:
@@ -500,7 +463,7 @@ class Polynomial:
         that contains it.
         """
         if len(index_map) != len(self.context):
-            raise ArityMismatch("index map does not cover the context")
+            raise ShapeMismatch("index map does not cover the context")
         n = len(new_context)
         dom = self.domain
         zero, p = dom.zero(), dom.p
@@ -513,7 +476,7 @@ class Polynomial:
                     if j is None:
                         break
                     if not 0 <= j < n:
-                        raise IndexOutOfRange(f"index {j} outside target context")
+                        raise ShapeMismatch(f"index {j} outside target context")
                     e2[j] += e
             else:
                 m2 = tuple(e2)

@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import (
-    ArityMismatch,
-    BaseMismatch,
     ContextMismatch,
     DomainMismatch,
     IllDefinedMorphism,
     InconsistentClassification,
     NotSurjective,
+    ShapeMismatch,
     UnsupportedDomain,
 )
 from .groebner import (
@@ -60,7 +59,7 @@ class AlgebraPresentation:
         if self.base is not None:
             nb = len(self.base.context)
             if self.context.names[:nb] != self.base.context.names:
-                raise BaseMismatch("base variables must prefix the context")
+                raise ContextMismatch("base variables must prefix the context")
 
     @property
     def n_base(self):
@@ -106,10 +105,6 @@ class AlgebraPresentation:
     def finite_basis(self):
         """Standard monomials when finite-dimensional over k, else None."""
         return fd_basis(self.gb(), len(self.context))
-
-    def dimension(self):
-        basis = self.finite_basis()
-        return None if basis is None else len(basis)
 
 
 def present(domain, names, relations, base=None):
@@ -185,20 +180,16 @@ class AlgebraMorphism:
     def apply(self, p):
         return self.target.reduce(self.apply_raw(p))
 
-    def describe(self):
-        names = self.source.context.names
-        return {names[i]: str(img) for i, img in zip(self.source.covered(self.over_base), self.images)}
-
 
 def morphism(source, target, images, over_base=False, check=True):
     """Construct a morphism, certifying that relations map to relations."""
     if source.domain != target.domain:
         raise DomainMismatch("source and target domains differ")
     if over_base and (source.base is None or source.base != target.base):
-        raise BaseMismatch("a morphism over a base needs both sides over that base")
+        raise ContextMismatch("a morphism over a base needs both sides over that base")
     expected = len(source.covered(over_base))
     if len(images) != expected:
-        raise ArityMismatch(f"expected {expected} images, got {len(images)}")
+        raise ShapeMismatch(f"expected {expected} images, got {len(images)}")
     for img in images:
         if img.context != target.context:
             raise ContextMismatch("image outside the target context")
@@ -334,9 +325,7 @@ def linear_section_exists(f):
     """
     surjective, data = is_surjective(f)
     if not surjective:
-        raise NotSurjective(
-            f"no preimage for target variables {data}", missing=data
-        )
+        raise NotSurjective(f"no preimage for target variables {data}")
     A, B = f.source, f.target
     kernel = ring_map_kernel(f)
     if not kernel:
@@ -403,12 +392,12 @@ def glued_algebra(f, g):
 def pushout(f, g):
     """Pushout of B <- A -> C along f and g over their shared base."""
     if f.source != g.source:
-        raise BaseMismatch("pushout needs a shared source")
+        raise ContextMismatch("pushout needs a shared source")
     B, C = f.target, g.target
     if B.domain != C.domain:
         raise DomainMismatch("pushout targets over different domains")
     if B.base != C.base:
-        raise BaseMismatch("pushout targets over different bases")
+        raise ContextMismatch("pushout targets over different bases")
     P, embed_c = glued_algebra(f, g)
     nB, over = len(B.context), B.base is not None
     return Pushout(P, _variable_map(B, P, range(nB), over), _variable_map(C, P, embed_c, over))
@@ -419,6 +408,6 @@ def codiagonal(push, f):
     B = f.target
     P = push.algebra
     if push.into_left.target != P or push.into_left.source != B:
-        raise BaseMismatch("codiagonal needs a self-pushout of the morphism's target")
+        raise ContextMismatch("codiagonal needs a self-pushout of the morphism's target")
     over = B.base is not None
     return _variable_map(P, B, [*range(len(B.context)), *B.covered(over)], over)

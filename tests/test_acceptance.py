@@ -26,6 +26,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import DATA, run_cli, scrub_timings
+from poly_reference import describe
 from theta_sections import random_theta_section
 from tangentcat.cdc import (
     add_maps,
@@ -377,7 +378,7 @@ def test_finite_graph_matches_the_graph_basis(random_suite, workspace):
         graph = morphism_graph(f)
         assert isinstance(graph, FiniteGraph)
         outputs.append(_graph_outputs(graph))
-        assert outputs[-1] == _graph_outputs(MorphismGraph(f)), f.describe()
+        assert outputs[-1] == _graph_outputs(MorphismGraph(f)), describe(f)
     assert {bool(kernel) for kernel, _ in outputs} == {True, False}
     assert {None in pre for _, pre in outputs} == {True, False}
     assert outputs[-1] == (["1"], ["0"])
@@ -411,7 +412,7 @@ def test_finite_graph_honours_the_degree_cap_like_the_graph_basis(random_suite):
             inputs = ([g.degree() for g in f.target.ideal] + [max(1, g.degree()) for g in f.var_images]
                       + [g.degree() for g in f.source.ideal])
             if not isinstance(graph, str) or any(d > cap for d in inputs):
-                assert finite == graph, (cap, f.describe())
+                assert finite == graph, (cap, describe(f))
             else:
                 returned_instead += not isinstance(finite, str)
     assert returned_instead == 6

@@ -26,11 +26,12 @@ import pytest
 
 from tangentcat.cdc import cdc_context, random_polynomial, section_context
 from tangentcat.cli import _dispatch, main, parse_workspace
-from tangentcat.errors import InconsistentClassification
+from tangentcat.errors import InconsistentClassification, ShapeMismatch
 from tangentcat.groebner import degree_cap
 from tangentcat.polycore import NN, QQ, ZZ, VariableContext, prime_field
 
 from conftest import DATA, run_cli, scrub_timings
+from poly_reference import describe
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKSPACE = str(DATA / "figure1.tgc")
@@ -185,7 +186,7 @@ def emit_workspace(ws):
     for name, f in ws.morphisms.items():
         src, tgt, over = ws.morphism_decls[name]
         head = f"morphism {name} : {src} -> {tgt}" + (f" over {over}" if over else "")
-        pairs = ", ".join(f"{v} -> {img}" for v, img in f.describe().items())
+        pairs = ", ".join(f"{v} -> {img}" for v, img in describe(f).items())
         lines.append(f"{head} = {{ {pairs} }}" if pairs else f"{head} = {{}}")
     for name, fmap in ws.cdcmaps.items():
         comps = ", ".join(str(c) for c in fmap.components)
@@ -564,6 +565,36 @@ class TestExitCodes:
         code = _dispatch(argparse.Namespace(run=boom))
         assert code == 6
         assert "inconsistency: fabricated violation" in capsys.readouterr().err
+
+    def test_any_other_engine_error_exits_3(
+        self, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """An engine error without a code of its own leaves dispatch as exit 3."""
+
+        def boom(_args: argparse.Namespace) -> int:
+            raise ShapeMismatch("fabricated shape")
+
+        code = _dispatch(argparse.Namespace(run=boom))
+        assert code == 3
+        assert capsys.readouterr().err == "tgc: fabricated shape\n"
+
+    def test_a_degree_cap_hit_while_a_morphism_is_checked_exits_5(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """Checking t^2 -> (x*y)^2 against B's degree-3 relations needs a basis
+        above the cap; that is a resource limit, not a parse error."""
+        ws = tmp_path / "capped.tgc"
+        ws.write_text(
+            "field Q\nalgebra A = vars(t) / (t^2)\n"
+            "algebra B = vars(x,y) / (x*x*y, y*y*y*x)\n"
+            "morphism f : A -> B = { t -> x*y }\n"
+        )
+        code, out = run_cli(["kahler", "--workspace", str(ws), "--algebra", "B",
+                             "--degree-cap", "2"])
+        assert (code, out) == (5, "")
+        assert capsys.readouterr().err == (
+            "tgc: resource limit: polynomial degree 3 exceeds the degree cap 2\n"
+        )
 
 
 class TestFlags:

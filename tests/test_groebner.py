@@ -43,6 +43,8 @@ from tangentcat.polycore import (
     prime_field,
 )
 
+from poly_reference import leading_term, monic
+
 XY = context("x", "y")
 
 
@@ -50,7 +52,7 @@ def module_lt(v, order):
     """Leading (position, monomial, coefficient) of a vector, or None."""
     for i, c in enumerate(v):
         if not c.is_zero():
-            m, coeff = c.leading_term(order)
+            m, coeff = leading_term(c, order)
             return i, m, coeff
     return None
 
@@ -99,8 +101,8 @@ def test_basis_is_idempotent_and_deterministic():
 
 def test_membership_via_contains():
     gb = groebner_basis((qq("x^2 - y"), qq("y^2 - y")),)
-    assert gb.contains(qq("x^4 - y"))
-    assert not gb.contains(qq("x"))
+    assert gb.normal_form(qq("x^4 - y")).is_zero()
+    assert not gb.normal_form(qq("x")).is_zero()
 
 
 def test_division_certificate():
@@ -321,7 +323,7 @@ def test_module_bases_skip_the_product_criterion():
     # y*(x, 1) - x*(y, 0) = (0, y) is a new module element
     x, y, one = qq("x"), qq("y"), qq("1")
     mgb = module_buchberger([(x, one), (y, qq("0"))], 2, XY, QQ)
-    assert mgb.contains((qq("0"), y))
+    assert vec_is_zero(mgb.normal_form((qq("0"), y)))
 
 
 # --- properties on random inputs --------------------------------------------
@@ -410,7 +412,7 @@ def reference_normal_form(v, basis, order):
         if work[pos].is_zero():
             pos += 1
             continue
-        m, c = work[pos].leading_term(order)
+        m, c = leading_term(work[pos], order)
         for b, bm, bc in reducers[pos]:
             q = mono_div(m, bm)
             if q is not None:
@@ -922,9 +924,9 @@ def test_reduced_basis_matches_sympy(order, seed):
 
     def from_sympy(poly):
         terms = {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
-        return Polynomial(ctx, QQ, terms).monic(order)
+        return monic(Polynomial(ctx, QQ, terms), order)
 
     theirs = sympy.groebner([to_sympy(g) for g in gens], *syms, order=order.kind, domain="QQ")
     ours = groebner_basis(gens, order)
     assert set(ours.generators) == {from_sympy(p) for p in theirs.polys}
-    assert all(g == g.monic(order) for g in ours.generators)
+    assert all(g == monic(g, order) for g in ours.generators)

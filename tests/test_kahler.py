@@ -41,6 +41,7 @@ from tangentcat.presentations import (
 )
 
 from conftest import DATA, run_cli
+from poly_reference import describe
 
 F2 = prime_field(2)
 T = context("t")
@@ -322,7 +323,7 @@ def test_raw_rows_meet_the_degree_cap_where_reduced_rows_do(fixture_morphisms):
         for f in fixture_morphisms[::2]:
             for name, raw, reduced in _raw_and_reduced(f):
                 outcome = _outcome(raw, cap)
-                assert outcome == _outcome(reduced, cap), (cap, name, f.describe())
+                assert outcome == _outcome(reduced, cap), (cap, name, describe(f))
                 limits += outcome == "limit"
     assert 0 < limits < 1800  # both outcomes are exercised
     assert time.perf_counter() - start < 20.0
@@ -418,7 +419,7 @@ def test_relative_kahler_is_the_pushout_along_the_identity(fixture_morphisms):
     assert sum(f.over_base for f in based) == 30
     morphisms = list(fixture_morphisms) + list(ws.morphisms.values()) + based
     for f in morphisms:
-        assert relative_kahler(f) == reference_relative_kahler(f), f.describe()
+        assert relative_kahler(f) == reference_relative_kahler(f), describe(f)
         for A in (f.source, f.target):
             assert identity_morphism(A) == reference_identity(A)
             if A.base is not None:  # the base relations prefix A's ideal

@@ -134,3 +134,62 @@ def test_every_dataclass_field_is_read():
         if isinstance(item, ast.AnnAssign) and item.target.id not in read
     )
     assert unread == []
+
+
+def _attributes_read(node):
+    """Every attribute name read anywhere inside ``node``."""
+    return Counter(
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def test_every_method_is_read():
+    """A method or property of a package class is read as an attribute
+    somewhere in the package or the benchmark, outside its own body; what
+    only tests read lives in the tests.  Dunder methods are exempt: Python
+    calls them."""
+    read = sum(
+        (_attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+         for folder in ("src", "bench") for path in sorted((ROOT / folder).rglob("*.py"))),
+        Counter(),
+    )
+    unread = sorted(
+        f"{node.name}.{item.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and read[item.name] == _attributes_read(item)[item.name]
+    )
+    assert unread == []
+
+
+def _named(node):
+    """The names in an exception spec: ``X``, ``(X, Y)`` or ``mod.X``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_error_class_is_raised_and_told_apart():
+    """A ``TangentError`` subclass is raised in the package, and an ``except``
+    in the package or a ``pytest.raises`` in the tests names it; a class no
+    caller tells apart from its base is not worth its name."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"TangentError"}
+    raised, caught = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised |= _named(exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _named(node.type)
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "raises" and node.args):
+                caught |= _named(node.args[0])
+    assert sorted(classes - raised) == []
+    assert sorted(classes - caught) == []

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangentcat
-from tangentcat.errors import IllDefinedMorphism
+from tangentcat.errors import IllDefinedMorphism, NotSurjective
 from tangentcat.groebner import morphism_graph, ring_map_kernel
 from tangentcat.modlin import coords, kernel_basis
 from tangentcat.polycore import QQ, Polynomial, context, poly_parse, prime_field
@@ -207,6 +207,15 @@ def test_no_section_for_nilpotent_point():
     assert sec.route == "finite"
 
 
+def test_a_section_needs_a_surjective_morphism():
+    """x -> y*z reaches neither y nor z, and the error names them both."""
+    A = free_algebra(QQ, ("x",))
+    B = free_algebra(QQ, ("y", "z"))
+    f = morphism(A, B, (poly_parse("y*z", B.context, QQ),))
+    with pytest.raises(NotSurjective, match=r"no preimage for target variables \['y', 'z'\]"):
+        linear_section_exists(f)
+
+
 def test_no_section_for_infinite_dimensional_source():
     sec = linear_section_exists(truncation_map())
     assert not sec.holds
@@ -377,7 +386,7 @@ def test_pushout_of_parabola_matches_frozen_dimension():
     g = morphism(A, K, (Polynomial.zero(K_ctx, QQ),))
     po = pushout(f, g)
     # frozen: GB of the pushout ideal is {x, y^2}, a 2-dimensional algebra
-    assert po.algebra.dimension() == 2
+    assert len(po.algebra.finite_basis()) == 2
 
 
 def test_pushout_legs_commute():

@@ -4,7 +4,7 @@ maps, shared by the cdc unit tests and the acceptance suite."""
 from __future__ import annotations
 
 from tangentcat.cdc import CdcMap, cdc_context, projection_map, random_polynomial, section_context
-from tangentcat.errors import ArityMismatch
+from tangentcat.errors import ShapeMismatch
 from tangentcat.polycore import Polynomial
 
 
@@ -17,7 +17,7 @@ def random_theta_section(rng, domain, n, m, max_degree=2):
     gives an exact section of theta(f), nonlinear when the tail choices are.
     """
     if m > n:
-        raise ArityMismatch("this family needs at least as many inputs as outputs")
+        raise ShapeMismatch("this family needs at least as many inputs as outputs")
     ctx = cdc_context(n)
     sctx = section_context(n, m)
     tail = list(range(m, n))
