@@ -34,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDomain,
 )
-from .modlin import echelon, rational_rank, smith_form, smith_right_inverse
+from .modlin import echelon, smith_form, smith_right_inverse
 from .polycore import QQ, Polynomial, VariableContext, settle, substitute_all
 
 
@@ -122,6 +122,8 @@ def pair(f, g):
     """The map <f, g> into the product."""
     if f.context != g.context:
         raise ContextMismatch("paired maps must share a context")
+    if f.domain != g.domain:
+        raise DomainMismatch("pairing across domains")
     return CdcMap(f.domain, f.context, f.components + g.components)
 
 
@@ -487,11 +489,11 @@ def _linear_annotations(rows, domain):
 def classify_linear(rows, domain, name="f", arity_in=None):
     """Classify a linear map given by its matrix (one row per output).
 
-    Over a field every predicate reduces to a rank condition.  Over Z the
-    splitting is an integer right inverse found through the Smith form, and
-    the submersion verdict is only certified through that splitting.  Over
-    N the kernel and injectivity are decided combinatorially and the
-    epimorphism-flavoured predicates stay undetermined.
+    One echelon of [A | -I] (over Q for Z and N) decides injectivity, and
+    over a field every predicate.  Over Z the splitting is an integer right
+    inverse from the Smith form, which alone certifies a submersion.  Over
+    N a zero column decides T_unramified, and the epimorphism-flavoured
+    predicates stay undetermined.
     """
     t0 = time.perf_counter()
     m = len(rows)
@@ -502,19 +504,21 @@ def classify_linear(rows, domain, name="f", arity_in=None):
     rows = [[domain.normalize(x) for x in row] for row in rows]
 
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    # one echelon of [A | -I]: its pivots left of column n give the rank
+    # and the kernel, and over a surjective A, x with A·x = e_j is the
+    # solution at the free column n + j (free columns of x at zero)
+    dom = domain if domain.is_field else QQ  # over Z the kernel vector is scaled back into Z
+    minus_one = dom.from_int(-1)
+    ech = echelon([{**row, n + i: minus_one} for i, row in enumerate(sparse)], dom)
+    r = sum(col < n for col in ech.pivots)
+    inj = r == n
+    inj_ev = {"rank" if domain.is_field else "rational_rank": r, "columns": n}
+    if not inj and domain.has_negation:
+        inj_ev["kernel_vector"] = _kernel_vector(ech, n, not domain.is_field)
+    inj_status = from_bool(inj, inj_ev)
+    unram_status = inj_status
     if domain.is_field:
-        # one echelon of [A | -I]: its pivots left of column n give the rank
-        # and the kernel, and over a surjective A, x with A·x = e_j is the
-        # solution at the free column n + j (free columns of x at zero)
-        minus_one = domain.from_int(-1)
-        ech = echelon([{**row, n + i: minus_one} for i, row in enumerate(sparse)], domain)
-        r = sum(col < n for col in ech.pivots)
-        inj = r == n
         surj = r == m
-        inj_ev = {"rank": r, "columns": n}
-        if not inj:
-            inj_ev["kernel_vector"] = _kernel_vector(ech, n, False)
-        inj_status = from_bool(inj, inj_ev)
         surj_ev = {"rank": r, "rows": m}
         surj_status = from_bool(surj, surj_ev)
         if surj:
@@ -525,15 +529,7 @@ def classify_linear(rows, domain, name="f", arity_in=None):
             split_status = fails(surj_ev)
         submersion_status = surj_status
         etale_status = and3(inj_status, surj_status)
-        unram_status = inj_status
     elif domain.kind == "Z":
-        ech = echelon(sparse, QQ)  # solved over Q, the kernel vector scaled back into Z
-        rr = len(ech.pivots)
-        inj = rr == n
-        inj_ev = {"rational_rank": rr, "columns": n}
-        if not inj:
-            inj_ev["kernel_vector"] = _kernel_vector(ech, n, True)
-        inj_status = from_bool(inj, inj_ev)
         smith = smith_form(rows)
         diag = smith[0]
         invariants = [diag[i][i] for i in range(min(m, n)) if i < len(diag) and diag[i][i] != 0]
@@ -555,20 +551,14 @@ def classify_linear(rows, domain, name="f", arity_in=None):
             etale_status = from_bool(det in (1, -1), {"determinant": det})
         else:
             etale_status = fails({"rows": m, "columns": n, "note": "shape is not square"})
-        unram_status = inj_status
-    elif domain.kind == "N":
+    else:
         zero_cols = [j for j in range(n) if all(row[j] == 0 for row in rows)]
         unram_ev = {"zero_columns": zero_cols}
         unram_status = from_bool(not zero_cols, unram_ev)
-        rr = rational_rank(rows)
-        inj_ev = {"rational_rank": rr, "columns": n}
-        inj_status = from_bool(rr == n, inj_ev)
         reason = "epimorphism-flavoured predicates over N need negation"
         submersion_status = undetermined(reason)
         split_status = undetermined(reason)
         etale_status = undetermined(reason)
-    else:
-        raise UnsupportedDomain(f"no linear classification over {domain.kind}")
 
     predicates = {
         "T_monic": inj_status,

@@ -612,7 +612,5 @@ def syzygy_basis(vectors, rank, ctx, dom, order=GREVLEX):
     Returns coefficient vectors c with sum(c_i * vectors_i) == 0, computed
     by eliminating the leading block of an extended free module.
     """
-    if not vectors:
-        return []
     mgb = module_buchberger(_tagged(vectors, ctx, dom), rank + len(vectors), ctx, dom, order)
     return [w[rank:] for w in mgb.generators if vec_is_zero(w[:rank])]

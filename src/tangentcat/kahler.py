@@ -61,16 +61,10 @@ class ModulePresentation:
         return _module_gb(self, degree_cap.get())
 
     def reduce(self, v):
-        if len(v) != self.rank:
-            raise ShapeMismatch(f"vector rank {len(v)} != module rank {self.rank}")
-        if self.rank == 0:
-            return ()
         return self.gb().normal_form(tuple(v))
 
     def finite(self):
         """The module on its staircase basis, or None when that basis is infinite."""
-        if self.rank == 0:
-            return FiniteModule(self, ())
         basis = module_fd_basis(self.gb(), len(self.algebra.context))
         return None if basis is None else FiniteModule(self, tuple(basis))
 
@@ -190,19 +184,12 @@ def module_map_kernel(phi):
     """
     S, T = phi.source, phi.target
     A = S.algebra
-    if S.rank == 0:
-        return []
     cols = [phi.column(j) for j in range(S.rank)]
-    if T.rank == 0:
-        # target is the zero module: the kernel is everything
-        raw = [S.unit_vector(j) for j in range(S.rank)]
-    else:
-        others = [tuple(rel) for rel in T.relations] + _ideal_multiples(A, T.rank)
-        syz = syzygy_basis(cols + others, T.rank, A.context, A.domain, GREVLEX)
-        raw = [c[: S.rank] for c in syz]
+    others = [tuple(rel) for rel in T.relations] + _ideal_multiples(A, T.rank)
+    syz = syzygy_basis(cols + others, T.rank, A.context, A.domain, GREVLEX)
     out = []
-    for v in raw:
-        r = S.reduce(v)
+    for c in syz:
+        r = S.reduce(c[: S.rank])
         if not vec_is_zero(r) and r not in out:
             out.append(r)
     out.sort(key=lambda v: tuple(c.to_str() for c in v))
@@ -490,15 +477,12 @@ def conormal_sequence(B):
     s = len(gens)
     rel_vars = B.covered(over_base=True)
     labels = tuple(f"[{g}]" for g in gens)
-    if s == 0:
-        conormal = ModulePresentation(B, (), ())
-    else:
-        # B's ideal is the base relations followed by gens
-        base_rows = [(g,) for g in B.ideal[: len(B.ideal) - s]]
-        syz = syzygy_basis([(g,) for g in gens] + base_rows, 1, B.context, B.domain, GREVLEX)
-        relations = [tuple(B.reduce(c) for c in row[:s]) for row in syz]
-        relations = [r for r in relations if not vec_is_zero(r)]
-        conormal = ModulePresentation(B, labels, tuple(relations))
+    # B's ideal is the base relations followed by gens
+    base_rows = [(g,) for g in B.ideal[: len(B.ideal) - s]]
+    syz = syzygy_basis([(g,) for g in gens] + base_rows, 1, B.context, B.domain, GREVLEX)
+    relations = [tuple(B.reduce(c) for c in row[:s]) for row in syz]
+    relations = [r for r in relations if not vec_is_zero(r)]
+    conormal = ModulePresentation(B, labels, tuple(relations))
     target = free_module(B, tuple("d" + n for n in B.relative_names))
     matrix = [
         [B.reduce(g.partial(j)) for g in gens]

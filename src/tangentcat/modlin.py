@@ -179,8 +179,6 @@ def fd_basis_from_lms(lms, nvars):
     lms = list(lms)
     if any(mono_deg(m) == 0 for m in lms):
         return []
-    if nvars == 0:
-        return [()]
     bounds = [None] * nvars
     for m in lms:
         support = [i for i, e in enumerate(m) if e]
@@ -385,8 +383,6 @@ def smith_right_inverse(mat, smith):
     """X with M·X = I read from a Smith form (D, U, V) of M, or None when none exists."""
     m = len(mat)
     n = len(mat[0]) if m else 0
-    if m == 0:
-        return []
     d, u, v = smith
     if m > n or any(abs(d[i][i]) != 1 for i in range(m)):
         return None

@@ -335,7 +335,8 @@ def linear_section_exists(f):
             "the kernel is zero, so a = 1 already satisfies f(a) = 1 and Ker(f)·a = 0",
             "general",
         )
-    route = "finite" if A.finite_basis() is not None and B.finite_basis() is not None else "general"
+    # f is onto, so B is finite-dimensional whenever A is
+    route = "finite" if A.finite_basis() is not None else "general"
     r, zero, one = len(kernel), A.zero(), A.one()
 
     def unit(p, i):

@@ -347,6 +347,35 @@ def test_linear_maps_classify_through_their_matrix():
     }
 
 
+# matrices with no rows, no columns, or no rank: 0x0, 0x3, 1x0, 2x0, a zero
+# 1x2 and a rank-1 2x2, as (rows, arity_in)
+EMPTY_SHAPES = (([], 0), ([], 3), ([[]], 0), ([[], []], 0), ([[0, 0]], 2), ([[1, 2], [2, 4]], 2))
+
+
+@pytest.mark.parametrize("dom, statuses, sha256", [
+    (QQ, "hhhhhhh fffhhff hhhffff hhhffff fffffff fffffff",
+     "1b5c755a86221f54023c3ddd5893809049750d4afc4ab4b40e15934821ea7423"),
+    (F5, "hhhhhhh fffhhff hhhffff hhhffff fffffff fffffff",
+     "16a2c85dc6c8ecbf03c2c0c9d3d5ff83eddbc1af59732831b2ef783b0d9d9924"),
+    (ZZ, "hhhhhhh fffhhff hhhufff hhhufff fffufff fffufff",
+     "90fbbfb63f19febc01ddc47b56b296e1eccb18057c52dde53cd8adf1598ca7de"),
+    (NN, "hhhuuuu fffuuuf hhhuuuu hhhuuuu fffuuuf ffhuuuf",
+     "7c069daca8c2b8bd1ac0ed7620b1e20de089bc59acf8b9656baf0fd2608cb69b"),
+], ids=str)
+def test_degenerate_matrices_classify_as_recorded(dom, statuses, sha256):
+    """Statuses (first letters, in PREDICATES order) and the SHA-256 of the
+    JSON reports, timings blanked, as recorded when each domain had its own
+    rank computation."""
+    h, got = hashlib.sha256(), []
+    for rows, n in EMPTY_SHAPES:
+        report = classify_linear(rows, dom, name="m", arity_in=n).to_json()
+        report["timings_ms"] = {}
+        got.append("".join(v["status"][0] for v in report["predicates"].values()))
+        h.update((json.dumps(report) + "\n").encode())
+    assert " ".join(got) == statuses
+    assert h.hexdigest() == sha256
+
+
 # --- the whole layer against a recording ------------------------------------
 
 def cdc_digest(seeds=range(200)):

@@ -138,6 +138,17 @@ class TestWorkspaceParsing:
         err = capsys.readouterr().err
         assert err == "tgc: polynomials live over different domains\n"
 
+    @pytest.mark.parametrize("f, g", [("fold", "shear"), ("shear", "fold")])
+    def test_a_partner_over_n_against_q_is_refused_by_the_pairing(
+        self, workspace_path: str, f: str, g: str, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """fold is over N and shear over Q: CD4 pairs the two maps before CD5
+        composes them, and must refuse rather than compare sums that print
+        alike over two domains as a failed law (exit 6)."""
+        code = main(["cdc", "axioms", "--workspace", workspace_path, "--map", f, "--with", g])
+        assert code == 3
+        assert capsys.readouterr().err == "tgc: pairing across domains\n"
+
 
 GOLDEN = [
     ("calg_point.json",

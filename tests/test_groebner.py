@@ -301,6 +301,11 @@ def test_koszul_syzygy():
     assert [[str(c) for c in v] for v in syz] == [["y", "-x"]]
 
 
+def test_no_vectors_have_no_syzygies():
+    assert syzygy_basis([], 1, XY, QQ) == []
+    assert syzygy_basis([], 0, XY, QQ) == []
+
+
 def test_module_normal_form_reduces_members():
     x, y = qq("x"), qq("y")
     mgb = module_buchberger([(x, y), (y, x)], 2, XY, QQ)

@@ -1,6 +1,7 @@
 """Kaehler differentials, module presentations, and the cotangent sequence."""
 
 import importlib.util
+import itertools
 import json
 import random
 import time
@@ -103,6 +104,15 @@ def test_empty_presentation_is_the_zero_module():
     assert zero_module_evidence(M) == (True, {"generators": 0})
 
 
+def test_the_zero_module_reduces_and_counts_like_any_other():
+    M = ModulePresentation(nilpotent_line(), (), ())
+    assert M.reduce(()) == ()
+    with pytest.raises(ShapeMismatch, match=r"^vector rank 1 != module rank 0$"):
+        M.reduce((M.algebra.one(),))
+    assert M.finite().basis == ()
+    assert M.dimension() == 0
+
+
 def test_degree_cap_reaches_a_cached_module_basis():
     # a basis cached under the default cap must not be handed out under a
     # lower one: the relation x^3 exceeds a cap of 2 whatever the cache holds
@@ -151,6 +161,19 @@ def test_module_map_kernel_by_syzygies():
     phi = module_map(F, F, ((B.parse("t"),),))
     ker = module_map_kernel(phi)
     assert [[str(e) for e in vec] for vec in ker] == [["t"]]
+
+
+def test_module_map_kernel_into_and_out_of_the_zero_module():
+    A = free_algebra(QQ, ("t",))
+    zero = free_module(A, ())
+    # into the zero module every vector is in the kernel
+    ker = module_map_kernel(module_map(free_module(A, ("a", "b")), zero, ()))
+    assert [[str(e) for e in vec] for vec in ker] == [["0", "1"], ["1", "0"]]
+    # out of it nothing but zero is
+    assert module_map_kernel(module_map(zero, free_module(A, ("e",)), ((),))) == []
+    B = nilpotent_line()
+    target = ModulePresentation(B, ("e",), ((B.parse("t"),),))
+    assert module_map_kernel(module_map(ModulePresentation(B, (), ()), target, ((),))) == []
 
 
 def test_retraction_solver_both_ways():
@@ -249,6 +272,70 @@ def test_conormal_delta_of_a_transverse_relation():
     cs = conormal_sequence(B)
     assert cs.conormal.rank == 1
     assert [str(e) for e in cs.delta.column(0)] == ["2*y"]
+
+
+def test_conormal_module_without_relative_relations():
+    # R[y] over R = Q[t]/(t^2): the base relation t^2 is no relation of K/K^2
+    B = present(QQ, ("y",), (), base=nilpotent_line())
+    cs = conormal_sequence(B)
+    assert (cs.conormal.labels, cs.conormal.relations) == ((), ())
+    assert cs.delta.matrix == ((),)
+    assert jacobian_split_verdict(B) == (True, {"reason": "no relations: the conormal module is zero"})
+
+
+def _trim(a):
+    """A coefficient list mod p, constant first, without trailing zeros."""
+    while a and not a[-1]:
+        a = a[:-1]
+    return a
+
+
+def _rem(a, b, p):
+    """The remainder of a by a nonzero b over F_p."""
+    a, b = _trim(a), _trim(b)
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        q, shift = a[-1] * inv % p, len(a) - len(b)
+        a = _trim([(c - q * b[i - shift]) % p if i >= shift else c for i, c in enumerate(a)])
+    return a
+
+
+def _gcd_is_one(a, b, p):
+    while _trim(b):
+        a, b = b, _rem(a, b, p)
+    return len(_trim(a)) == 1
+
+
+def _monic_polynomials(p, degree):
+    """Coefficient lists, constant first, of every monic h of that degree over F_p."""
+    for low in itertools.product(range(p), repeat=degree):
+        yield [*low, 1]
+
+
+def test_jacobian_verdicts_of_univariate_quotients_over_small_fields():
+    """F_p[y]/(h) splits its conormal differential exactly when h is
+    separable, gcd(h, h') = 1; a True verdict's retraction R inverts the
+    matrix of multiplication by h' on 1, y, ..., y^(d-1) mod h."""
+    targets = [(2, d) for d in (1, 2, 3)] + [(p, d) for p in (3, 5, 7) for d in (1, 2)]
+    count = split = 0
+    for p, d in targets:
+        dom = prime_field(p)
+        for h in _monic_polynomials(p, d):
+            dh = [i * c % p for i, c in enumerate(h)][1:]
+            B = present(dom, ("y",), (Polynomial(context("y"), dom, {(i,): c for i, c in enumerate(h) if c}),))
+            ok, ev = jacobian_split_verdict(B)
+            count += 1
+            assert ok is _gcd_is_one(h, dh, p), (p, h, ev)
+            if not ok:
+                continue
+            split += 1
+            # column j: the coordinates of y^j * h' mod h
+            cols = [_rem([0] * j + dh, h, p) for j in range(d)]
+            M = [[col[i] if i < len(col) else 0 for col in cols] for i in range(d)]
+            R = [[int(x) for x in row] for row in ev["retraction"]]
+            product = [[sum(R[i][k] * M[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
+            assert product == [[int(i == j) for j in range(d)] for i in range(d)], (p, h, R)
+    assert (count, split) == (112, 91)
 
 
 # --- raw Jacobian rows against reduced ones --------------------------------

@@ -16,12 +16,14 @@ from tangentcat.modlin import (
     _mat_mul_int,
     coords,
     fd_basis,
+    fd_basis_from_lms,
     integer_right_inverse,
     kernel_basis,
     matrix_rank,
     rational_rank,
     retraction_solve_matrices,
     smith_form,
+    smith_right_inverse,
     solve_linear,
 )
 from tangentcat.polycore import QQ, context, poly_parse, prime_field
@@ -234,6 +236,12 @@ def test_infinite_staircase_is_none():
     assert fd_basis(gb, 2) is None
 
 
+def test_staircase_without_variables():
+    # k[]/(0) is k on the basis {1}; a constant lead makes it the zero ring
+    assert fd_basis_from_lms([], 0) == [()]
+    assert fd_basis_from_lms([()], 0) == []
+
+
 def test_coords_on_a_staircase():
     ctx = context("x", "y")
     gb = groebner_basis(
@@ -275,6 +283,11 @@ def test_integer_right_inverse():
     assert integer_right_inverse([[2]]) is None
     assert integer_right_inverse([[2, 3]]) is not None  # gcd 1
     assert integer_right_inverse([[2, 4]]) is None  # gcd 2
+
+
+def test_empty_matrix_has_the_empty_right_inverse():
+    assert smith_right_inverse([], smith_form([])) == []
+    assert integer_right_inverse([]) == []
 
 
 def test_integer_right_inverse_verifies_the_smith_form(monkeypatch):
