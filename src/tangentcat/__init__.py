@@ -38,7 +38,7 @@ from .kahler import (
     kahler_module,
     relative_kahler,
 )
-from .oracle import OracleConfig, identity_check, replay_evidence
+from .oracle import identity_check, replay_evidence
 from .polycore import (
     NN,
     Polynomial,
@@ -67,7 +67,6 @@ __all__ = [
     "CdcMap",
     "ClassificationReport",
     "NN",
-    "OracleConfig",
     "Polynomial",
     "PredicateStatus",
     "PREDICATES",

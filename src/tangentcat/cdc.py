@@ -102,8 +102,8 @@ def identity_map(domain, n, context=None):
     return projection_map(domain, n, range(n), context)
 
 
-def zero_map(domain, n, m, context=None):
-    return projection_map(domain, n, [None] * m, context)
+def zero_map(domain, n, m):
+    return projection_map(domain, n, [None] * m)
 
 
 def compose(g, f):
@@ -530,9 +530,9 @@ def classify_linear(rows, domain, name="f", arity_in=None):
         submersion_status = surj_status
         etale_status = and3(inj_status, surj_status)
     elif domain.kind == "Z":
-        smith = smith_form(rows)
+        smith = smith_form(rows, n)
         diag = smith[0]
-        invariants = [diag[i][i] for i in range(min(m, n)) if i < len(diag) and diag[i][i] != 0]
+        invariants = [diag[i][i] for i in range(min(m, n)) if diag[i][i] != 0]
         right = smith_right_inverse(rows, smith)
         if right is not None:
             right = [[str(x) for x in row] for row in right]
@@ -605,10 +605,8 @@ def random_polynomial(rng, ctx, domain, max_degree=2, max_terms=3):
     return Polynomial._clean(ctx, domain, terms)
 
 
-def random_cdc_map(rng, domain, arity_in, arity_out, max_degree=2, max_terms=3):
+def random_cdc_map(rng, domain, arity_in, arity_out, max_degree=2):
     ctx = cdc_context(arity_in)
-    comps = tuple(
-        random_polynomial(rng, ctx, domain, max_degree, max_terms) for _ in range(arity_out)
-    )
+    comps = tuple(random_polynomial(rng, ctx, domain, max_degree) for _ in range(arity_out))
     return CdcMap(domain, ctx, comps)
 

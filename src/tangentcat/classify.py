@@ -273,7 +273,7 @@ def classify_affine(f, name="f", base_name=None):
     submersion_status = from_bool(*verdicts.monic)
     split_val, split_ev = verdicts.split_monic
     split_status = from_bool(split_val, split_ev, reason=split_ev.get("reason"))
-    etale_status = from_bool(*verdicts.iso, reason="isomorphism undecided")
+    etale_status = from_bool(*verdicts.iso)
 
     predicates = {
         "T_monic": monic_status,

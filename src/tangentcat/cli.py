@@ -228,11 +228,7 @@ def parse_workspace(text):
                 for part in _split_top(rels_txt):
                     if part.strip():
                         rels.append(_parse_poly(part, full, dom, ln))
-            try:
-                alg = present(dom, names, rels, base=base)
-            except TangentError as e:
-                raise ParseError(str(e), line=ln)
-            ws.algebras[name] = alg
+            ws.algebras[name] = present(dom, names, rels, base=base)
         elif head == "morphism":
             m = MOR_RE.fullmatch(line)
             if not m:

@@ -218,7 +218,6 @@ class CotangentSequence:
     differentials of B relative to A.
     """
 
-    morphism: object
     pullback: ModulePresentation
     middle: ModulePresentation
     v: ModuleMap
@@ -248,7 +247,7 @@ def cotangent_map(f):
     for i in range(len(src_rel)):
         coker_rels.append(v.column(i))
     cokernel = ModulePresentation(B, middle.labels, tuple(coker_rels))
-    return CotangentSequence(f, pullback, middle, v, cokernel)
+    return CotangentSequence(pullback, middle, v, cokernel)
 
 
 def relative_kahler(f):
@@ -305,14 +304,6 @@ def retraction_solve(phi):
 
 # ---------------------------------------------------------------------------
 # verdicts on the comparison map
-
-def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
-
 
 def zero_module_evidence(M):
     """(is_zero, evidence): the first generator that survives, if any."""
@@ -383,7 +374,7 @@ def classify_cotangent(seq):
             }
         else:
             split_ev = {"route": "finite", "reason": "the retraction system is infeasible"}
-    elif monic is True and coker_zero is True:
+    elif monic and coker_zero:
         # bijective comparison map: the inverse is a retraction
         split = True
         split_ev = {"route": "iso", "note": "the comparison map is invertible"}
@@ -394,7 +385,7 @@ def classify_cotangent(seq):
             "reason": "splitting needs the finite-dimensional regime",
         }
 
-    iso = _and3(monic, coker_zero)
+    iso = monic and coker_zero
     iso_ev = {"monic": monic, "cokernel_zero": coker_zero}
     return CotangentVerdicts(
         (monic, monic_ev),
@@ -461,17 +452,12 @@ def base_change_check(f, g):
 # ---------------------------------------------------------------------------
 # conormal sequence and the Jacobian splitting test
 
-@dataclass(frozen=True)
-class ConormalSequence:
-    conormal: ModulePresentation
-    delta: ModuleMap
-
-
 def conormal_sequence(B):
-    """Conormal module K/K² with its differential into the free module.
+    """The differential δ from the conormal module K/K², its source, into the
+    free module on the d<y_j>.
 
     K is the relative ideal of B inside the polynomial ring over the base;
-    delta sends the class of a relation to its differential row.
+    δ sends the class of a relation to its differential row.
     """
     gens = list(B.relative_ideal)
     s = len(gens)
@@ -488,8 +474,7 @@ def conormal_sequence(B):
         [B.reduce(g.partial(j)) for g in gens]
         for j in rel_vars
     ]
-    delta = module_map(conormal, target, matrix)
-    return ConormalSequence(conormal, delta)
+    return module_map(conormal, target, matrix)
 
 
 def jacobian_split_verdict(B):
@@ -499,10 +484,10 @@ def jacobian_split_verdict(B):
     over its base; None means the finite-dimensional regime was
     unavailable.
     """
-    seq = conormal_sequence(B)
-    if seq.conormal.rank == 0:
+    delta = conormal_sequence(B)
+    if delta.source.rank == 0:
         return True, {"reason": "no relations: the conormal module is zero"}
-    ret = retraction_solve(seq.delta)
+    ret = retraction_solve(delta)
     if ret is None:
         return None, {"reason": "conormal splitting needs finite-dimensional modules"}
     if ret.exists:

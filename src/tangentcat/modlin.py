@@ -215,7 +215,6 @@ def module_fd_basis(mgb, nvars):
         if std is None:
             return None
         out.extend((pos, m) for m in std)
-    out.sort(key=lambda pm: (pm[0], GREVLEX.key(pm[1])))
     return out
 
 
@@ -286,27 +285,15 @@ def _ident(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul_int(a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ShapeMismatch(f"inner dimensions disagree: {len(a[0])} != {k}")
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def smith_form(mat):
-    """Smith normal form of an integer matrix: returns (D, U, V) with U·M·V = D.
+def smith_form(mat, n):
+    """Smith normal form of an integer matrix with n columns: returns
+    (D, U, V) with U·M·V = D.
 
     The diagonal is canonical: entries are nonnegative and each divides
     the next.
     """
     a = [list(r) for r in mat]
     m = len(a)
-    n = len(a[0]) if m else 0
     u = _ident(m)
     v = _ident(n)
 
@@ -375,21 +362,19 @@ def smith_form(mat):
 
 
 def integer_right_inverse(mat):
-    """An integer matrix X with M·X = I, or None when none exists."""
-    return smith_right_inverse(mat, smith_form(mat))
+    """An integer matrix X with M·X = I, or None when none exists; M has a
+    row or no columns, as its width is read from its first row."""
+    return smith_right_inverse(mat, smith_form(mat, len(mat[0]) if mat else 0))
 
 
 def smith_right_inverse(mat, smith):
     """X with M·X = I read from a Smith form (D, U, V) of M, or None when none exists."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
     d, u, v = smith
+    m, n = len(u), len(v)
     if m > n or any(abs(d[i][i]) != 1 for i in range(m)):
         return None
-    dplus = [[0] * m for _ in range(n)]
-    for i in range(m):
-        dplus[i][i] = d[i][i]  # inverse of ±1 is itself
-    x = _mat_mul_int(v, _mat_mul_int(dplus, u))
-    if _mat_mul_int(mat, x) != _ident(m):
+    # X = V·D⁺·U, where D⁺ is n x m with the units of D's diagonal (each its own inverse)
+    x = [[sum(v[i][k] * d[k][k] * u[k][j] for k in range(m)) for j in range(m)] for i in range(n)]
+    if [[sum(row[k] * x[k][j] for k in range(n)) for j in range(m)] for row in mat] != _ident(m):
         raise InconsistentClassification("Smith-form right inverse failed to verify")
     return x

@@ -13,7 +13,6 @@ verdict; they only confirm or contradict one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -26,16 +25,8 @@ from .errors import (
 from .presentations import AlgebraPresentation, absolute, codiagonal, compose, morphism, pushout
 
 MERSENNE_61 = 2**61 - 1
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    prime: int = MERSENNE_61
-    samples: int = 32
-    seed: int = 0
-
-
-DEFAULT_CONFIG = OracleConfig()
+SAMPLES = 32
+SEED = 0
 
 
 def _residues(poly, p):
@@ -60,12 +51,12 @@ def _eval_mod(residues, point, p):
     return total
 
 
-def identity_check(p, q, config=DEFAULT_CONFIG):
-    """Sample two polynomials at random points.
+def identity_check(p, q):
+    """Sample two polynomials at SAMPLES random points drawn from seed SEED.
 
     Returns "definitely_unequal" on the first differing sample and
     "probably_equal" when all samples agree.  Polynomials over F_p are
-    sampled modulo their own prime, everything else modulo config.prime.
+    sampled modulo their own prime, everything else modulo MERSENNE_61.
     Once the degree reaches the modulus, sampling proves nothing (x^p - x
     vanishes on all of F_p), so the coefficients are compared instead.
     """
@@ -73,14 +64,14 @@ def identity_check(p, q, config=DEFAULT_CONFIG):
         raise ContextMismatch("cannot compare across contexts")
     if p.domain != q.domain:
         raise DomainMismatch("cannot compare across domains")
-    modulus = p.domain.p if p.domain.kind == "Fp" else config.prime
+    modulus = p.domain.p if p.domain.kind == "Fp" else MERSENNE_61
     if max(p.degree(), q.degree()) >= modulus:
         return "probably_equal" if p == q else "definitely_unequal"
-    rng = random.Random(config.seed)
+    rng = random.Random(SEED)
     nvars = len(p.context)
     rp, rq = _residues(p, modulus), _residues(q, modulus)
     k = modulus.bit_length()  # randrange(modulus)'s draws, minus its per-call checks
-    for _ in range(config.samples):
+    for _ in range(SAMPLES):
         point = []
         while len(point) < nvars:
             r = rng.getrandbits(k)
@@ -91,12 +82,12 @@ def identity_check(p, q, config=DEFAULT_CONFIG):
     return "probably_equal"
 
 
-def maps_probably_equal(f, g, config=DEFAULT_CONFIG):
+def maps_probably_equal(f, g):
     """Componentwise identity check for two polynomial maps."""
     if f.arity_out != g.arity_out:
         return "definitely_unequal"
     for a, b in zip(f.components, g.components):
-        if identity_check(a, b, config) == "definitely_unequal":
+        if identity_check(a, b) == "definitely_unequal":
             return "definitely_unequal"
     return "probably_equal"
 

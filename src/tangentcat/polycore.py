@@ -196,12 +196,6 @@ class VariableContext:
     def __len__(self):
         return len(self.names)
 
-    def index(self, name):
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ShapeMismatch(f"no variable named {name!r} in context {self.names}")
-
 
 def context(*names):
     return VariableContext(tuple(names))
@@ -512,12 +506,12 @@ class Polynomial:
                 parts.append(f"{name}^{e}")
         return "*".join(parts)
 
-    def to_str(self, order=GREVLEX):
-        """Canonical text form: terms descending in the given order."""
+    def to_str(self):
+        """Canonical text form: terms descending in grevlex order."""
         if not self.terms:
             return "0"
         dom = self.domain
-        monos = sorted(self.terms, key=order.key, reverse=True)
+        monos = sorted(self.terms, key=GREVLEX.key, reverse=True)
         out = []
         for k, m in enumerate(monos):
             c = self.terms[m]

@@ -510,12 +510,12 @@ def test_retraction_evidence_is_a_module_retraction(random_suite):
         assert ok is split, dom
         if split:
             assert len(ev["retraction"]) == 12, dom  # a 12 x 12 matrix, replayed below
-            _assert_module_retraction(ev["retraction"], conormal_sequence(points).delta)
+            _assert_module_retraction(ev["retraction"], conormal_sequence(points))
 
     # Q[x,y]/(x^3, y^3): the 972 x 324 system has no solution, because
     # x·[x^3] maps to 3x^3 dx = 0, so V has a kernel
     cubes = present(QQ, ("x", "y"), (poly_parse("x^3", ctx, QQ), poly_parse("y^3", ctx, QQ)))
-    delta = conormal_sequence(cubes).delta
+    delta = conormal_sequence(cubes)
     v, acts_s, acts_t = _module_map_matrices(delta)
     assert (len(v), len(v[0]), len(acts_s)) == (18, 18, 2)
     column = delta.source.finite().basis.index((0, (1, 0)))

@@ -149,6 +149,33 @@ class TestWorkspaceParsing:
         assert code == 3
         assert capsys.readouterr().err == "tgc: pairing across domains\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("field Q\nalgebra A = vars(x, x)\n", "line 2: duplicate variable name"),
+        ("field Q\nbase R = vars(t)\nbase S over R = vars(u)\n",
+         "line 3: a base algebra cannot itself sit over a base"),
+        ("algebra A = vars(x)\n", "line 1: declare a field before any algebra"),
+        ("field Q\nalgebra A = vars(x)\nmorphism f : A -> A = { x -> x, x -> 1 }\n",
+         "line 3: duplicate image for 'x'"),
+        ("field Q\nalgebra A = vars(x)\nmorphism f : A -> A = { }\n",
+         "line 3: missing image for 'x'"),
+        ("field Q\nalgebra A = vars(x)\nfield Fp 5\nalgebra B = vars(y)\n"
+         "morphism f : A -> B = { x -> y }\n", "line 5: source and target domains differ"),
+        # three outputs fit a section of a 1 -> 3 map, not of f : 1 -> 1
+        ("cdcmap f : 1 -> 1 over Q = (x1^2)\nsection s for f = (w1, w1, w1)\n",
+         "line 2: a section must have 1 fibre outputs or 2 full outputs, got 3"),
+        (None, "cannot read workspace"),
+    ], ids=["duplicate-variable", "base-over-a-base", "algebra-before-field", "duplicate-image",
+            "missing-image", "across-fields", "section-of-another-map", "missing-file"])
+    def test_parse_errors_exit_2_with_their_message(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str], text: str | None, message: str
+    ) -> None:
+        ws = tmp_path / "ws.tgc"
+        if text is not None:
+            ws.write_text(text)
+        assert main(["kahler", "--workspace", str(ws), "--algebra", "A"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tgc: parse error") and message in err
+
 
 GOLDEN = [
     ("calg_point.json",
@@ -349,6 +376,21 @@ def test_affine_module_kernel_generators_are_not_replayed(tmp_path: Path) -> Non
     assert doc["predicates"]["T_submersion"]["evidence"]["kernel_generators"] == [["1"]]
     assert {"predicate": "T_submersion", "claim": "kernel_generators",
             "status": "not_replayable"} in doc["annotations"]["oracle_replay"]
+
+
+def test_a_map_to_no_outputs_has_the_same_right_inverse_over_z_and_q(tmp_path: Path) -> None:
+    """The 0 x 3 matrix of a map 3 -> 0 has three empty rows as its right
+    inverse, over Z through the Smith form as over Q through the echelon."""
+    ws = tmp_path / "empty.tgc"
+    ws.write_text("cdcmap z : 3 -> 0 over Z = ()\ncdcmap q : 3 -> 0 over Q = ()\n")
+    inverses = []
+    for name in ("z", "q"):
+        code, out = tgc("classify", "--workspace", str(ws), "--instance", "cdc-linear",
+                        "--morphism", name, "--oracle", "--json", "-")
+        assert code == 0, out
+        evidence = json.loads(out)["predicates"]["split_T_submersion"]["evidence"]
+        inverses.append(evidence["right_inverse"])
+    assert inverses == [[[], [], []]] * 2
 
 
 class TestHumanOutput:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from tangentcat import groebner
+from tangentcat.classify import classify_affine
 from tangentcat.cli import load_workspace
 from tangentcat.errors import ResourceLimit, ShapeMismatch
 from tangentcat.groebner import ModuleGroebnerBasis, degree_cap
@@ -250,6 +251,14 @@ def test_base_change_of_the_parabola():
     assert res.detail == "canonical map has full rank"
 
 
+def test_base_change_with_an_infinite_side_is_undecided():
+    # Q -> Q[x] along Q -> Q: both sides are Q[x] dx, infinite-dimensional
+    k, line = free_algebra(QQ, ()), free_algebra(QQ, ("x",))
+    res = base_change_check(morphism(k, line, ()), morphism(k, k, ()))
+    assert (res.isomorphic, res.left_dimension, res.right_dimension) == (None, None, None)
+    assert res.detail == "comparison needs finite-dimensional differentials on both sides"
+
+
 # --- Jacobian criterion -----------------------------------------------------
 
 def test_jacobian_splitting_verdicts():
@@ -267,19 +276,30 @@ def test_jacobian_splitting_verdicts():
     assert ev["reason"] == "no module retraction of the conormal differential exists"
 
 
+def test_jacobian_verdict_of_an_infinite_target_is_undetermined():
+    # the two axes Q[x, y]/(xy) have relations but no finite staircase
+    xy = context("x", "y")
+    axes = present(QQ, ("x", "y"), (poly_parse("x*y", xy, QQ),))
+    reason = "conormal splitting needs finite-dimensional modules"
+    assert jacobian_split_verdict(axes) == (None, {"reason": reason})
+    f = morphism(free_algebra(QQ, ("t",)), axes, (poly_parse("x", xy, QQ),))
+    report = classify_affine(f, name="axis")
+    assert report.annotations == {"jacobian_criterion": {"verdict": "undetermined", "reason": reason}}
+
+
 def test_conormal_delta_of_a_transverse_relation():
     B = present(QQ, ("y",), (poly_parse("y^2 - 1", context("y"), QQ),))
-    cs = conormal_sequence(B)
-    assert cs.conormal.rank == 1
-    assert [str(e) for e in cs.delta.column(0)] == ["2*y"]
+    delta = conormal_sequence(B)
+    assert delta.source.rank == 1
+    assert [str(e) for e in delta.column(0)] == ["2*y"]
 
 
 def test_conormal_module_without_relative_relations():
     # R[y] over R = Q[t]/(t^2): the base relation t^2 is no relation of K/K^2
     B = present(QQ, ("y",), (), base=nilpotent_line())
-    cs = conormal_sequence(B)
-    assert (cs.conormal.labels, cs.conormal.relations) == ((), ())
-    assert cs.delta.matrix == ((),)
+    delta = conormal_sequence(B)
+    assert (delta.source.labels, delta.source.relations) == ((), ())
+    assert delta.matrix == ((),)
     assert jacobian_split_verdict(B) == (True, {"reason": "no relations: the conormal module is zero"})
 
 

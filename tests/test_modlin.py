@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangentcat import modlin
-from tangentcat.errors import InconsistentClassification, ShapeMismatch
+from tangentcat.errors import InconsistentClassification
 from tangentcat.groebner import groebner_basis
 from tangentcat.modlin import (
     Echelon,
-    _mat_mul_int,
     coords,
     fd_basis,
     fd_basis_from_lms,
@@ -255,43 +254,45 @@ def test_coords_on_a_staircase():
 
 # --- Smith form -------------------------------------------------------------
 
+def product(a, b):
+    """a·b for integer matrices, a non-empty."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def test_smith_diagonal_divisibility():
-    d, _, _ = smith_form([[2, 0], [0, 3]])
+    d, _, _ = smith_form([[2, 0], [0, 3]], 2)
     assert [d[0][0], d[1][1]] == [1, 6]
-    d, _, _ = smith_form([[2, 4], [6, 8]])
+    d, _, _ = smith_form([[2, 4], [6, 8]], 2)
     assert [d[0][0], d[1][1]] == [2, 4]
 
 
 def test_smith_transform_identity():
     mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    d, u, v = smith_form(mat)
-    assert _mat_mul_int(_mat_mul_int(u, mat), v) == d
+    d, u, v = smith_form(mat, 3)
+    assert product(product(u, mat), v) == d
     diag = [d[i][i] for i in range(3)]
     for a, b in zip(diag, diag[1:]):
         if a:
             assert b % a == 0
 
 
-def test_integer_product_refuses_mismatched_shapes():
-    with pytest.raises(ShapeMismatch, match="inner dimensions disagree: 2 != 1"):
-        _mat_mul_int([[1, 2]], [[1, 2]])
-
-
 def test_integer_right_inverse():
     x = integer_right_inverse([[1, 1]])
-    assert _mat_mul_int([[1, 1]], x) == [[1]]
+    assert product([[1, 1]], x) == [[1]]
     assert integer_right_inverse([[2]]) is None
     assert integer_right_inverse([[2, 3]]) is not None  # gcd 1
     assert integer_right_inverse([[2, 4]]) is None  # gcd 2
 
 
 def test_empty_matrix_has_the_empty_right_inverse():
-    assert smith_right_inverse([], smith_form([])) == []
+    assert smith_right_inverse([], smith_form([], 0)) == []
+    # no rows keep their width: the right inverse of a 0 x 3 matrix is 3 x 0
+    assert smith_right_inverse([], smith_form([], 3)) == [[], [], []]
     assert integer_right_inverse([]) == []
 
 
 def test_integer_right_inverse_verifies_the_smith_form(monkeypatch):
     # a Smith form whose transforms do not reproduce M gives a wrong inverse
-    monkeypatch.setattr(modlin, "smith_form", lambda mat: ([[1]], [[1]], [[1]]))
+    monkeypatch.setattr(modlin, "smith_form", lambda mat, n: ([[1]], [[1]], [[1]]))
     with pytest.raises(InconsistentClassification, match="right inverse failed to verify"):
         integer_right_inverse([[2]])

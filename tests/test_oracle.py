@@ -10,9 +10,7 @@ from tangentcat.classify import classify_affine, classify_calg
 from tangentcat.errors import ContextMismatch, EmbeddingFailure, EvidenceMismatch
 from tangentcat import groebner, oracle, presentations
 from tangentcat.oracle import (
-    DEFAULT_CONFIG,
     MERSENNE_61,
-    OracleConfig,
     identity_check,
     maps_probably_equal,
     replay_evidence,
@@ -71,16 +69,20 @@ def test_maps_probably_equal():
     h = cdc_map(QQ, 1, (poly_parse("x1^3", ctx, QQ),))
     assert maps_probably_equal(f, g) == "probably_equal"
     assert maps_probably_equal(f, h) == "definitely_unequal"
+    # a different output arity is decided before any sample is drawn
+    pair = cdc_map(QQ, 1, (poly_parse("(x1+1)^3", ctx, QQ),) * 2)
+    assert maps_probably_equal(f, pair) == "definitely_unequal"
 
 
-def test_config_seed_fixes_the_sample_points():
-    cfg = OracleConfig(samples=4, seed=99)
+def test_config_seed_fixes_the_sample_points(monkeypatch):
+    monkeypatch.setattr(oracle, "SAMPLES", 4)
+    monkeypatch.setattr(oracle, "SEED", 99)
     p = poly_parse("x^3 - x", X, QQ)
-    assert identity_check(p, p, cfg) == "probably_equal"
-    # determinism: same config, same verdict object-for-object
+    assert identity_check(p, p) == "probably_equal"
+    # determinism: same seed, same verdict object-for-object
     q = poly_parse("x^3", X, QQ)
-    first = identity_check(p, q, cfg)
-    assert all(identity_check(p, q, cfg) == first for _ in range(3))
+    first = identity_check(p, q)
+    assert all(identity_check(p, q) == first for _ in range(3))
 
 
 # --- certificate replay -----------------------------------------------------
@@ -209,7 +211,7 @@ def test_tampered_kernel_vector_is_caught():
         replay_evidence(report)
 
 
-@pytest.mark.parametrize("modulus", [2, 3, 5, DEFAULT_CONFIG.prime, 2**31 - 1])
+@pytest.mark.parametrize("modulus", [2, 3, 5, MERSENNE_61, 2**31 - 1])
 def test_sample_points_are_the_randrange_sequence(modulus, monkeypatch):
     # the seeded points, and so every oracle verdict, are those randrange drew
     ctx = context("x", "y", "z")
@@ -217,10 +219,50 @@ def test_sample_points_are_the_randrange_sequence(modulus, monkeypatch):
     p = poly_parse("x + 2*y + z", ctx, dom)  # degree 1: sampled even over F_2
     points = []
     monkeypatch.setattr(oracle, "_eval_mod", lambda residues, point, m: points.append(point) or 0)
+    monkeypatch.setattr(oracle, "MERSENNE_61", modulus)
+    monkeypatch.setattr(oracle, "SAMPLES", 4)
     for seed in range(50):
-        config = OracleConfig(prime=modulus, samples=4, seed=seed)
-        assert identity_check(p, p, config) == "probably_equal"
+        monkeypatch.setattr(oracle, "SEED", seed)
+        assert identity_check(p, p) == "probably_equal"
         rng = random.Random(seed)
         expected = [[rng.randrange(modulus) for _ in range(3)] for _ in range(4)]
         assert points[::2] == points[1::2] == expected
         points.clear()
+
+
+def onto_a_line():
+    # Q[x, y]/(y^2 - y) -> Q[t], x -> t, y -> 1: kernel (y - 1), preimage
+    # x for t, and witness y, which maps to 1 and annihilates y - 1
+    xy, t = context("x", "y"), context("t")
+    A = present(QQ, ("x", "y"), (poly_parse("y^2 - y", xy, QQ),))
+    return morphism(A, free_algebra(QQ, ("t",)), (poly_parse("t", t, QQ), poly_parse("1", t, QQ)))
+
+
+@pytest.mark.parametrize("predicate, key, value, message", [
+    ("T_monic", "kernel_generators", ["y^2 - y"], r"y\^2 - y is zero in the source"),
+    ("T_monic", "kernel_generators", ["x"], "x does not map to zero"),
+    ("T_submersion", "preimages", {"t": "x + 1"}, r"x \+ 1 does not hit t"),
+    ("split_T_submersion", "witness", "2*y", r"2\*y does not map to 1"),
+    ("T_submersion", "preimages", {}, "do not define a map back to the source"),
+], ids=["zero-generator", "generator-off-the-kernel", "preimage-misses", "witness-not-1",
+        "no-map-back"])
+def test_mutated_algebra_evidence_is_refuted(predicate, key, value, message):
+    f = onto_a_line()
+    report = classify_calg(f, name="line")
+    assert all(r["status"] == "corroborated" for r in replay_evidence(report, morphism=f))
+    report.predicates[predicate].evidence[key] = value
+    with pytest.raises(EvidenceMismatch, match=message):
+        replay_evidence(report, morphism=f)
+
+
+@pytest.mark.parametrize("predicate, key, value, message", [
+    ("T_monic", "kernel_vector", ["0", "0"], "the claimed kernel vector is zero"),
+    # 1 + 2·2 is 5, which is 0 only modulo 5
+    ("split_T_submersion", "right_inverse", [["1"], ["2"]], r"entry \(0, 0\) is 0, not 1"),
+], ids=["zero-kernel-vector", "wrong-right-inverse"])
+def test_mutated_linear_evidence_over_f5_is_refuted(predicate, key, value, message):
+    report = classify_linear([[1, 2]], prime_field(5), name="wide")
+    assert all(r["status"] == "corroborated" for r in replay_evidence(report))
+    report.predicates[predicate].evidence[key] = value
+    with pytest.raises(EvidenceMismatch, match=message):
+        replay_evidence(report)

@@ -193,3 +193,110 @@ def test_every_error_class_is_raised_and_told_apart():
                 caught |= _named(node.args[0])
     assert sorted(classes - raised) == []
     assert sorted(classes - caught) == []
+
+
+def _package_imports(tree):
+    """What each top-level ``from`` import of the package binds: {name:
+    (module, attribute)}, with attribute None for an imported module."""
+    bound = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = ".".join(["tangentcat"] + [node.module] * bool(node.module)) if node.level else node.module
+        if source.split(".")[0] != "tangentcat":
+            continue
+        for alias in node.names:
+            if source == "tangentcat" and (PACKAGE / f"{alias.name}.py").exists():
+                bound[alias.asname or alias.name] = (f"tangentcat.{alias.name}", None)
+            else:
+                bound[alias.asname or alias.name] = (source, alias.name)
+    return bound
+
+
+def _defaulted(args, skip):
+    """(position or None, name) of each parameter with a default; ``skip``
+    leading parameters (``self``, ``cls``) are not counted as positions."""
+    positional = args.posonlyargs + args.args
+    out = [(i - skip, a.arg) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call, position, name):
+    """Does ``call`` pass the parameter at ``position`` named ``name``?"""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (starred or position < len(call.args))
+
+
+def test_every_default_is_passed_somewhere():
+    """A defaulted parameter of a package function or method is passed by at
+    least one call in the package, the benchmark or the demos: a default no
+    caller overrides is a constant, not an option.
+
+    A plain call ``f(...)`` is matched through the module's own definitions
+    and imports; ``mod.f(...)`` on an imported package module is that
+    module's function; any other attribute call ``x.f(...)`` is a call of
+    every method named ``f``, so ``gb.normal_form(p)`` is not a call of
+    ``groebner.normal_form``.  Functions nothing calls are left to
+    ``test_every_top_level_definition_has_a_caller``.
+    """
+    trees = {"tangentcat" + ("" if p.stem == "__init__" else "." + p.stem):
+             ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    imports = {module: _package_imports(tree) for module, tree in trees.items()}
+    functions, methods = {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[module, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        methods.setdefault(item.name, []).append(item)
+
+    def resolve(module, name):
+        """The (module, name) of the function ``name`` reads in ``module``."""
+        while (module, name) not in functions:
+            module, name = imports.get(module, {}).get(name, (None, None))
+            if name is None:
+                return None
+        return module, name
+
+    calls = {}  # (module, function) or a method name -> [ast.Call]
+    files = list(trees.items()) + [
+        (None, ast.parse(p.read_text(encoding="utf-8")))
+        for folder in ("bench", "demos") for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    for module, tree in files:
+        bound = _package_imports(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                source, attr = bound.get(node.func.id, (module, node.func.id))
+                key = attr and resolve(source, attr)
+            elif isinstance(node.func, ast.Attribute):
+                value = node.func.value
+                owner = bound.get(value.id, (None, "")) if isinstance(value, ast.Name) else (None, "")
+                key = node.func.attr if owner[1] is not None else resolve(owner[0], node.func.attr)
+            else:
+                continue
+            if key:
+                calls.setdefault(key, []).append(node)
+
+    never = [
+        f"{module.split('.')[-1]}.{name}({param})"
+        for (module, name), node in functions.items()
+        for position, param in _defaulted(node.args, 0)
+        if calls.get((module, name))
+        and not any(_passes(c, position, param) for c in calls[module, name])
+    ]
+    for name, defs in methods.items():
+        for node in defs:
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            for position, param in _defaulted(node.args, 0 if static else 1):
+                if calls.get(name) and not any(_passes(c, position, param) for c in calls[name]):
+                    never.append(f"{name}({param})")
+    assert sorted(never) == []
