@@ -23,7 +23,8 @@ basis element's leading position and monomial is stored once, on insert.
 Inserting an element applies the Gebauer-Moeller criteria M, F and B
 (Gebauer & Moeller 1988) to the pairs in its position; the product
 criterion for coprime leading monomials applies only at rank 1, where it
-is sound.  Reducers are tried in basis order, and finished bases are
+is sound.  A run may start from a seed, the reduced basis of a submodule,
+whose elements form no pairs among themselves (Gebauer & Moeller 1988).  Reducers are tried in basis order, and finished bases are
 minimalized, tail-reduced, made monic, and sorted by leading term, so every
 run over the same input produces the same, unique reduced basis.
 
@@ -481,24 +482,40 @@ class ModuleGroebnerBasis:
         return tuple((pos, self.packing.monos(m)) for pos, entries in enumerate(self.table) for m, *_ in entries)
 
 
-def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX):
+def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX, seed=None):
     """Reduced module Groebner basis under position-over-term order.
 
-    Raises ResourceLimit when an element's degree exceeds ``degree_cap``.
+    ``seed``, a reduced basis of a submodule of the one spanned, enters the
+    run as it stands: its elements form no S-pairs among themselves, since
+    each of those has a standard representation over the seed already
+    (Buchberger 1965), so only pairs with the ``vectors`` run.  A seed of
+    another rank, context, domain or order is refused.  Raises ResourceLimit
+    when an element's degree exceeds ``degree_cap``.
     """
     cap = degree_cap.get()
+    if seed is not None and (seed.rank, seed.context, seed.domain, seed.order) != (rank, ctx, dom, order):
+        raise ShapeMismatch("the seed basis does not match the declared module shape")
     vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
     if not vectors:
-        return ModuleGroebnerBasis([[] for _ in range(rank)], rank, order, ctx, dom)
+        return seed or ModuleGroebnerBasis([[] for _ in range(rank)], rank, order, ctx, dom)
     vrank, vctx, vdom = _vec_check(vectors)
     if vrank != rank or vctx != ctx or vdom != dom:
         raise ShapeMismatch("vectors do not match the declared module shape")
     if not dom.is_field:
         raise UnsupportedDomain("Groebner bases require a field domain")
-    return _widening(lambda pk: _buchberger(vectors, rank, ctx, dom, order, cap, pk), len(ctx), cap)
+    return _widening(lambda pk: _buchberger(vectors, rank, ctx, dom, order, cap, pk, seed), len(ctx), cap)
 
 
-def _buchberger(vectors, rank, ctx, dom, order, cap, pk):
+def free_module_basis(ring, rank):
+    """The reduced basis of the free module of ``rank`` over a quotient ring
+    modulo its ideal: the ring's reduced ideal basis ``ring`` (rank 1) in
+    every position, with no Buchberger run."""
+    table = [[(m, c, [v[0] if k == pos else {} for k in range(rank)]) for m, c, v in ring.table[0]]
+             for pos in range(rank)]
+    return ModuleGroebnerBasis(table, rank, ring.order, ring.context, ring.domain, ring.packing)
+
+
+def _buchberger(vectors, rank, ctx, dom, order, cap, pk, seed):
     """The body of ``module_buchberger``, on monomials packed by ``pk``."""
     key, p, top, one, guards, low = pk.key(order), dom.p, pk.top, pk.one, pk.guards, pk.low
     basis, leads = [], []  # reducer entries (see _reduce) and their (position, monomial)
@@ -506,16 +523,19 @@ def _buchberger(vectors, rank, ctx, dom, order, cap, pk):
     live = []  # elements whose leading term no later element's divides
     pairs = []  # heap of (deg lcm, lcm tuple, position, i, j, lcm)
 
+    def enter(entry, pos):
+        for comp in entry[2]:
+            within_cap(max(comp) >> top if comp else -1, cap)
+        basis.append(entry)
+        leads.append((pos, entry[0]))
+        reducers[pos].append(entry)
+        return len(basis) - 1
+
     def insert(v):
         nonlocal pairs
-        for comp in v:
-            within_cap(max(comp) >> top if comp else -1, cap)
         pos = next(k for k, comp in enumerate(v) if comp)
         m = max(v[pos], key=key)
-        new = len(basis)
-        basis.append(_entry(v, pos, m, p))
-        leads.append((pos, m))
-        reducers[pos].append(basis[new])
+        new = enter(_entry(v, pos, m, p), pos)
         # criterion B: drop (i, j) when m divides their lcm and the lcms of
         # (i, new) and (j, new) both differ from it; those two pairs cover it
         kept = [
@@ -549,6 +569,14 @@ def _buchberger(vectors, rank, ctx, dom, order, cap, pk):
         live[:] = [i for i in live if leads[i][0] != pos or (leads[i][1] + one - m) & guards]
         live.append(new)
 
+    if seed is not None:  # a reduced basis: no element's leading term divides another's
+        repack = None if seed.packing is pk else lambda m: pk.codes(seed.packing.monos(m))
+        for pos, entries in enumerate(seed.table):
+            for entry in entries:
+                if repack:
+                    m, c, v = entry
+                    entry = repack(m), c, [{repack(t): a for t, a in comp.items()} for comp in v]
+                live.append(enter(entry, pos))
     for v in vectors:
         insert([{pk.codes(m): a for m, a in c.terms.items()} for c in v])
     while pairs:

@@ -13,12 +13,13 @@ not be reduced by it: differential modules keep raw Jacobian rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .errors import ShapeMismatch
 from .groebner import (
     GREVLEX,
+    free_module_basis,
     module_buchberger,
     syzygy_basis,
     vec_is_zero,
@@ -34,12 +35,17 @@ class ModulePresentation:
 
     ``relations`` are vectors of length ``rank`` over the algebra's full
     context; multiples of the algebra's ideal are implicit and folded in
-    when Groebner bases are computed.
+    when Groebner bases are computed.  ``extends`` may name a presentation
+    with the same algebra and labels whose relations are a prefix of these:
+    the Groebner basis is then that presentation's basis with only the
+    further relations run on it.  It changes no result, so ``==`` and
+    ``hash`` leave it out.
     """
 
     algebra: object
     labels: tuple
     relations: tuple
+    extends: ModulePresentation = field(default=None, compare=False)
 
     def __post_init__(self):
         for rel in self.relations:
@@ -48,6 +54,12 @@ class ModulePresentation:
             for c in rel:
                 if c.context != self.algebra.context:
                     raise ShapeMismatch("relation entry outside the algebra context")
+        ext = self.extends
+        if ext is not None and (
+            (ext.algebra, ext.labels) != (self.algebra, self.labels)
+            or self.relations[: len(ext.relations)] != ext.relations
+        ):
+            raise ShapeMismatch("the extended presentation is not a prefix of this one")
 
     @property
     def rank(self):
@@ -118,8 +130,16 @@ def _ideal_multiples(A, rank):
 
 @lru_cache(maxsize=None)
 def _module_gb(M, budget):
-    """``budget`` is the current degree cap; it only keys the cache."""
+    """``budget`` is the current degree cap; it only keys the cache.  A free
+    module of positive rank takes the algebra's ring basis in every position,
+    and a module that extends another runs its further relations on that
+    one's basis."""
     A = M.algebra
+    if M.extends is not None:
+        extra = M.relations[len(M.extends.relations) :]
+        return module_buchberger(extra, M.rank, A.context, A.domain, GREVLEX, seed=M.extends.gb())
+    if not M.relations and M.rank:
+        return free_module_basis(A.gb().module, M.rank)
     vectors = [tuple(rel) for rel in M.relations] + _ideal_multiples(A, M.rank)
     return module_buchberger(vectors, M.rank, A.context, A.domain, GREVLEX)
 
@@ -235,8 +255,9 @@ def cotangent_map(f):
     for g in A.relative_ideal:
         row = tuple(f.apply(g.partial(i)) for i in src_rel)
         pull_rels.append(row)
-    pullback = ModulePresentation(B, pull_labels, tuple(pull_rels))
+    pullback = ModulePresentation(B, pull_labels, tuple(pull_rels), free_module(B, pull_labels))
     middle = kahler_module(B)
+    middle = replace(middle, extends=free_module(B, middle.labels))
     images = f.images
     matrix = [
         [B.reduce(images[i].partial(j)) for i in range(len(src_rel))]
@@ -246,7 +267,7 @@ def cotangent_map(f):
     coker_rels = list(middle.relations)
     for i in range(len(src_rel)):
         coker_rels.append(v.column(i))
-    cokernel = ModulePresentation(B, middle.labels, tuple(coker_rels))
+    cokernel = ModulePresentation(B, middle.labels, tuple(coker_rels), middle)
     return CotangentSequence(pullback, middle, v, cokernel)
 
 

@@ -702,6 +702,68 @@ def test_engine_raises_the_reference_resource_limit():
         degree_cap.reset(token)
 
 
+def test_a_seed_basis_extends_to_the_basis_of_all_rows():
+    """On every engine input whose run stays under ENGINE_CAP, the basis of
+    the rows before a seeded split point, as the seed of a run on the rows
+    after it, gives the basis of a run on all rows."""
+    token = degree_cap.set(ENGINE_CAP)
+    checked = set()
+    try:
+        for seed in range(600):
+            ctx, dom, order, rank, rows = engine_input(seed)
+            try:
+                whole = module_buchberger(rows, rank, ctx, dom, order).generators
+            except ResourceLimit:
+                continue
+            k = random.Random(seed).randint(0, len(rows))
+            prefix = module_buchberger(rows[:k], rank, ctx, dom, order)
+            assert outcome(lambda: module_buchberger(rows[k:], rank, ctx, dom, order, seed=prefix).generators) == (
+                outcome(lambda: whole)
+            ), seed
+            checked.add((dom, order, rank))
+    finally:
+        degree_cap.reset(token)
+    assert len(checked) == 27  # every domain, order and rank
+
+
+def test_a_seed_packed_for_another_cap_is_packed_again():
+    """A seed found under one degree cap runs under another, whose packing
+    has fields of another width (5 bits under cap 7, 6 under cap 8), and
+    gives the same basis."""
+
+    def under(cap, fn):
+        token = degree_cap.set(cap)
+        try:
+            return fn()
+        except ResourceLimit:
+            return None
+        finally:
+            degree_cap.reset(token)
+
+    repacked = 0
+    for seed in range(0, 600, 7):
+        ctx, dom, order, rank, rows = engine_input(seed)
+        k = len(rows) // 2
+        for seed_cap, run_cap in ((ENGINE_CAP - 1, ENGINE_CAP), (ENGINE_CAP, ENGINE_CAP - 1)):
+            prefix = under(seed_cap, lambda: module_buchberger(rows[:k], rank, ctx, dom, order))
+            expected = under(run_cap, lambda: module_buchberger(rows, rank, ctx, dom, order).generators)
+            if prefix is None or expected is None:  # a cap was hit
+                continue
+            got = under(run_cap, lambda: module_buchberger(rows[k:], rank, ctx, dom, order, seed=prefix).generators)
+            assert outcome(lambda: got) == outcome(lambda: expected), (seed, seed_cap)
+            repacked += prefix.packing is not None
+    assert repacked > 50
+
+
+def test_a_seed_of_another_shape_is_refused():
+    seed = module_buchberger([(qq("x^2 - y"),)], 1, XY, QQ)
+    assert module_buchberger([], 1, XY, QQ, seed=seed) is seed
+    for shape in ((2, XY, QQ, GREVLEX), (1, context("x", "y", "z"), QQ, GREVLEX),
+                  (1, XY, prime_field(7), GREVLEX), (1, XY, QQ, LEX)):
+        with pytest.raises(ShapeMismatch, match="seed basis does not match"):
+            module_buchberger([], *shape, seed=seed)
+
+
 def test_normal_form_divides_only_over_fields():
     from tangentcat.polycore import ZZ
 

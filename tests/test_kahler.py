@@ -1,6 +1,9 @@
 """Kaehler differentials, module presentations, and the cotangent sequence."""
 
+import contextlib
+import hashlib
 import importlib.util
+import io
 import itertools
 import json
 import random
@@ -12,9 +15,10 @@ from tangentcat import groebner
 from tangentcat.classify import classify_affine
 from tangentcat.cli import load_workspace
 from tangentcat.errors import ResourceLimit, ShapeMismatch
-from tangentcat.groebner import ModuleGroebnerBasis, degree_cap
+from tangentcat.groebner import ModuleGroebnerBasis, degree_cap, module_buchberger
 from tangentcat.kahler import (
     ModulePresentation,
+    _module_gb,
     base_change_check,
     classify_cotangent,
     conormal_sequence,
@@ -42,7 +46,7 @@ from tangentcat.presentations import (
     pushout,
 )
 
-from conftest import DATA, run_cli
+from conftest import DATA, run_cli, scrub_timings
 from poly_reference import describe
 
 F2 = prime_field(2)
@@ -358,6 +362,62 @@ def test_jacobian_verdicts_of_univariate_quotients_over_small_fields():
     assert (count, split) == (112, 91)
 
 
+def _gcd(a, b, p):
+    while _trim(b):
+        a, b = b, _rem(a, b, p)
+    return _trim(a)
+
+
+def _derivative(a, p):
+    return _trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _compose_mod(g, b, h, p):
+    """g(b) mod h, by Horner's rule."""
+    acc = []
+    for c in reversed(g):
+        prod = [c] + [0] * (len(acc) + len(b))
+        for i, x in enumerate(acc):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        acc = _rem([x % p for x in prod], h, p)
+    return acc
+
+
+def test_zero_differentials_of_univariate_morphisms_over_small_fields():
+    """For every morphism F_p[x]/(g) -> F_p[y]/(h), x -> b, with g and h
+    monic of degree 1-3 over F_2 and 1-2 over F_3 and F_5 and b of degree
+    below deg h, the cokernel of the comparison map (T_immersion) and the
+    relative differentials (T_unramified) are zero exactly when
+    gcd(h, h', b') = 1, by the Euclid above.  The full family fits its
+    budget of about 3 s (1.0-1.5 s on a 2-vCPU VM), so no stride is taken;
+    the test fails past 15 s."""
+    start, count, zero = time.perf_counter(), 0, 0
+    for p, top in ((2, 3), (3, 2), (5, 2)):
+        dom = prime_field(p)
+
+        def univariate(name, coeffs):
+            return Polynomial(context(name), dom, {(i,): c for i, c in enumerate(coeffs) if c})
+
+        for g in (g for d in range(1, top + 1) for g in _monic_polynomials(p, d)):
+            A = present(dom, ("x",), (univariate("x", g),))
+            for h in (h for d in range(1, top + 1) for h in _monic_polynomials(p, d)):
+                B = present(dom, ("y",), (univariate("y", h),))
+                for b in itertools.product(range(p), repeat=len(h) - 1):
+                    b = _trim(list(b))
+                    if _compose_mod(g, b, h, p):
+                        continue  # x -> b does not respect g
+                    f = morphism(A, B, (univariate("y", b),))
+                    expected = len(_gcd(h, _gcd(_derivative(h, p), _derivative(b, p), p), p)) == 1
+                    immersion = zero_module_evidence(cotangent_map(f).cokernel)[0]
+                    unramified = zero_module_evidence(relative_kahler(f))[0]
+                    assert immersion == unramified == expected, (p, g, h, b)
+                    count += 1
+                    zero += expected
+    assert (count, zero) == (1898, 1604)
+    assert time.perf_counter() - start < 15.0
+
+
 # --- raw Jacobian rows against reduced ones --------------------------------
 # Reduced rows are the reference: reducing a row by the algebra's ideal adds
 # ideal multiples, which every module basis folds in, so both presentations
@@ -446,6 +506,76 @@ def test_the_relative_route_builds_no_ring_basis(fixture_morphisms):
     for f in fixture_morphisms:
         zero_module_evidence(relative_kahler(f))
     assert groebner._cached_gb.cache_info().misses == misses
+
+
+# --- linked presentations -----------------------------------------------------
+# cotangent_map links the cokernel to the middle module, and the middle and
+# pulled-back modules to free modules over the target, so each basis is
+# built on the one it extends; every linked basis must be the basis of an
+# unlinked run on the raw relations and the ideal multiples.
+
+def _typed(gens):
+    """The generators' terms in stored order, with coefficient types."""
+    return [[[(m, type(c).__name__, c) for m, c in comp.terms.items()] for comp in v] for v in gens]
+
+
+def _unlinked_generators(M):
+    B = M.algebra
+    zero = B.zero()
+    multiples = [tuple(g if j == i else zero for j in range(M.rank)) for g in B.ideal for i in range(M.rank)]
+    return module_buchberger(list(M.relations) + multiples, M.rank, B.context, B.domain).generators
+
+
+def test_linked_module_bases_equal_unlinked_runs(fixture_morphisms):
+    """The cokernel, middle, pulled-back and free-module bases of the 200
+    fixture morphisms and of every figure-1 morphism."""
+    ws = load_workspace(str(DATA / "figure1.tgc"))
+    _module_gb.cache_clear()  # every basis below is built through its link
+    for f in list(fixture_morphisms) + list(ws.morphisms.values()):
+        seq = cotangent_map(f)
+        assert seq.cokernel.extends is seq.middle
+        assert seq.middle.extends.relations == seq.pullback.extends.relations == ()
+        assert relative_kahler(f).extends is None
+        for M in (seq.middle.extends, seq.pullback.extends, seq.middle, seq.pullback, seq.cokernel):
+            assert _typed(M.gb().generators) == _typed(_unlinked_generators(M)), describe(f)
+
+
+def test_a_link_changes_no_equality_and_must_be_a_prefix():
+    B = nilpotent_line()
+    row = B.parse("2*t")
+    free = free_module(B, ("dt",))
+    middle = ModulePresentation(B, ("dt",), ((row,),), free)
+    assert middle == ModulePresentation(B, ("dt",), ((row,),))
+    assert hash(middle) == hash(ModulePresentation(B, ("dt",), ((row,),)))
+    ModulePresentation(B, ("dt",), ((row,), (B.one(),)), middle)
+    for labels, relations, base in ((("dt",), ((B.one(),),), middle),
+                                    (("ds",), ((row,),), free),
+                                    (("dt",), ((row,),), free_module(free_algebra(QQ, ("t",)), ("dt",)))):
+        with pytest.raises(ShapeMismatch, match="not a prefix"):
+            ModulePresentation(B, labels, relations, base)
+
+
+# exit code and SHA-256 of stdout (timings blanked) and stderr of cotangent
+# and classify --instance affine on every figure-1 morphism under degree
+# caps 0-6, recorded before the presentations were linked: a seeded basis
+# run may meet the cap on other elements than a run from scratch
+PINNED_CAP_CODES = "055500050555005500000555" + "0" * 60
+PINNED_CAP_SHA256 = "790a39d805aeeb8a88dacefab009e8a41b72ece61aa0fbcca33630969bcf5634"
+
+
+def test_linked_presentations_meet_the_degree_cap_as_recorded():
+    h, codes = hashlib.sha256(), []
+    for cap in range(7):
+        for name in ("iso", "trunc", "point", "unit", "qrel", "structure"):
+            for cmd in (["cotangent"], ["classify", "--instance", "affine"]):
+                argv = [*cmd, "--workspace", str(DATA / "figure1.tgc"), "--morphism", name, "--degree-cap", str(cap)]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code, out = run_cli(argv)
+                codes.append(code)
+                h.update(f"{cap} {name} {cmd}\n{code}\n{scrub_timings(out)}\n{err.getvalue()}\n".encode())
+    assert "".join(map(str, codes)) == PINNED_CAP_CODES
+    assert h.hexdigest() == PINNED_CAP_SHA256
 
 
 # --- relative differentials through the pushout -------------------------------
