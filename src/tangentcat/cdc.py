@@ -344,8 +344,13 @@ def verify_tangent_identities(f, g=None):
     # index lists compose by indexing: b after a is [a[i] for i in b]
     checks.append(LawCheck("flip_involution", [flip[i] for i in flip] == [*range(4 * n)]))
     checks.append(LawCheck("lift_flip", [lift[i] for i in flip] == lift))
+    return checks + theta_laws(f, g)
 
-    if g is not None and g.arity_in == m:
+
+def theta_laws(f, g):
+    """The bundle-map laws: composition when g is composable after f, and flip."""
+    checks = []
+    if g is not None and g.arity_in == f.arity_out:
         checks.append(_expect_equal("theta_composition", *theta_composition_sides(f, g)))
     checks.append(_expect_equal("theta_flip", *theta_flip_sides(f)))
     return checks

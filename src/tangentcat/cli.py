@@ -41,8 +41,7 @@ from .cdc import (
     random_cdc_map,
     random_polynomial,
     section_context,
-    theta_composition_sides,
-    theta_flip_sides,
+    theta_laws,
     verify_cdc_axioms,
     verify_tangent_identities,
 )
@@ -67,7 +66,6 @@ from .polycore import (
     PRIME_TEST_LIMIT,
     QQ,
     ZZ,
-    VariableContext,
     degree_cap,
     poly_parse,
     prime_field,
@@ -106,7 +104,7 @@ SEC_RE = re.compile(rf"section\s+({_NAME})\s+for\s+({_NAME})\s*=\s*\((.*)\)\s*$"
 FIELD_RE = re.compile(r"field\s+(Q|Z|N|Fp(?:\s+\d+)?)\s*$")
 
 
-def _split_top(text):
+def _split_top(text, ln):
     """Split on commas outside parentheses."""
     parts, depth, cur = [], 0, []
     for ch in text:
@@ -115,38 +113,32 @@ def _split_top(text):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced parentheses")
+                raise ParseError("unbalanced parentheses", line=ln)
         if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth:
-        raise ParseError("unbalanced parentheses")
+        raise ParseError("unbalanced parentheses", line=ln)
     parts.append("".join(cur))
     return parts
 
 
 def _domain_from_spec(spec, ln):
-    spec = " ".join(spec.split())
-    if spec == "Q":
-        return QQ
-    if spec == "Z":
-        return ZZ
-    if spec == "N":
-        return NN
-    if spec.startswith("Fp"):
-        rest = spec[2:].strip()
-        if not rest:
-            raise ParseError("Fp needs a prime, e.g. `Fp 5`", line=ln)
-        p = read_int(rest)
-        if p >= PRIME_TEST_LIMIT:
-            return prime_field(p)  # UnsupportedDomain: a semantic error, exit 3
-        try:
-            return prime_field(p)
-        except TangentError as e:
-            raise ParseError(str(e), line=ln)
-    raise ParseError(f"unknown coefficient domain {spec!r}", line=ln)
+    """The domain of a spec ``FIELD_RE`` or ``CDC_RE`` admitted: Q, Z, N or Fp."""
+    if not spec.startswith("Fp"):
+        return {"Q": QQ, "Z": ZZ, "N": NN}[spec]
+    rest = spec[2:].strip()
+    if not rest:
+        raise ParseError("Fp needs a prime, e.g. `Fp 5`", line=ln)
+    p = read_int(rest)
+    if p >= PRIME_TEST_LIMIT:
+        return prime_field(p)  # UnsupportedDomain: a semantic error, exit 3
+    try:
+        return prime_field(p)
+    except TangentError as e:
+        raise ParseError(str(e), line=ln)
 
 
 def _require_new(ws, name, ln):
@@ -225,7 +217,7 @@ def parse_workspace(text):
             full = present(dom, names, (), base=base).context
             rels = []
             if rels_txt is not None:
-                for part in _split_top(rels_txt):
+                for part in _split_top(rels_txt, ln):
                     if part.strip():
                         rels.append(_parse_poly(part, full, dom, ln))
             ws.algebras[name] = present(dom, names, rels, base=base)
@@ -245,7 +237,7 @@ def parse_workspace(text):
                     )
             expected = [src.context.names[i] for i in src.covered(bool(over))]
             given = {}
-            for part in _split_top(pairs_txt):
+            for part in _split_top(pairs_txt, ln):
                 if not part.strip():
                     continue
                 if "->" not in part:
@@ -290,7 +282,7 @@ def parse_workspace(text):
             if comps_txt.strip():
                 comps = [
                     _parse_poly(part, ctx, dom, ln)
-                    for part in _split_top(comps_txt)
+                    for part in _split_top(comps_txt, ln)
                 ]
             else:
                 comps = []
@@ -309,7 +301,7 @@ def parse_workspace(text):
             ctx = section_context(fmap.arity_in, fmap.arity_out)
             comps = [
                 _parse_poly(part, ctx, fmap.domain, ln)
-                for part in _split_top(comps_txt)
+                for part in _split_top(comps_txt, ln)
             ]
             s = CdcMap(fmap.domain, ctx, tuple(comps))
             try:
@@ -333,16 +325,6 @@ def load_workspace(path):
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-DISPLAY = {
-    "T_monic": "T-monic",
-    "T_immersion": "T-immersion",
-    "T_unramified": "T-unramified",
-    "T_submersion": "T-submersion",
-    "split_T_submersion": "split T-submersion",
-    "T_etale": "T-etale",
-    "monic_T_etale": "monic T-etale",
-}
 
 _SUMMARY_KEYS = (
     "witness", "kernel_generators", "codiagonal_kernel_generators",
@@ -380,7 +362,8 @@ def human_report(report):
     ]
     for name in PREDICATES:
         st = report.predicates[name]
-        lines.append(f"{DISPLAY[name]:<22}{st.status:<14}{_evidence_summary(st)}")
+        shown = name.replace("T_", "T-").replace("_", " ")  # split_T_submersion: split T-submersion
+        lines.append(f"{shown:<22}{st.status:<14}{_evidence_summary(st)}")
     lines.append("-" * 78)
     checked = sum(1 for c in report.coherence if c["status"] == "checked")
     skipped = sum(1 for c in report.coherence if c["status"] == "skipped")
@@ -516,11 +499,16 @@ def _cdcmap(ws, name):
     return fmap
 
 
+def _all_laws(f, g):
+    """The differential axioms, then naturality and the bundle-map laws."""
+    return verify_cdc_axioms(f, g) + verify_tangent_identities(f, g)
+
+
 def _cmd_cdc_axioms(args):
     ws = load_workspace(args.workspace)
     f = _cdcmap(ws, args.map)
     g = _cdcmap(ws, args.partner) if args.partner else None
-    checks = verify_cdc_axioms(f, g) + verify_tangent_identities(f, g)
+    checks = _all_laws(f, g)
     doc = {
         "schema_version": "1",
         "command": "cdc-axioms",
@@ -569,48 +557,34 @@ def _cmd_cdc_linearize(args):
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _suite_theta_laws(count, seed):
+def _law_suite(domains, max_arity, laws, count, seed):
+    """Draw a domain, arities n, m, l up to ``max_arity`` and random maps
+    f : n -> m and g : m -> l per case; collect the laws that fail."""
     rng = random.Random(seed)
-    domains = (QQ, QQ, prime_field(5), ZZ, NN)
     failures = []
     for case in range(count):
         dom = domains[rng.randrange(len(domains))]
-        n, m, l = (rng.randint(1, 3) for _ in range(3))
+        n, m, l = (rng.randint(1, max_arity) for _ in range(3))
         f = random_cdc_map(rng, dom, n, m)
         g = random_cdc_map(rng, dom, m, l)
-        for name, (lhs, rhs) in (
-            ("theta_composition", theta_composition_sides(f, g)),
-            ("theta_flip", theta_flip_sides(f)),
-        ):
-            if lhs.components != rhs.components:
-                failures.append({"case": case, "law": name, "detail": "symbolic mismatch"})
+        failures += [{"case": case, "law": chk.name, "detail": chk.detail}
+                     for chk in laws(f, g) if not chk.holds]
     return failures
+
+
+def _suite_theta_laws(count, seed):
+    return _law_suite((QQ, QQ, prime_field(5), ZZ, NN), 3, theta_laws, count, seed)
 
 
 def _suite_tangent_identities(count, seed):
-    rng = random.Random(seed)
-    domains = (QQ, prime_field(5), ZZ, NN)
-    failures = []
-    for case in range(count):
-        dom = domains[rng.randrange(len(domains))]
-        n, m, l = (rng.randint(1, 2) for _ in range(3))
-        f = random_cdc_map(rng, dom, n, m)
-        g = random_cdc_map(rng, dom, m, l)
-        for chk in verify_cdc_axioms(f, g) + verify_tangent_identities(f, g):
-            if not chk.holds:
-                failures.append({"case": case, "law": chk.name, "detail": chk.detail})
-    return failures
+    return _law_suite((QQ, prime_field(5), ZZ, NN), 2, _all_laws, count, seed)
 
 
 def _parabola_case():
     a = free_algebra(QQ, ("t",))
     b = free_algebra(QQ, ("x",))
-    ctx_x = b.context
-    f = morphism(a, b, (poly_parse("x^2", ctx_x, QQ),))
-    c_ctx = VariableContext(("y",))
-    c = present(QQ, ("y",), (poly_parse("y", c_ctx, QQ),))
-    g = morphism(a, c, (poly_parse("0", c_ctx, QQ),))
-    return f, g
+    c = present(QQ, ("y",), (free_algebra(QQ, ("y",)).var(0),))
+    return morphism(a, b, (b.var(0) ** 2,)), morphism(a, c, (c.zero(),))
 
 
 def _suite_base_change(count, seed):
@@ -618,14 +592,14 @@ def _suite_base_change(count, seed):
     failures = []
     cases = [("parabola", _parabola_case())]
     a = free_algebra(QQ, ("t",))
+    x = free_algebra(QQ, ("x",)).var(0)
+    y = free_algebra(QQ, ("y",)).var(0)
     for case in range(count):
         k, j = rng.randint(1, 3), rng.randint(1, 3)
-        bx = VariableContext(("x",))
-        cy = VariableContext(("y",))
-        b = present(QQ, ("x",), (poly_parse(f"x^{k}", bx, QQ),))
-        c = present(QQ, ("y",), (poly_parse(f"y^{j}", cy, QQ),))
-        u = random_polynomial(rng, bx, QQ, max_degree=max(k - 1, 1), max_terms=2)
-        v = random_polynomial(rng, cy, QQ, max_degree=max(j - 1, 1), max_terms=2)
+        b = present(QQ, ("x",), (x ** k,))
+        c = present(QQ, ("y",), (y ** j,))
+        u = random_polynomial(rng, x.context, QQ, max_degree=max(k - 1, 1), max_terms=2)
+        v = random_polynomial(rng, y.context, QQ, max_degree=max(j - 1, 1), max_terms=2)
         f = morphism(a, b, (u,))
         g = morphism(a, c, (v,))
         cases.append((f"random_{case}", (f, g)))
@@ -674,39 +648,36 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write a JSON report (- for stdout)")
     common.add_argument("--degree-cap", type=int, metavar="N", help="abort once any degree exceeds N")
+    workspace = argparse.ArgumentParser(add_help=False, parents=[common])
+    workspace.add_argument("--workspace", required=True)
 
     parser = argparse.ArgumentParser(
         prog="tgc", description="classify morphisms by their tangent-bundle behaviour"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="run the seven predicates")
-    p.add_argument("--workspace", required=True)
+    p = sub.add_parser("classify", parents=[workspace], help="run the seven predicates")
     p.add_argument("--instance", required=True, choices=("calg", "affine", "cdc-linear"))
     p.add_argument("--morphism", required=True)
     p.add_argument("--oracle", action="store_true", help="replay evidence certificates")
     p.add_argument("--strict", action="store_true", help="exit 4 on undetermined verdicts")
     p.set_defaults(run=_cmd_classify)
 
-    p = sub.add_parser("kahler", parents=[common], help="differentials of one algebra")
-    p.add_argument("--workspace", required=True)
+    p = sub.add_parser("kahler", parents=[workspace], help="differentials of one algebra")
     p.add_argument("--algebra", required=True)
     p.set_defaults(run=_cmd_kahler)
 
-    p = sub.add_parser("cotangent", parents=[common], help="comparison map of a morphism")
-    p.add_argument("--workspace", required=True)
+    p = sub.add_parser("cotangent", parents=[workspace], help="comparison map of a morphism")
     p.add_argument("--morphism", required=True)
     p.set_defaults(run=_cmd_cotangent)
 
     p = sub.add_parser("cdc", help="polynomial-map commands")
     cdx = p.add_subparsers(dest="cdc_command", required=True)
-    q = cdx.add_parser("axioms", parents=[common], help="check the differential axioms")
-    q.add_argument("--workspace", required=True)
+    q = cdx.add_parser("axioms", parents=[workspace], help="check the differential axioms")
     q.add_argument("--map", required=True)
     q.add_argument("--with", dest="partner", default=None)
     q.set_defaults(run=_cmd_cdc_axioms)
-    q = cdx.add_parser("linearize", parents=[common], help="linearize a bundle section")
-    q.add_argument("--workspace", required=True)
+    q = cdx.add_parser("linearize", parents=[workspace], help="linearize a bundle section")
     q.add_argument("--map", required=True)
     q.add_argument("--section", required=True)
     q.set_defaults(run=_cmd_cdc_linearize)

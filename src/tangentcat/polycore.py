@@ -611,9 +611,9 @@ def _tokenize(text):
                 j += 1
             tokens.append(("NAME", text[i:j], i))
             i = j
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j

@@ -215,6 +215,11 @@ def test_full_section_is_identity_on_the_base():
     assert [str(c) for c in full.components] == ["x1", "x2", "w1", "x1*w1 + w1^2"]
 
 
+def test_a_section_quadratic_in_the_fibre_is_not_fibre_linear():
+    tap, s = tap_and_section()
+    assert not fibre_linear(full_section(tap, s), 2)
+
+
 def test_linearization_drops_higher_fibre_degree():
     tap, s = tap_and_section()
     lin = linearize_section(tap, s)

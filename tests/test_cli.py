@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from tangentcat import cdc
 from tangentcat.cdc import cdc_context, random_polynomial, section_context
 from tangentcat.cli import _dispatch, main, parse_workspace
 from tangentcat.errors import InconsistentClassification, ShapeMismatch
@@ -163,9 +164,11 @@ class TestWorkspaceParsing:
         # three outputs fit a section of a 1 -> 3 map, not of f : 1 -> 1
         ("cdcmap f : 1 -> 1 over Q = (x1^2)\nsection s for f = (w1, w1, w1)\n",
          "line 2: a section must have 1 fibre outputs or 2 full outputs, got 3"),
+        ("field Q\nalgebra A = vars(x) / ((x+1)\n", "line 2: unbalanced parentheses"),
         (None, "cannot read workspace"),
     ], ids=["duplicate-variable", "base-over-a-base", "algebra-before-field", "duplicate-image",
-            "missing-image", "across-fields", "section-of-another-map", "missing-file"])
+            "missing-image", "across-fields", "section-of-another-map", "unbalanced-parentheses",
+            "missing-file"])
     def test_parse_errors_exit_2_with_their_message(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str], text: str | None, message: str
     ) -> None:
@@ -175,6 +178,25 @@ class TestWorkspaceParsing:
         assert main(["kahler", "--workspace", str(ws), "--algebra", "A"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("tgc: parse error") and message in err
+
+    def test_a_digit_int_cannot_read_is_a_parse_error_at_its_column(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """'²' passes str.isdigit but not int(): it is an unexpected character."""
+        ws = tmp_path / "ws.tgc"
+        ws.write_text("field Q\nalgebra A = vars(x) / (x^²)\n", encoding="utf-8")
+        assert main(["kahler", "--workspace", str(ws), "--algebra", "A"]) == 2
+        assert capsys.readouterr().err == (
+            "tgc: parse error at line 2, column 3: in 'x^²': unexpected character '²'\n"
+        )
+
+    def test_linearize_refuses_a_section_declared_for_another_map(
+        self, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        code = main(["cdc", "linearize", "--workspace", WORKSPACE,
+                     "--map", "cube", "--section", "s"])
+        assert code == 2
+        assert capsys.readouterr().err == "tgc: parse error: section 's' was declared for 'tap'\n"
 
 
 GOLDEN = [
@@ -428,6 +450,33 @@ class TestHumanOutput:
                         "--count", "5", "--seed", "3")
         assert code == 0
         assert out.strip() == "suite theta-laws: 5 cases, 0 failures (seed 3)"
+
+
+def test_law_suites_pin_their_failures_under_a_doubled_differential(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """With D[f] doubled, each randomized law suite at seed 0 fails exactly
+    these (case, law) pairs: the suites draw their domains, arities and maps
+    in a fixed order and check a fixed list of laws per case."""
+    true_d = cdc.differential
+    monkeypatch.setattr(cdc, "differential", lambda f: cdc.add_maps(true_d(f), true_d(f)))
+    every = ("CD3_identity_and_projections", "CD5_chain_rule", "CD6_lift",
+             "lift_naturality", "theta_composition", "theta_flip")
+    lift = ("CD3_identity_and_projections", "CD6_lift", "lift_naturality", "theta_flip")
+    bare = ("CD3_identity_and_projections", "theta_flip")
+    identities = {3: bare, 5: bare, 14: bare, 15: bare, 17: bare,
+                  4: lift, 12: lift, 13: lift, 16: lift, 18: lift}
+    theta = {7: ("theta_flip",), 13: ("theta_flip",)}
+    expected = {
+        "theta-laws": [(case, law) for case in range(20)
+                       for law in theta.get(case, ("theta_composition", "theta_flip"))],
+        "tangent-identities": [(case, law) for case in range(20)
+                               for law in identities.get(case, every)],
+    }
+    for suite, pairs in expected.items():
+        code, out = tgc("verify", "--suite", suite, "--count", "20", "--seed", "0", "--json", "-")
+        assert code == 6
+        assert [(f["case"], f["law"]) for f in json.loads(out)["failures"]] == pairs
 
 
 class TestExitCodes:

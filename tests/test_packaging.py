@@ -47,6 +47,17 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_reads_digits_the_way_int_does():
+    # str.isdigit and str.isnumeric accept '²' and '①', which int() refuses;
+    # str.isdecimal accepts exactly the digits int() and re's \d read
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("isdigit", "isnumeric"):
+                found.append((path.name, node.lineno, node.attr))
+    assert found == []
+
+
 def _all_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     for node in tree.body:

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: domains, term orders, parsing, calculus."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -151,6 +152,30 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         qq("z + 1")
     assert "unknown variable 'z'" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, dom, message, column", [
+    ("1/2*x", F5, "rational literals are not available over", 2),
+    ("x + 1/0", QQ, "zero denominator", 7),
+    ("1/x", QQ, "expected a denominator, got 'x'", 3),
+    ("(x y)", QQ, "expected ')', got 'y'", 4),
+], ids=["rational-over-Fp", "zero-denominator", "missing-denominator", "unclosed-parenthesis"])
+def test_parse_refusals_carry_their_column(text, dom, message, column):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        poly_parse(text, XY, dom)
+    assert exc.value.column == column
+
+
+def test_numbers_are_decimal_digits():
+    """A digit int() cannot read ('²', '①') is an unexpected character,
+    as an exponent and as a coefficient; other decimal digits read as such."""
+    digits = [c for c in map(chr, range(0x10000)) if c.isdigit() and not c.isdecimal()]
+    assert "²" in digits and "①" in digits
+    for ch in digits:
+        for text in (f"x^{ch}", f"{ch}*x"):
+            with pytest.raises(ParseError, match="unexpected character"):
+                qq(text)
+    assert qq("\u0663*x^\u0663") == qq("3*x^3")
 
 
 def test_constant_and_variable_constructors():
