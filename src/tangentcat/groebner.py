@@ -292,6 +292,12 @@ def vec_is_zero(v):
     return all(c.is_zero() for c in v)
 
 
+def unit(p, i, rank):
+    """The vector of length ``rank`` with ``p`` at position ``i`` and zeros elsewhere."""
+    zero = Polynomial.zero(p.context, p.domain)
+    return tuple(p if k == i else zero for k in range(rank))
+
+
 def _vec_check(vectors):
     ranks = {len(v) for v in vectors}
     if len(ranks) != 1:
@@ -629,9 +635,8 @@ def _buchberger(vectors, rank, ctx, dom, order, cap, pk, seed):
 
 def _tagged(vectors, ctx, dom):
     """Each vector followed by a unit tag e_i, one tag column per vector."""
-    zero, one = Polynomial.zero(ctx, dom), Polynomial.one(ctx, dom)
-    s = len(vectors)
-    return [tuple(v) + tuple(one if k == i else zero for k in range(s)) for i, v in enumerate(vectors)]
+    one = Polynomial.one(ctx, dom)
+    return [tuple(v) + unit(one, i, len(vectors)) for i, v in enumerate(vectors)]
 
 
 def syzygy_basis(vectors, rank, ctx, dom, order=GREVLEX):

@@ -22,6 +22,7 @@ from .groebner import (
     free_module_basis,
     module_buchberger,
     syzygy_basis,
+    unit,
     vec_is_zero,
 )
 from .modlin import echelon, module_fd_basis, retraction_solve_matrices
@@ -65,10 +66,6 @@ class ModulePresentation:
     def rank(self):
         return len(self.labels)
 
-    def unit_vector(self, i):
-        z = self.algebra.zero()
-        return tuple(self.algebra.one() if j == i else z for j in range(self.rank))
-
     def gb(self):
         return _module_gb(self, degree_cap.get())
 
@@ -100,8 +97,7 @@ class FiniteModule:
     def vector(self, pos, mono):
         """The vector with the monomial ``mono`` at ``pos`` and zeros elsewhere."""
         A = self.module.algebra
-        m = Polynomial(A.context, A.domain, {mono: A.domain.one()})
-        return tuple(m if j == pos else A.zero() for j in range(self.module.rank))
+        return unit(Polynomial._clean(A.context, A.domain, {mono: A.domain.one()}), pos, self.module.rank)
 
     def columns(self, vectors):
         """The coordinates of each vector's normal form, as a sparse column."""
@@ -124,8 +120,7 @@ class FiniteModule:
 
 def _ideal_multiples(A, rank):
     """The vectors g·e_i for each generator g of A's ideal and position i."""
-    zero = A.zero()
-    return [tuple(g if j == i else zero for j in range(rank)) for g in A.ideal for i in range(rank)]
+    return [unit(g, i, rank) for g in A.ideal for i in range(rank)]
 
 
 @lru_cache(maxsize=None)
@@ -146,6 +141,13 @@ def _module_gb(M, budget):
 
 def free_module(A, labels):
     return ModulePresentation(A, tuple(labels), ())
+
+
+def extend_scalars(M, f):
+    """M ⊗_A B for f : A -> B, presented over B on M's generators: each
+    relation entry is mapped by f."""
+    relations = tuple(tuple(f.apply(c) for c in rel) for rel in M.relations)
+    return ModulePresentation(f.target, M.labels, relations)
 
 
 @dataclass(frozen=True)
@@ -247,27 +249,18 @@ class CotangentSequence:
 def cotangent_map(f):
     """Build the cotangent sequence of an algebra morphism."""
     f = absolute(f)
-    A, B = f.source, f.target
-    src_rel = A.covered(over_base=True)
-    tgt_rel = B.covered(over_base=True)
-    pull_labels = tuple("d" + n for n in A.relative_names)
-    pull_rels = []
-    for g in A.relative_ideal:
-        row = tuple(f.apply(g.partial(i)) for i in src_rel)
-        pull_rels.append(row)
-    pullback = ModulePresentation(B, pull_labels, tuple(pull_rels), free_module(B, pull_labels))
+    B = f.target
+    pullback = extend_scalars(kahler_module(f.source), f)
+    pullback = replace(pullback, extends=free_module(B, pullback.labels))
     middle = kahler_module(B)
     middle = replace(middle, extends=free_module(B, middle.labels))
-    images = f.images
     matrix = [
-        [B.reduce(images[i].partial(j)) for i in range(len(src_rel))]
-        for j in tgt_rel
+        [B.reduce(img.partial(j)) for img in f.images]
+        for j in B.covered(over_base=True)
     ]
     v = module_map(pullback, middle, matrix)
-    coker_rels = list(middle.relations)
-    for i in range(len(src_rel)):
-        coker_rels.append(v.column(i))
-    cokernel = ModulePresentation(B, middle.labels, tuple(coker_rels), middle)
+    coker_rels = middle.relations + tuple(v.column(i) for i in range(pullback.rank))
+    cokernel = ModulePresentation(B, middle.labels, coker_rels, middle)
     return CotangentSequence(pullback, middle, v, cokernel)
 
 
@@ -331,7 +324,7 @@ def zero_module_evidence(M):
     if M.rank == 0:
         return True, {"generators": 0}
     for i in range(M.rank):
-        nf = M.reduce(M.unit_vector(i))
+        nf = M.reduce(unit(M.algebra.one(), i, M.rank))
         if not vec_is_zero(nf):
             return False, {
                 "surviving_generator": M.labels[i],
@@ -440,11 +433,7 @@ def base_change_check(f, g):
     seq_right = cotangent_map(po.into_right)
     side1 = seq_right.cokernel
 
-    seq_f = cotangent_map(f)
-    relations = []
-    for rel in seq_f.cokernel.relations:
-        relations.append(tuple(po.into_left.apply(c) for c in rel))
-    side2 = ModulePresentation(P, seq_f.cokernel.labels, tuple(relations))
+    side2 = extend_scalars(cotangent_map(f).cokernel, po.into_left)
 
     fin1, fin2 = side1.finite(), side2.finite()
     d1 = None if fin1 is None else len(fin1.basis)
@@ -482,7 +471,6 @@ def conormal_sequence(B):
     """
     gens = list(B.relative_ideal)
     s = len(gens)
-    rel_vars = B.covered(over_base=True)
     labels = tuple(f"[{g}]" for g in gens)
     # B's ideal is the base relations followed by gens
     base_rows = [(g,) for g in B.ideal[: len(B.ideal) - s]]
@@ -490,12 +478,10 @@ def conormal_sequence(B):
     relations = [tuple(B.reduce(c) for c in row[:s]) for row in syz]
     relations = [r for r in relations if not vec_is_zero(r)]
     conormal = ModulePresentation(B, labels, tuple(relations))
-    target = free_module(B, tuple("d" + n for n in B.relative_names))
-    matrix = [
-        [B.reduce(g.partial(j)) for g in gens]
-        for j in rel_vars
-    ]
-    return module_map(conormal, target, matrix)
+    omega = kahler_module(B)
+    # δ's matrix is the transpose of Ω_B's Jacobian rows, reduced
+    matrix = [[B.reduce(rel[j]) for rel in omega.relations] for j in range(omega.rank)]
+    return module_map(conormal, free_module(B, omega.labels), matrix)
 
 
 def jacobian_split_verdict(B):

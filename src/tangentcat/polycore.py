@@ -628,7 +628,9 @@ def _tokenize(text):
 
 def _unit_monomial(p):
     """True for one term with coefficient 1 or -1 (p - 1 over F_p): its powers
-    cost no expansion, and wherever it is used the degree cap still meets it."""
+    cost no expansion.  The degree cap meets them later, where a morphism's
+    relation images are checked and where a basis takes them in, but not yet
+    where ``kahler`` reduces their derivatives."""
     if len(p.terms) != 1:
         return False
     (c,) = p.terms.values()

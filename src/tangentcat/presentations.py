@@ -28,10 +28,11 @@ from .groebner import (
     module_buchberger,
     morphism_graph,
     ring_map_kernel,
+    unit,
     vec_is_zero,
 )
 from .modlin import fd_basis
-from .polycore import Polynomial, VariableContext
+from .polycore import Polynomial, VariableContext, degree_cap, within_cap
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,13 @@ def morphism(source, target, images, over_base=False, check=True):
     f = AlgebraMorphism(source, target, tuple(images), over_base)
     if check:
         for g in source.ideal:
-            residue = f.apply(g)
+            # the image meets the cap before it is reduced; the target's
+            # basis comes first, so a target relation above the cap is the
+            # one reported
+            image = f.apply_raw(g)
+            target.gb()
+            within_cap(image.degree(), degree_cap.get())
+            residue = target.reduce(image)
             if not residue.is_zero():
                 raise IllDefinedMorphism(
                     f"relation {g} maps to nonzero residue {residue}",
@@ -337,15 +344,11 @@ def linear_section_exists(f):
         )
     # f is onto, so B is finite-dimensional whenever A is
     route = "finite" if A.finite_basis() is not None else "general"
-    r, zero, one = len(kernel), A.zero(), A.one()
-
-    def unit(p, i):
-        return tuple(p if k == i else zero for k in range(r + 2))
-
-    rows = [tuple(kernel) + (one, one)] + [unit(k, r) for k in kernel]
-    rows += [unit(g, i) for g in A.ideal for i in range(r + 1)]
+    r, one = len(kernel), A.one()
+    rows = [tuple(kernel) + (one, one)] + [unit(k, r, r + 2) for k in kernel]
+    rows += [unit(g, i, r + 2) for g in A.ideal for i in range(r + 1)]
     gb = module_buchberger(rows, r + 2, A.context, A.domain)
-    nf = gb.normal_form(unit(one, r))
+    nf = gb.normal_form(unit(one, r, r + 2))
     if not vec_is_zero(nf[: r + 1]):
         note = _SECTION_NOTES[route, False]
         # the basis elements that vanish on the κ block carry generators of

@@ -1,5 +1,7 @@
 """End-to-end classification reports and the coherence laws."""
 
+import random
+
 import pytest
 
 from tangentcat.cdc import cdc_context, cdc_map, classify_cdc_map
@@ -205,3 +207,56 @@ def test_and3_short_circuits_on_failure():
     assert out.evidence == {"because": {"k": 0}}
     assert and3(holds({}), holds({})).status == "holds"
     assert and3(holds({}), undetermined("pending")).reason == "pending"
+
+
+# --- cross-instance agreement ------------------------------------------------
+
+CROSS_DOMAINS = (QQ, F2, prime_field(3), prime_field(5), prime_field(7))
+
+
+def _linear_map(dom, rows, offsets):
+    """x -> rows·x + offsets, one component per row, over x1..xn."""
+    n = len(rows[0])
+    ctx = cdc_context(n)
+    unit = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    return [Polynomial(ctx, dom, {(0,) * n: b, **{unit[i]: a for i, a in enumerate(row)}})
+            for row, b in zip(rows, offsets)]
+
+
+def _disagreements(cdc_report, affine_report):
+    """The predicates both reports decide and decide differently."""
+    out = []
+    for key in ORDER:
+        c, a = cdc_report.predicates[key], affine_report.predicates[key]
+        if c.decided and a.decided and c.status != a.status:
+            out.append(key)
+    return out
+
+
+def test_linear_maps_agree_across_the_cdc_and_affine_instances():
+    """x -> Ax + b classified as a cdc-linear map and as the affine morphism
+    opposite to k[y] -> k[x], y_j -> (Ax + b)_j: the paper characterises each
+    class in both settings, and the two engines share only polycore, so every
+    predicate both decide must agree.  The cdc side fed the transpose, which
+    swaps injective and surjective, must be refuted.  300 maps, under 1 s on a
+    2-vCPU VM.  calg is not paired: no theorem relates it to cdc-linear on
+    split_T_submersion."""
+    rng = random.Random(16)
+    compared, refuted = 0, 0
+    for dom in CROSS_DOMAINS:
+        for _ in range(60):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            offsets = [rng.randint(-2, 2) if rng.random() < 0.5 else 0 for _ in range(m)]
+            comps = _linear_map(dom, rows, offsets)
+            xs = free_algebra(dom, cdc_context(n).names)
+            ys = free_algebra(dom, tuple(f"y{j + 1}" for j in range(m)))
+            affine = classify_affine(morphism(ys, xs, comps))
+            cdc = classify_cdc_map(cdc_map(dom, n, comps))
+            assert _disagreements(cdc, affine) == [], (dom, rows, offsets)
+            compared += sum(cdc.predicates[k].decided and affine.predicates[k].decided for k in ORDER)
+            transpose = [list(col) for col in zip(*rows)]
+            mutant = classify_cdc_map(cdc_map(dom, m, _linear_map(dom, transpose, [0] * n)))
+            refuted += bool(_disagreements(mutant, affine))
+    assert compared > 1500
+    assert refuted > 0

@@ -553,6 +553,26 @@ class TestExitCodes:
         assert code == 5
         assert "about 47548875 bits exceeds the budget of 65536 bits" in capsys.readouterr().err
 
+    def test_a_unit_monomial_power_above_the_cap_exits_while_a_morphism_is_checked(
+        self, tmp_path: Path
+    ) -> None:
+        """The parser lets y^100000000000 through, since a unit monomial's power
+        costs nothing to build; checking the morphism meets the cap before it
+        reduces the image y^200000000000 one degree at a time.  Bound: 5 s."""
+        ws = tmp_path / "unit_power.tgc"
+        ws.write_text(
+            "field Q\nalgebra A = vars(x) / (x^2)\nalgebra B = vars(y) / (y^2 - y - 1)\n"
+            "morphism q : A -> B = { x -> y^100000000000 }\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "tangentcat.cli", "classify", "--workspace", str(ws),
+             "--instance", "calg", "--morphism", "q"],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert (done.returncode, done.stdout) == (5, "")
+        assert "polynomial degree 200000000000 exceeds the degree cap 64" in done.stderr
+
     def test_a_long_integer_literal_exits_5_without_a_traceback(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:

@@ -186,6 +186,10 @@ def test_constant_and_variable_constructors():
     assert Polynomial.zero(XY, QQ).is_zero()
 
 
+def test_repr_names_the_class_and_the_printed_form():
+    assert repr(qq("x^2 - 3*y")) == "Polynomial('x^2 - 3*y')"
+
+
 # --- term orders ------------------------------------------------------------
 
 def test_leading_terms_differ_by_order():

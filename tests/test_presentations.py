@@ -141,6 +141,12 @@ def test_dual_numbers_square_to_zero():
     assert str(q.partial(n).rename(A.context, drop_eps)) == "2*x"
 
 
+def test_dual_numbers_of_dual_numbers_take_a_fresh_eps():
+    TTA = dual_numbers(dual_numbers(two_point_algebra()))
+    assert TTA.context.names == ("x", "@e0", "@e1")
+    assert [str(g) for g in TTA.ideal] == ["x^2 - x", "@e0^2", "@e1^2"]
+
+
 def dual_numbers_map(f):
     """The induced map A[e]/(e^2) -> B[e]/(e^2), sending e to e."""
     TA, TB = dual_numbers(f.source), dual_numbers(f.target)
