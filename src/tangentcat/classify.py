@@ -91,6 +91,14 @@ def from_bool(value, evidence, reason=None):
     return undetermined(reason or "not decided", evidence)
 
 
+def _kernel_status(kernel, key):
+    """Holds with ``{key: "zero"}`` on an empty kernel; else fails with its
+    generators under ``key + "_generators"``."""
+    if kernel:
+        return fails({f"{key}_generators": [str(k) for k in kernel]})
+    return holds({key: "zero"})
+
+
 def and3(*statuses):
     """Three-valued conjunction of predicate statuses."""
     if any(s.status == FAILS for s in statuses):
@@ -199,13 +207,7 @@ def classify_calg(f, name="f", base_name=None):
     and an element a with f(a) = 1 and Ker(f)·a = 0 decides the splitting.
     """
     t0 = time.perf_counter()
-    kernel = ring_map_kernel(f)
-    injective = len(kernel) == 0
-    if injective:
-        inj_ev = {"kernel": "zero"}
-    else:
-        inj_ev = {"kernel_generators": [str(k) for k in kernel]}
-    inj_status = from_bool(injective, inj_ev)
+    inj_status = _kernel_status(ring_map_kernel(f), "kernel")
 
     surjective, surj_data = is_surjective(f)
     if surjective:
@@ -255,12 +257,7 @@ def classify_affine(f, name="f", base_name=None):
     f = absolute(f)
     po = pushout(f, f)
     mu = codiagonal(po, f)
-    mu_kernel = ring_map_kernel(mu)
-    if mu_kernel:
-        monic_ev = {"codiagonal_kernel_generators": [str(k) for k in mu_kernel]}
-    else:
-        monic_ev = {"codiagonal_kernel": "zero"}
-    monic_status = from_bool(len(mu_kernel) == 0, monic_ev)
+    monic_status = _kernel_status(ring_map_kernel(mu), "codiagonal_kernel")
 
     seq = cotangent_map(f)
     verdicts = classify_cotangent(seq)

@@ -393,6 +393,11 @@ def _write_output(doc, human, args):
             fh.write(rendered)
 
 
+def _write_command(args, command, lines, **fields):
+    """Write a command's report: the JSON header, then ``fields`` in order."""
+    _write_output({"schema_version": "1", "command": command, **fields}, "\n".join(lines), args)
+
+
 def _verdict_value(pair):
     value, evidence = pair
     return {"value": value, "evidence": evidence}
@@ -430,15 +435,6 @@ def _cmd_kahler(args):
     module = kahler_module(alg)
     is_zero, zero_ev = zero_module_evidence(module)
     dim = module.dimension()
-    doc = {
-        "schema_version": "1",
-        "command": "kahler",
-        "algebra": args.algebra,
-        "generators": list(module.labels),
-        "relations": [[str(alg.reduce(c)) for c in row] for row in module.relations],
-        "is_zero": is_zero,
-        "dimension": dim,
-    }
     lines = [
         f"differentials of {args.algebra}",
         f"generators : {', '.join(module.labels) or '(none)'}",
@@ -446,7 +442,14 @@ def _cmd_kahler(args):
         f"zero module: {'yes' if is_zero else 'no'}",
         f"dimension  : {dim if dim is not None else 'not finite-dimensional'}",
     ]
-    _write_output(doc, "\n".join(lines), args)
+    _write_command(
+        args, "kahler", lines,
+        algebra=args.algebra,
+        generators=list(module.labels),
+        relations=[[str(alg.reduce(c)) for c in row] for row in module.relations],
+        is_zero=is_zero,
+        dimension=dim,
+    )
     return 0
 
 
@@ -455,21 +458,6 @@ def _cmd_cotangent(args):
     f = _lookup(ws.morphisms, "morphism", args.morphism)
     seq = cotangent_map(f)
     verdicts = classify_cotangent(seq)
-    doc = {
-        "schema_version": "1",
-        "command": "cotangent",
-        "morphism": args.morphism,
-        "pullback_generators": list(seq.pullback.labels),
-        "target_generators": list(seq.middle.labels),
-        "matrix": [[str(c) for c in row] for row in seq.v.matrix],
-        "verdicts": {
-            "monic": _verdict_value(verdicts.monic),
-            "cokernel_zero": _verdict_value(verdicts.cokernel_zero),
-            "split_monic": _verdict_value(verdicts.split_monic),
-            "iso": _verdict_value(verdicts.iso),
-        },
-        "regime": verdicts.regime,
-    }
     show = lambda pair: {True: "yes", False: "no", None: "undetermined"}[pair[0]]
     lines = [
         f"comparison map of differentials for {args.morphism}",
@@ -481,7 +469,16 @@ def _cmd_cotangent(args):
         f"isomorphism : {show(verdicts.iso)}",
         f"regime      : {verdicts.regime}",
     ]
-    _write_output(doc, "\n".join(lines), args)
+    _write_command(
+        args, "cotangent", lines,
+        morphism=args.morphism,
+        pullback_generators=list(seq.pullback.labels),
+        target_generators=list(seq.middle.labels),
+        matrix=[[str(c) for c in row] for row in seq.v.matrix],
+        verdicts={name: _verdict_value(getattr(verdicts, name))
+                  for name in ("monic", "cokernel_zero", "split_monic", "iso")},
+        regime=verdicts.regime,
+    )
     return 0
 
 
@@ -489,7 +486,12 @@ def _within_degree_cap(components):
     """Refuse polynomials above the degree cap with the Groebner engine's
     message: cdc composition and differentiation would expand them in full."""
     for c in components:
-        within_cap(c.degree(), degree_cap.get())
+        within_cap(c.degree())
+
+
+def _map_degree(fmap):
+    """The largest component degree, at least 0: a zero component has degree -1."""
+    return max([0] + [c.degree() for c in fmap.components])
 
 
 def _cdcmap(ws, name):
@@ -508,21 +510,19 @@ def _cmd_cdc_axioms(args):
     ws = load_workspace(args.workspace)
     f = _cdcmap(ws, args.map)
     g = _cdcmap(ws, args.partner) if args.partner else None
+    if g is not None and g.arity_in == f.arity_out:
+        within_cap(_map_degree(f) * _map_degree(g))  # the laws build g after f
     checks = _all_laws(f, g)
-    doc = {
-        "schema_version": "1",
-        "command": "cdc-axioms",
-        "map": args.map,
-        "partner": args.partner,
-        "laws": [
-            {"name": c.name, "holds": c.holds, "detail": c.detail} for c in checks
-        ],
-    }
     lines = [f"axioms and naturality for {args.map}"]
     for c in checks:
         mark = "ok  " if c.holds else "FAIL"
         lines.append(f"{mark} {c.name}" + (f"  ({c.detail})" if c.detail else ""))
-    _write_output(doc, "\n".join(lines), args)
+    _write_command(
+        args, "cdc-axioms", lines,
+        map=args.map,
+        partner=args.partner,
+        laws=[{"name": c.name, "holds": c.holds, "detail": c.detail} for c in checks],
+    )
     return 0 if all(c.holds for c in checks) else 6
 
 
@@ -533,24 +533,23 @@ def _cmd_cdc_linearize(args):
     if for_name != args.map:
         raise ParseError(f"section {args.section!r} was declared for {for_name!r}")
     _within_degree_cap(s.components)
+    within_cap(_map_degree(f) * _map_degree(s))  # theta(f) after s
     result = linearize_section(f, s)
     linear = fibre_linear(result, f.arity_in)
-    doc = {
-        "schema_version": "1",
-        "command": "cdc-linearize",
-        "map": args.map,
-        "section": args.section,
-        "components": [str(c) for c in result.components],
-        "fibre_linear": linear,
-        "is_section": True,
-    }
     lines = [
         f"linearized section of theta({args.map})",
         f"components  : {result.describe()}",
         f"fibre-linear: {'yes' if linear else 'no'}",
         "section     : yes",
     ]
-    _write_output(doc, "\n".join(lines), args)
+    _write_command(
+        args, "cdc-linearize", lines,
+        map=args.map,
+        section=args.section,
+        components=[str(c) for c in result.components],
+        fibre_linear=linear,
+        is_section=True,
+    )
     return 0
 
 
@@ -623,19 +622,17 @@ def _cmd_verify(args):
     runner, default_count = SUITES[args.suite]
     count = args.count if args.count is not None else default_count
     failures = runner(count, args.seed)
-    doc = {
-        "schema_version": "1",
-        "command": "verify",
-        "suite": args.suite,
-        "count": count,
-        "seed": args.seed,
-        "oracle": bool(args.oracle),
-        "failures": failures,
-    }
     lines = [f"suite {args.suite}: {count} cases, {len(failures)} failures (seed {args.seed})"]
     for item in failures:
         lines.append(f"FAIL case {item['case']}: {item['law']} {item['detail']}")
-    _write_output(doc, "\n".join(lines), args)
+    _write_command(
+        args, "verify", lines,
+        suite=args.suite,
+        count=count,
+        seed=args.seed,
+        oracle=bool(args.oracle),
+        failures=failures,
+    )
     return 0 if not failures else 6
 
 
@@ -698,11 +695,9 @@ def main(argv=None):
     if getattr(args, "count", None) is not None and args.count < 0:
         parser.error(f"--count must be 0 or more, got {args.count}")
     cap = args.degree_cap
-    if cap is None:
-        return _dispatch(args)
-    if cap < 0:
+    if cap is not None and cap < 0:
         parser.error(f"--degree-cap must be 0 or more, got {cap}")
-    token = degree_cap.set(cap)
+    token = degree_cap.set(degree_cap.get() if cap is None else cap)
     try:
         return _dispatch(args)
     finally:

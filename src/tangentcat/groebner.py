@@ -86,8 +86,6 @@ class GroebnerBasis:
 
     module: ModuleGroebnerBasis
     order = property(lambda self: self.module.order)
-    context = property(lambda self: self.module.context)
-    domain = property(lambda self: self.module.domain)
 
     @cached_property
     def generators(self):
@@ -128,7 +126,7 @@ def _cached_gb(gens, order, budget):
 
 
 def groebner_basis(gens, order=GREVLEX):
-    """Cached reduced Groebner basis; the empty ideal yields an empty basis."""
+    """Cached reduced Groebner basis; an empty ideal raises ShapeMismatch (see ``ideal_basis``)."""
     gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
         raise ShapeMismatch("cannot infer context for an empty generator list")
@@ -218,7 +216,7 @@ class FiniteGraph(_Graph):
         A, B = self.source, self.target = f.source, f.target
         self._index, self._nf = {m: j for j, m in enumerate(staircase)}, gb.normal_form
         self._span, self._monos = Echelon(A.domain), []  # rows of the images so far; _monos[k] owns column d + 1 + k
-        d, n, cap = len(staircase), len(A.context), degree_cap.get()
+        d, n = len(staircase), len(A.context)
         self.kernel_basis, leads, images = [], [], {}  # images: pivot -> reduced f(pivot)
         queue = [(GREVLEX.key((0,) * n), (0,) * n, -1)]  # (key, m, i): m = x_i·pivot, or 1
         while queue:
@@ -230,7 +228,7 @@ class FiniteGraph(_Graph):
             self._monos.append(m)
             row = self._row(img, col)
             if min(row) > d:  # a kernel element led by m
-                within_cap(mono_deg(m), cap)
+                within_cap(mono_deg(m))
                 leads.append(m)
                 self.kernel_basis.append(self._combination(row, col))
                 continue
@@ -265,11 +263,11 @@ class FiniteGraph(_Graph):
 @lru_cache(maxsize=None)
 def _cached_graph(f, budget):
     """``budget`` is the current degree cap; it only keys the cache.  Both routes
-    first check the graph basis's input generators, in its order, against it."""
+    first check the graph basis's input generators, in its order, against the cap."""
     A, B = f.source, f.target
     for d in chain((g.degree() for g in B.ideal), (max(1, g.degree()) for g in f.var_images),
                    (g.degree() for g in A.ideal)):
-        within_cap(d, budget)
+        within_cap(d)
     gb = B.gb()
     staircase = fd_basis(gb, len(B.context))
     return MorphismGraph(f) if staircase is None else FiniteGraph(f, gb, staircase)
@@ -314,9 +312,9 @@ class _Overflow(Exception):
     """A packed exponent left its field."""
 
 
-def _widening(run, n, cap):
+def _widening(run, n):
     """``run(packing)``, first with M at least twice the degree cap, then twice as wide after each overflow."""
-    width = (2 * max(cap, 1)).bit_length() + 1
+    width = (2 * max(degree_cap.get(), 1)).bit_length() + 1
     while True:
         try:
             return run(_Packing(n, width))
@@ -448,7 +446,7 @@ def module_normal_form(v, basis, order=GREVLEX):
             if pos is not None:
                 table[pos].append(_entry(vec, pos, max(vec[pos], key=key), b[0].domain.p))
         return _normal_form(v, table, pk, order, v[0].context, v[0].domain)
-    return _widening(run, len(v[0].context), degree_cap.get())
+    return _widening(run, len(v[0].context))
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,7 +496,6 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX, seed=None):
     another rank, context, domain or order is refused.  Raises ResourceLimit
     when an element's degree exceeds ``degree_cap``.
     """
-    cap = degree_cap.get()
     if seed is not None and (seed.rank, seed.context, seed.domain, seed.order) != (rank, ctx, dom, order):
         raise ShapeMismatch("the seed basis does not match the declared module shape")
     vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
@@ -509,7 +506,7 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX, seed=None):
         raise ShapeMismatch("vectors do not match the declared module shape")
     if not dom.is_field:
         raise UnsupportedDomain("Groebner bases require a field domain")
-    return _widening(lambda pk: _buchberger(vectors, rank, ctx, dom, order, cap, pk, seed), len(ctx), cap)
+    return _widening(lambda pk: _buchberger(vectors, rank, ctx, dom, order, pk, seed), len(ctx))
 
 
 def free_module_basis(ring, rank):
@@ -521,7 +518,7 @@ def free_module_basis(ring, rank):
     return ModuleGroebnerBasis(table, rank, ring.order, ring.context, ring.domain, ring.packing)
 
 
-def _buchberger(vectors, rank, ctx, dom, order, cap, pk, seed):
+def _buchberger(vectors, rank, ctx, dom, order, pk, seed):
     """The body of ``module_buchberger``, on monomials packed by ``pk``."""
     key, p, top, one, guards, low = pk.key(order), dom.p, pk.top, pk.one, pk.guards, pk.low
     basis, leads = [], []  # reducer entries (see _reduce) and their (position, monomial)
@@ -531,7 +528,7 @@ def _buchberger(vectors, rank, ctx, dom, order, cap, pk, seed):
 
     def enter(entry, pos):
         for comp in entry[2]:
-            within_cap(max(comp) >> top if comp else -1, cap)
+            within_cap(max(comp) >> top if comp else -1)
         basis.append(entry)
         leads.append((pos, entry[0]))
         reducers[pos].append(entry)

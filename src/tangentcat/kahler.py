@@ -26,7 +26,7 @@ from .groebner import (
     vec_is_zero,
 )
 from .modlin import echelon, module_fd_basis, retraction_solve_matrices
-from .polycore import Polynomial, degree_cap
+from .polycore import Polynomial, degree_cap, within_cap
 from .presentations import absolute, glued_algebra, identity_morphism, pushout
 
 
@@ -254,10 +254,12 @@ def cotangent_map(f):
     pullback = replace(pullback, extends=free_module(B, pullback.labels))
     middle = kahler_module(B)
     middle = replace(middle, extends=free_module(B, middle.labels))
-    matrix = [
-        [B.reduce(img.partial(j)) for img in f.images]
-        for j in B.covered(over_base=True)
-    ]
+
+    def reduced(p):
+        within_cap(p.degree())  # B.reduce would take a unit monomial's power down one degree a step
+        return B.reduce(p)
+
+    matrix = [[reduced(img.partial(j)) for img in f.images] for j in B.covered(over_base=True)]
     v = module_map(pullback, middle, matrix)
     coker_rels = middle.relations + tuple(v.column(i) for i in range(pullback.rank))
     cokernel = ModulePresentation(B, middle.labels, coker_rels, middle)
@@ -351,7 +353,6 @@ def classify_cotangent(seq):
     algebra on staircase bases; otherwise the kernel comes from syzygies
     and splitting may stay undetermined.
     """
-    dom = seq.pullback.algebra.domain
     ret = retraction_solve(seq.v)
     finite = ret is not None
     source = ret.source if finite else seq.pullback.finite()
@@ -382,7 +383,7 @@ def classify_cotangent(seq):
         if split:
             split_ev = {
                 "route": "finite",
-                "retraction": [[dom.coeff_str(dom.normalize(x)) for x in row] for row in ret.matrix],
+                "retraction": [[str(x) for x in row] for row in ret.matrix],
                 "source_basis": [[pos, list(mono)] for pos, mono in ret.source.basis],
                 "target_basis": [[pos, list(mono)] for pos, mono in ret.target.basis],
             }
@@ -498,8 +499,7 @@ def jacobian_split_verdict(B):
     if ret is None:
         return None, {"reason": "conormal splitting needs finite-dimensional modules"}
     if ret.exists:
-        dom = B.domain
         return True, {
-            "retraction": [[dom.coeff_str(dom.normalize(x)) for x in row] for row in ret.matrix],
+            "retraction": [[str(x) for x in row] for row in ret.matrix],
         }
     return False, {"reason": "no module retraction of the conormal differential exists"}

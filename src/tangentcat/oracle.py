@@ -101,13 +101,13 @@ def _fail(predicate, claim, detail):
     )
 
 
-def _replay_kernel_generators(predicate, f, texts, apply, results,
+def _replay_kernel_generators(predicate, f, texts, results,
                               claim="kernel_generators"):
     for text in texts:
         gen = f.source.parse(text)
         if f.source.reduce(gen).is_zero():
             _fail(predicate, claim, f"{text} is zero in the source")
-        if not apply(gen).is_zero():
+        if not f.apply(gen).is_zero():
             _fail(predicate, claim, f"{text} does not map to zero")
     results.append(
         {"predicate": predicate, "claim": claim, "status": "corroborated"}
@@ -219,15 +219,13 @@ def replay_evidence(report, morphism=None):
                 results.append({"predicate": predicate, "claim": "kernel_generators",
                                 "status": "not_replayable"})
             elif "kernel_generators" in ev:
-                _replay_kernel_generators(
-                    predicate, f, ev["kernel_generators"], f.apply, results
-                )
+                _replay_kernel_generators(predicate, f, ev["kernel_generators"], results)
             if "codiagonal_kernel_generators" in ev:
                 if mu is None:
                     mu = codiagonal(pushout(f, f), f)
                 _replay_kernel_generators(
                     predicate, mu, ev["codiagonal_kernel_generators"],
-                    mu.apply, results, claim="codiagonal_kernel_generators",
+                    results, claim="codiagonal_kernel_generators",
                 )
             if "preimages" in ev:
                 _replay_preimages(predicate, f, ev["preimages"], results)

@@ -47,8 +47,9 @@ from .errors import (
 degree_cap = ContextVar("degree_cap", default=64)
 
 
-def within_cap(d, cap):
-    """Raise ResourceLimit when the degree ``d`` exceeds ``cap``."""
+def within_cap(d):
+    """Raise ResourceLimit when the degree ``d`` exceeds the current ``degree_cap``."""
+    cap = degree_cap.get()
     if d > cap:
         raise ResourceLimit(f"polynomial degree {d} exceeds the degree cap {cap}", degree=d, cap=cap)
 
@@ -163,11 +164,6 @@ class CoefficientDomain:
                 raise ZeroDivisionError("division by zero in Fp")
             return (a * pow(b, self.p - 2, self.p)) % self.p
         raise UnsupportedDomain(f"exact division is not available over {self.kind}")
-
-    def coeff_str(self, c):
-        if self.kind == "Q" and c.denominator != 1:
-            return f"{c.numerator}/{c.denominator}"
-        return str(c)
 
     def __str__(self):
         return f"F{self.p}" if self.kind == "Fp" else self.kind
@@ -518,7 +514,7 @@ class Polynomial:
             negative = dom.kind in ("Q", "Z") and c < 0
             mag = -c if negative else c
             body = self._mono_str(m)
-            cs = dom.coeff_str(mag)
+            cs = str(mag)
             if body and cs == "1":
                 piece = body
             elif body:
@@ -629,8 +625,8 @@ def _tokenize(text):
 def _unit_monomial(p):
     """True for one term with coefficient 1 or -1 (p - 1 over F_p): its powers
     cost no expansion.  The degree cap meets them later, where a morphism's
-    relation images are checked and where a basis takes them in, but not yet
-    where ``kahler`` reduces their derivatives."""
+    relation images are checked, where a basis takes them in and where
+    ``kahler.cotangent_map`` takes their derivatives before reducing them."""
     if len(p.terms) != 1:
         return False
     (c,) = p.terms.values()
@@ -644,7 +640,6 @@ class _PolyParser:
         self.depth = 0
         self.ctx = ctx
         self.domain = domain
-        self.cap = degree_cap.get()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -709,7 +704,7 @@ class _PolyParser:
             e = read_int(evalue)
             if not _unit_monomial(p):
                 # deg(p^e) = deg(p)*e exactly: no coefficient ring here has zero divisors
-                within_cap(p.degree() * e, self.cap)
+                within_cap(p.degree() * e)
                 if p.degree() == 0 and not self.domain.p:
                     (c,) = p.terms.values()
                     bits = e * log2(max(abs(c.numerator), c.denominator))

@@ -32,7 +32,7 @@ from .groebner import (
     vec_is_zero,
 )
 from .modlin import fd_basis
-from .polycore import Polynomial, VariableContext, degree_cap, within_cap
+from .polycore import Polynomial, VariableContext, within_cap
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def morphism(source, target, images, over_base=False, check=True):
             # one reported
             image = f.apply_raw(g)
             target.gb()
-            within_cap(image.degree(), degree_cap.get())
+            within_cap(image.degree())
             residue = target.reduce(image)
             if not residue.is_zero():
                 raise IllDefinedMorphism(

@@ -573,6 +573,39 @@ class TestExitCodes:
         assert (done.returncode, done.stdout) == (5, "")
         assert "polynomial degree 200000000000 exceeds the degree cap 64" in done.stderr
 
+    def test_a_unit_monomial_image_above_the_cap_exits_before_its_derivative_is_reduced(
+        self, tmp_path: Path
+    ) -> None:
+        """With no source relation to check, y^100000000000 first meets the cap
+        where ``cotangent`` takes its derivative, before reducing it one degree
+        at a time.  Bound: 5 s."""
+        ws = tmp_path / "unit_image.tgc"
+        ws.write_text(
+            "field Q\nalgebra A = vars(x)\nalgebra B = vars(y) / (y^2 - y - 1)\n"
+            "morphism q : A -> B = { x -> y^100000000000 }\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "tangentcat.cli", "cotangent", "--workspace", str(ws),
+             "--morphism", "q"],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert (done.returncode, done.stdout) == (5, "")
+        assert "polynomial degree 99999999999 exceeds the degree cap 64" in done.stderr
+
+    def test_cdc_axioms_refuse_a_composite_above_the_cap_before_any_law_runs(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """Each component of f is within the cap, but the laws would build f after f,
+        of degree 20 * 20 = 400; the command exits 5 at once instead."""
+        ws = tmp_path / "composite.tgc"
+        ws.write_text("cdcmap f : 3 -> 3 over Q = ((x1+x2+x3)^20, x2, x3)\n")
+        start = time.perf_counter()
+        code, out = run_cli(["cdc", "axioms", "--workspace", str(ws), "--map", "f", "--with", "f"])
+        assert time.perf_counter() - start < 3.0
+        assert (code, out) == (5, "")
+        assert "polynomial degree 400 exceeds the degree cap 64" in capsys.readouterr().err
+
     def test_a_long_integer_literal_exits_5_without_a_traceback(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:
