@@ -533,7 +533,6 @@ def _cmd_cdc_linearize(args):
     if for_name != args.map:
         raise ParseError(f"section {args.section!r} was declared for {for_name!r}")
     _within_degree_cap(s.components)
-    within_cap(_map_degree(f) * _map_degree(s))  # theta(f) after s
     result = linearize_section(f, s)
     linear = fibre_linear(result, f.arity_in)
     lines = [

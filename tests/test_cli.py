@@ -573,16 +573,21 @@ class TestExitCodes:
         assert (done.returncode, done.stdout) == (5, "")
         assert "polynomial degree 200000000000 exceeds the degree cap 64" in done.stderr
 
+    @pytest.mark.parametrize(("target", "image", "degree"), [
+        ("vars(y) / (y^2 - y - 1)", "y^100000000000", 99999999999),
+        ("vars(y) / (y^2)", "y^100", 99),
+    ], ids=("hang", "cheap-reduction"))
     def test_a_unit_monomial_image_above_the_cap_exits_before_its_derivative_is_reduced(
-        self, tmp_path: Path
+        self, tmp_path: Path, target: str, image: str, degree: int
     ) -> None:
-        """With no source relation to check, y^100000000000 first meets the cap
-        where ``cotangent`` takes its derivative, before reducing it one degree
-        at a time.  Bound: 5 s."""
+        """With no source relation to check, a unit-monomial image first meets
+        the cap where ``cotangent`` takes its derivative, before reducing it
+        one degree at a time.  The check refuses every derivative above the
+        cap, also one that would reduce to 0 in a step.  Bound: 5 s."""
         ws = tmp_path / "unit_image.tgc"
         ws.write_text(
-            "field Q\nalgebra A = vars(x)\nalgebra B = vars(y) / (y^2 - y - 1)\n"
-            "morphism q : A -> B = { x -> y^100000000000 }\n"
+            f"field Q\nalgebra A = vars(x)\nalgebra B = {target}\n"
+            f"morphism q : A -> B = {{ x -> {image} }}\n"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run(
@@ -591,7 +596,7 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, timeout=5,
         )
         assert (done.returncode, done.stdout) == (5, "")
-        assert "polynomial degree 99999999999 exceeds the degree cap 64" in done.stderr
+        assert f"polynomial degree {degree} exceeds the degree cap 64" in done.stderr
 
     def test_cdc_axioms_refuse_a_composite_above_the_cap_before_any_law_runs(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
@@ -605,6 +610,21 @@ class TestExitCodes:
         assert time.perf_counter() - start < 3.0
         assert (code, out) == (5, "")
         assert "polynomial degree 400 exceeds the degree cap 64" in capsys.readouterr().err
+
+    def test_cdc_linearize_accepts_a_section_whose_factors_fit_the_cap(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """theta(f) is linear in its fibre, so theta(f) after s has degree at most
+        deg f - 1 + deg s; two degree-20 factors linearize under the default cap."""
+        ws = tmp_path / "section.tgc"
+        ws.write_text(
+            "cdcmap f : 2 -> 2 over Q = (x1 + x2^20, x2)\n"
+            "section s for f = (w1 - 20*x2^19*w2, w2)\n"
+        )
+        code, out = run_cli(["cdc", "linearize", "--workspace", str(ws), "--map", "f",
+                             "--section", "s"])
+        assert code == 0
+        assert "fibre-linear: yes" in out
 
     def test_a_long_integer_literal_exits_5_without_a_traceback(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
