@@ -318,7 +318,7 @@ def load_workspace(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read workspace {path!r}: {e}")
     return parse_workspace(text)
 
@@ -381,16 +381,23 @@ def human_report(report):
     return "\n".join(lines)
 
 
+class _Unwritable(Exception):
+    """The ``--json`` path cannot be written: a usage error, exit 2."""
+
+
 def _write_output(doc, human, args):
+    """Write the JSON report to ``--json PATH`` first, so that nothing reaches
+    stdout when PATH cannot be written, then the human table to stdout; with
+    ``--json -`` the JSON goes to stdout instead of the table."""
     path = getattr(args, "json", None)
     rendered = json.dumps(doc, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(rendered)
-        return
-    sys.stdout.write(human + "\n")
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+    if path and path != "-":
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as e:
+            raise _Unwritable(f"cannot write the JSON report to {path!r}: {e.strerror}")
+    sys.stdout.write(rendered if path == "-" else human + "\n")
 
 
 def _write_command(args, command, lines, **fields):
@@ -713,6 +720,9 @@ def _dispatch(args):
             if e.column is not None:
                 where += f", column {e.column}"
         print(f"tgc: parse error{where}: {e}", file=sys.stderr)
+        return 2
+    except _Unwritable as e:
+        print(f"tgc: {e}", file=sys.stderr)
         return 2
     except ResourceLimit as e:
         print(f"tgc: resource limit: {e}", file=sys.stderr)

@@ -119,9 +119,8 @@ def buchberger_extended(gens, order=GREVLEX):
 
 
 @lru_cache(maxsize=None)
-def _cached_gb(gens, order, budget):
+def _cached_gb(gens, ctx, dom, order, budget):
     """``budget`` is the current degree cap; it only keys the cache."""
-    ctx, dom = gens[0].context, gens[0].domain
     return GroebnerBasis(module_buchberger([(g,) for g in gens], 1, ctx, dom, order))
 
 
@@ -130,15 +129,12 @@ def groebner_basis(gens, order=GREVLEX):
     gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
         raise ShapeMismatch("cannot infer context for an empty generator list")
-    return _cached_gb(gens, order, degree_cap.get())
+    return _cached_gb(gens, gens[0].context, gens[0].domain, order, degree_cap.get())
 
 
 def ideal_basis(gens, ctx, domain, order=GREVLEX):
     """Like :func:`groebner_basis` but tolerates an empty generator list."""
-    gens = tuple(g for g in gens if not g.is_zero())
-    if not gens:
-        return GroebnerBasis(ModuleGroebnerBasis([[]], 1, order, ctx, domain))
-    return _cached_gb(gens, order, degree_cap.get())
+    return _cached_gb(tuple(g for g in gens if not g.is_zero()), ctx, domain, order, degree_cap.get())
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +290,6 @@ def unit(p, i, rank):
     """The vector of length ``rank`` with ``p`` at position ``i`` and zeros elsewhere."""
     zero = Polynomial.zero(p.context, p.domain)
     return tuple(p if k == i else zero for k in range(rank))
-
-
-def _vec_check(vectors):
-    ranks = {len(v) for v in vectors}
-    if len(ranks) != 1:
-        raise ShapeMismatch(f"vectors of mixed ranks {sorted(ranks)}")
-    ctx, dom = vectors[0][0].context, vectors[0][0].domain
-    for v in vectors:
-        for c in v:
-            if c.context != ctx or c.domain != dom:
-                raise ContextMismatch("vector entries disagree on context or domain")
-    return ranks.pop(), ctx, dom
 
 
 class _Overflow(Exception):
@@ -493,17 +477,21 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX, seed=None):
     run as it stands: its elements form no S-pairs among themselves, since
     each of those has a standard representation over the seed already
     (Buchberger 1965), so only pairs with the ``vectors`` run.  A seed of
-    another rank, context, domain or order is refused.  Raises ResourceLimit
-    when an element's degree exceeds ``degree_cap``.
+    another rank, context, domain or order is refused, as is a vector of
+    another rank (ShapeMismatch) or with an entry over another context or
+    domain (ContextMismatch).  Raises ResourceLimit when an element's degree
+    exceeds ``degree_cap``.
     """
     if seed is not None and (seed.rank, seed.context, seed.domain, seed.order) != (rank, ctx, dom, order):
         raise ShapeMismatch("the seed basis does not match the declared module shape")
     vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
     if not vectors:
         return seed or ModuleGroebnerBasis([[] for _ in range(rank)], rank, order, ctx, dom)
-    vrank, vctx, vdom = _vec_check(vectors)
-    if vrank != rank or vctx != ctx or vdom != dom:
-        raise ShapeMismatch("vectors do not match the declared module shape")
+    for v in vectors:
+        if len(v) != rank:
+            raise ShapeMismatch(f"a vector of rank {len(v)} in a module of rank {rank}")
+        if any(c.context != ctx or c.domain != dom for c in v):
+            raise ContextMismatch("a vector entry is not over the module's context and domain")
     if not dom.is_field:
         raise UnsupportedDomain("Groebner bases require a field domain")
     return _widening(lambda pk: _buchberger(vectors, rank, ctx, dom, order, pk, seed), len(ctx))

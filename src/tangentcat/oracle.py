@@ -22,7 +22,15 @@ from .errors import (
     EvidenceMismatch,
     IllDefinedMorphism,
 )
-from .presentations import AlgebraPresentation, absolute, codiagonal, compose, morphism, pushout
+from .presentations import (
+    AlgebraPresentation,
+    absolute,
+    codiagonal,
+    compose,
+    morphism,
+    pushout,
+    section_witness_fault,
+)
 
 MERSENNE_61 = 2**61 - 1
 SAMPLES = 32
@@ -70,13 +78,8 @@ def identity_check(p, q):
     rng = random.Random(SEED)
     nvars = len(p.context)
     rp, rq = _residues(p, modulus), _residues(q, modulus)
-    k = modulus.bit_length()  # randrange(modulus)'s draws, minus its per-call checks
     for _ in range(SAMPLES):
-        point = []
-        while len(point) < nvars:
-            r = rng.getrandbits(k)
-            if r < modulus:
-                point.append(r)
+        point = [rng.randrange(modulus) for _ in range(nvars)]
         if _eval_mod(rp, point, modulus) != _eval_mod(rq, point, modulus):
             return "definitely_unequal"
     return "probably_equal"
@@ -101,38 +104,28 @@ def _fail(predicate, claim, detail):
     )
 
 
-def _replay_kernel_generators(predicate, f, texts, results,
-                              claim="kernel_generators"):
+def _replay_kernel_generators(predicate, f, texts, claim="kernel_generators"):
     for text in texts:
         gen = f.source.parse(text)
         if f.source.reduce(gen).is_zero():
             _fail(predicate, claim, f"{text} is zero in the source")
         if not f.apply(gen).is_zero():
             _fail(predicate, claim, f"{text} does not map to zero")
-    results.append(
-        {"predicate": predicate, "claim": claim, "status": "corroborated"}
-    )
 
 
-def _replay_preimages(predicate, f, preimages, results):
+def _replay_preimages(predicate, f, preimages):
     names = list(f.target.context.names)
     for var_name, text in preimages.items():
         pre = f.source.parse(text)
         target_var = f.target.var(names.index(var_name))
         if not f.target.reduce(f.apply(pre) - target_var).is_zero():
             _fail(predicate, "preimages", f"{text} does not hit {var_name}")
-    results.append({"predicate": predicate, "claim": "preimages", "status": "corroborated"})
 
 
-def _replay_witness(predicate, f, text, kernel, results):
-    w = f.source.parse(text)
-    image = f.apply(w)
-    if not f.target.reduce(image - f.target.one()).is_zero():
-        _fail(predicate, "witness", f"{text} does not map to 1")
-    for k in kernel:
-        if not f.source.reduce(k * w).is_zero():
-            _fail(predicate, "witness", f"{text} does not annihilate {k}")
-    results.append({"predicate": predicate, "claim": "witness", "status": "corroborated"})
+def _replay_witness(predicate, f, text, kernel):
+    fault = section_witness_fault(f, kernel, f.source.parse(text))
+    if fault:
+        _fail(predicate, "witness", f"{text} {fault}")
 
 
 def _stored_kernel(report, f, predicate):
@@ -164,7 +157,7 @@ def _parse_matrix(rows, p):
     return [[int(x) % p for x in row] for row in rows]
 
 
-def _replay_right_inverse(predicate, matrix, right, p, results):
+def _replay_right_inverse(predicate, matrix, right, p):
     mat = _parse_matrix(matrix, p)
     inv = _parse_matrix(right, p)
     m = len(mat)
@@ -176,12 +169,9 @@ def _replay_right_inverse(predicate, matrix, right, p, results):
             want = 1 if i == j else 0
             if acc != want:
                 _fail(predicate, "right_inverse", f"entry ({i}, {j}) is {acc}, not {want}")
-    results.append(
-        {"predicate": predicate, "claim": "right_inverse", "status": "corroborated"}
-    )
 
 
-def _replay_kernel_vector(predicate, matrix, vec, p, results):
+def _replay_kernel_vector(predicate, matrix, vec, p):
     mat = _parse_matrix(matrix, p)
     v = _parse_matrix([vec], p)[0]
     if all(x == 0 for x in v):
@@ -192,9 +182,6 @@ def _replay_kernel_vector(predicate, matrix, vec, p, results):
             acc %= p
         if acc != 0:
             _fail(predicate, "kernel_vector", f"row {i} does not annihilate the vector")
-    results.append(
-        {"predicate": predicate, "claim": "kernel_vector", "status": "corroborated"}
-    )
 
 
 def replay_evidence(report, morphism=None):
@@ -206,6 +193,10 @@ def replay_evidence(report, morphism=None):
     value lists what was corroborated.
     """
     results = []
+
+    def record(predicate, claim, status="corroborated"):
+        results.append({"predicate": predicate, "claim": claim, "status": status})
+
     if report.instance in ("calg", "affine"):
         if morphism is None:
             return [{"status": "not_replayable",
@@ -216,27 +207,24 @@ def replay_evidence(report, morphism=None):
             ev = status.evidence
             # an affine report's kernel generators are module vectors, not polynomials
             if report.instance == "affine" and ev.get("kernel_generators"):
-                results.append({"predicate": predicate, "claim": "kernel_generators",
-                                "status": "not_replayable"})
+                record(predicate, "kernel_generators", "not_replayable")
             elif "kernel_generators" in ev:
-                _replay_kernel_generators(predicate, f, ev["kernel_generators"], results)
+                _replay_kernel_generators(predicate, f, ev["kernel_generators"])
+                record(predicate, "kernel_generators")
             if "codiagonal_kernel_generators" in ev:
                 if mu is None:
                     mu = codiagonal(pushout(f, f), f)
-                _replay_kernel_generators(
-                    predicate, mu, ev["codiagonal_kernel_generators"],
-                    results, claim="codiagonal_kernel_generators",
-                )
+                _replay_kernel_generators(predicate, mu, ev["codiagonal_kernel_generators"],
+                                          claim="codiagonal_kernel_generators")
+                record(predicate, "codiagonal_kernel_generators")
             if "preimages" in ev:
-                _replay_preimages(predicate, f, ev["preimages"], results)
+                _replay_preimages(predicate, f, ev["preimages"])
+                record(predicate, "preimages")
             if "witness" in ev:
-                kernel = _stored_kernel(report, f, predicate)
-                _replay_witness(predicate, f, ev["witness"], kernel, results)
+                _replay_witness(predicate, f, ev["witness"], _stored_kernel(report, f, predicate))
+                record(predicate, "witness")
             if "missing_preimages" in ev and status.status == "fails":
-                results.append(
-                    {"predicate": predicate, "claim": "missing_preimages",
-                     "status": "not_replayable"}
-                )
+                record(predicate, "missing_preimages", "not_replayable")
     elif report.instance == "cdc-linear":
         matrix = report.annotations.get("matrix")
         if matrix is None:
@@ -246,9 +234,11 @@ def replay_evidence(report, morphism=None):
         for predicate, status in report.predicates.items():
             ev = status.evidence
             if "right_inverse" in ev:
-                _replay_right_inverse(predicate, matrix, ev["right_inverse"], p, results)
-            if "kernel_vector" in ev and ev["kernel_vector"]:
-                _replay_kernel_vector(predicate, matrix, ev["kernel_vector"], p, results)
+                _replay_right_inverse(predicate, matrix, ev["right_inverse"], p)
+                record(predicate, "right_inverse")
+            if ev.get("kernel_vector"):
+                _replay_kernel_vector(predicate, matrix, ev["kernel_vector"], p)
+                record(predicate, "kernel_vector")
     if not results:
         results.append({"status": "nothing_to_replay"})
     return results

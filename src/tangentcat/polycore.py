@@ -661,26 +661,22 @@ class _PolyParser:
         return p
 
     def expr(self):
-        kind, value, col = self.peek()
-        negate = False
-        if kind == "OP" and value in "+-":
-            self.take()
-            negate = value == "-"
-            if negate and not self.domain.has_negation:
-                raise ParseError("'-' is not available over N", column=col + 1)
-        p = self.term()
-        if negate:
-            p = -p
+        """Terms joined by signs, with an optional sign before the first."""
+        p = None
         while True:
             kind, value, col = self.peek()
+            minus = kind == "OP" and value == "-"
             if kind == "OP" and value in "+-":
                 self.take()
-                if value == "-" and not self.domain.has_negation:
+                if minus and not self.domain.has_negation:
                     raise ParseError("'-' is not available over N", column=col + 1)
-                q = self.term()
-                p = p - q if value == "-" else p + q
-            else:
+            elif p is not None:
                 return p
+            q = self.term()
+            if p is None:
+                p = -q if minus else q
+            else:
+                p = p - q if minus else p + q
 
     def term(self):
         p = self.factor()

@@ -32,7 +32,7 @@ from .groebner import (
     vec_is_zero,
 )
 from .modlin import fd_basis
-from .polycore import Polynomial, VariableContext, within_cap
+from .polycore import Polynomial, VariableContext, poly_parse, within_cap
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,6 @@ class AlgebraPresentation:
         return Polynomial.variable(self.context, self.domain, i)
 
     def parse(self, text):
-        from .polycore import poly_parse
-
         return poly_parse(text, self.context, self.domain)
 
     def finite_basis(self):
@@ -113,6 +111,7 @@ def present(domain, names, relations, base=None):
 
     ``relations`` are polynomials over the full flattened context (base
     names followed by ``names``); base relations are embedded automatically.
+    A relation over another context or domain is refused by the presentation.
     """
     if base is not None:
         full = VariableContext(base.context.names + tuple(names))
@@ -121,11 +120,7 @@ def present(domain, names, relations, base=None):
     else:
         full = VariableContext(tuple(names))
         ideal = []
-    for r in relations:
-        if r.context != full:
-            raise ContextMismatch("relation context does not match the flattened context")
-        ideal.append(r)
-    return AlgebraPresentation(domain, full, tuple(ideal), base)
+    return AlgebraPresentation(domain, full, tuple(ideal) + tuple(relations), base)
 
 
 def free_algebra(domain, names):
@@ -298,12 +293,15 @@ class SectionResult:
     route: str
 
 
-def _verify_section_witness(f, kernel, witness):
-    A = f.source
-    ok_image = (f.apply(witness) - f.target.reduce(f.target.one())).is_zero()
-    ok_kernel = all(A.reduce(k * witness).is_zero() for k in kernel)
-    if not (ok_image and ok_kernel):
-        raise InconsistentClassification("section witness failed verification")
+def section_witness_fault(f, kernel, a):
+    """Why ``a`` is not a witness, f(a) = 1 and k·a = 0 for each k in
+    ``kernel``: "does not map to 1" or "does not annihilate k"; None when it is one."""
+    if not f.target.reduce(f.apply(a) - f.target.one()).is_zero():
+        return "does not map to 1"
+    for k in kernel:
+        if not f.source.reduce(k * a).is_zero():
+            return f"does not annihilate {k}"
+    return None
 
 
 # One note per (route, verdict); reports pin these texts byte for byte.
@@ -359,7 +357,8 @@ def linear_section_exists(f):
             note = "the transported annihilator ideal is zero"
         return SectionResult(False, None, note, route)
     witness = A.reduce(-nf[r + 1])
-    _verify_section_witness(f, kernel, witness)
+    if section_witness_fault(f, kernel, witness):
+        raise InconsistentClassification("section witness failed verification")
     return SectionResult(True, witness, _SECTION_NOTES[route, True], route)
 
 

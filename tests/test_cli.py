@@ -166,14 +166,17 @@ class TestWorkspaceParsing:
          "line 2: a section must have 1 fibre outputs or 2 full outputs, got 3"),
         ("field Q\nalgebra A = vars(x) / ((x+1)\n", "line 2: unbalanced parentheses"),
         (None, "cannot read workspace"),
+        (b"field Q\nalgebra A = vars(x)\n\xff\n", "cannot read workspace"),
     ], ids=["duplicate-variable", "base-over-a-base", "algebra-before-field", "duplicate-image",
             "missing-image", "across-fields", "section-of-another-map", "unbalanced-parentheses",
-            "missing-file"])
+            "missing-file", "not-utf-8"])
     def test_parse_errors_exit_2_with_their_message(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str], text: str | None, message: str
     ) -> None:
         ws = tmp_path / "ws.tgc"
-        if text is not None:
+        if isinstance(text, bytes):
+            ws.write_bytes(text)
+        elif text is not None:
             ws.write_text(text)
         assert main(["kahler", "--workspace", str(ws), "--algebra", "A"]) == 2
         err = capsys.readouterr().err
@@ -342,6 +345,20 @@ class TestGoldenReports:
         doc = json.loads(target.read_text())
         assert doc["generators"] == ["dx"]
         assert doc["dimension"] == 2
+
+    @pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["missing-directory", "a-directory"])
+    def test_an_unwritable_json_path_is_a_usage_error(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str], where: str
+    ) -> None:
+        """The file is written before the table, so a path that cannot be
+        written prints nothing to stdout and one line to stderr."""
+        target = str(tmp_path / where)
+        code = main(["kahler", "--workspace", WORKSPACE, "--algebra", "D2", "--json", target])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("tgc: cannot write the JSON report to ")
+        assert repr(target) in captured.err and captured.err.count("\n") == 1
 
 
 UNFIXED_BASE = """\

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from tangentcat import groebner
-from tangentcat.errors import ResourceLimit, ShapeMismatch, UnsupportedDomain
+from tangentcat.errors import ContextMismatch, ResourceLimit, ShapeMismatch, UnsupportedDomain
 from tangentcat.groebner import (
     GREVLEX,
     buchberger_extended,
@@ -762,6 +762,18 @@ def test_a_seed_of_another_shape_is_refused():
                   (1, XY, prime_field(7), GREVLEX), (1, XY, QQ, LEX)):
         with pytest.raises(ShapeMismatch, match="seed basis does not match"):
             module_buchberger([], *shape, seed=seed)
+
+
+def test_a_vector_of_another_shape_is_refused():
+    x, y = qq("x"), qq("y")
+    for vectors in ([(x,)], [(x, y), (x,)], [(x, y, x)]):
+        with pytest.raises(ShapeMismatch):
+            module_buchberger(vectors, 2, XY, QQ)
+    xyz, f7 = context("x", "y", "z"), prime_field(7)
+    for other in (poly_parse("z", xyz, QQ), poly_parse("y", XY, f7)):
+        for vectors in ([(x, other)], [(other, x)], [(x, y), (y, other)]):
+            with pytest.raises(ContextMismatch):
+                module_buchberger(vectors, 2, XY, QQ)
 
 
 def test_normal_form_divides_only_over_fields():

@@ -47,6 +47,17 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_every_import_in_the_package_is_at_module_level():
+    # an import inside a function hides a dependency from the module header
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        nested += [(path.name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert nested == []
+
+
 def test_package_reads_digits_the_way_int_does():
     # str.isdigit and str.isnumeric accept '²' and '①', which int() refuses;
     # str.isdecimal accepts exactly the digits int() and re's \d read

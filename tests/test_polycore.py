@@ -159,11 +159,20 @@ def test_parse_errors_carry_position():
     ("x + 1/0", QQ, "zero denominator", 7),
     ("1/x", QQ, "expected a denominator, got 'x'", 3),
     ("(x y)", QQ, "expected ')', got 'y'", 4),
-], ids=["rational-over-Fp", "zero-denominator", "missing-denominator", "unclosed-parenthesis"])
+    ("-x", NN, "'-' is not available over N", 1),
+    ("x - y", NN, "'-' is not available over N", 3),
+], ids=["rational-over-Fp", "zero-denominator", "missing-denominator", "unclosed-parenthesis",
+        "leading-minus-over-N", "binary-minus-over-N"])
 def test_parse_refusals_carry_their_column(text, dom, message, column):
     with pytest.raises(ParseError, match=re.escape(message)) as exc:
         poly_parse(text, XY, dom)
     assert exc.value.column == column
+
+
+def test_signs_read_the_same_leading_and_between_terms():
+    assert poly_parse("+x + y", XY, NN) == poly_parse("x + y", XY, NN)
+    for dom in (QQ, ZZ, F5):
+        assert poly_parse("-x - y + 1", XY, dom) == -poly_parse("x + y - 1", XY, dom)
 
 
 def test_numbers_are_decimal_digits():

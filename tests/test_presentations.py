@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangentcat
-from tangentcat.errors import IllDefinedMorphism, NotSurjective
+from tangentcat.errors import ContextMismatch, DomainMismatch, IllDefinedMorphism, NotSurjective
 from tangentcat.groebner import morphism_graph, ring_map_kernel
 from tangentcat.modlin import coords, kernel_basis
 from tangentcat.polycore import QQ, Polynomial, context, poly_parse, prime_field
@@ -63,6 +63,13 @@ def test_reduce_uses_the_relations():
     A = two_point_algebra()
     assert str(A.reduce(A.parse("x^2"))) == "x"
     assert str(A.reduce(A.parse("x^5 + 1"))) == "x + 1"
+
+
+def test_present_refuses_a_relation_over_another_context_or_domain():
+    with pytest.raises(ContextMismatch):
+        present(QQ, ("x",), (poly_parse("t^2", T, QQ),))
+    with pytest.raises(DomainMismatch):
+        present(QQ, ("x",), (poly_parse("x^2", X, prime_field(5)),))
 
 
 def test_presentation_over_a_base():
