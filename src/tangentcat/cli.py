@@ -88,20 +88,26 @@ class Workspace:
 
 
 _NAME = r"[A-Za-z_]\w*"
-ALG_RE = re.compile(
+_DOMAIN = r"Q|Z|N|Fp\s+\d+"
+_ALGEBRA = re.compile(
     rf"(base|algebra)\s+({_NAME})(?:\s+over\s+({_NAME}))?"
     rf"\s*=\s*vars\(([^)]*)\)\s*(?:/\s*\((.*)\))?\s*$"
 )
-MOR_RE = re.compile(
-    rf"morphism\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})"
-    rf"(?:\s+over\s+({_NAME}))?\s*=\s*\{{(.*)\}}\s*$"
-)
-CDC_RE = re.compile(
-    rf"cdcmap\s+({_NAME})\s*:\s*(\d+)\s*->\s*(\d+)\s+over\s+"
-    rf"(Q|Z|N|Fp\s+\d+)\s*=\s*\((.*)\)\s*$"
-)
-SEC_RE = re.compile(rf"section\s+({_NAME})\s+for\s+({_NAME})\s*=\s*\((.*)\)\s*$")
-FIELD_RE = re.compile(r"field\s+(Q|Z|N|Fp(?:\s+\d+)?)\s*$")
+DECLARATIONS = {
+    "field": re.compile(rf"field\s+({_DOMAIN})\s*$"),
+    "base": _ALGEBRA,
+    "algebra": _ALGEBRA,
+    "morphism": re.compile(
+        rf"morphism\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})"
+        rf"(?:\s+over\s+({_NAME}))?\s*=\s*\{{(.*)\}}\s*$"
+    ),
+    "cdcmap": re.compile(
+        rf"cdcmap\s+({_NAME})\s*:\s*(\d+)\s*->\s*(\d+)\s+over\s+"
+        rf"({_DOMAIN})\s*=\s*\((.*)\)\s*$"
+    ),
+    "section": re.compile(rf"section\s+({_NAME})\s+for\s+({_NAME})\s*=\s*\((.*)\)\s*$"),
+}
+_MALFORMED = {"field": "expected `field Q` or `field Fp <prime>`"}
 
 
 def _split_top(text, ln):
@@ -125,14 +131,18 @@ def _split_top(text, ln):
     return parts
 
 
+def _items(text, ln):
+    """The items of a comma-separated list: its parts at top-level commas,
+    or none when ``text`` is blank.  Each list's item reader refuses a blank
+    item."""
+    return _split_top(text, ln) if text.strip() else []
+
+
 def _domain_from_spec(spec, ln):
-    """The domain of a spec ``FIELD_RE`` or ``CDC_RE`` admitted: Q, Z, N or Fp."""
+    """The domain of a spec ``_DOMAIN`` matched: Q, Z, N or Fp <prime>."""
     if not spec.startswith("Fp"):
         return {"Q": QQ, "Z": ZZ, "N": NN}[spec]
-    rest = spec[2:].strip()
-    if not rest:
-        raise ParseError("Fp needs a prime, e.g. `Fp 5`", line=ln)
-    p = read_int(rest)
+    p = read_int(spec[2:].strip())
     if p >= PRIME_TEST_LIMIT:
         return prime_field(p)  # UnsupportedDomain: a semantic error, exit 3
     try:
@@ -162,7 +172,7 @@ def _parse_poly(text, ctx, dom, ln):
 
 
 def _identifiers(text, ln):
-    names = [t.strip() for t in text.split(",")] if text.strip() else []
+    names = [t.strip() for t in _items(text, ln)]
     for n in names:
         if not re.fullmatch(_NAME, n):
             raise ParseError(f"bad variable name {n!r}", line=ln)
@@ -179,10 +189,12 @@ def parse_workspace(text):
         if not line:
             continue
         head = line.split(None, 1)[0]
+        if head not in DECLARATIONS:
+            raise ParseError(f"unknown declaration {head!r}", line=ln)
+        m = DECLARATIONS[head].fullmatch(line)
+        if not m:
+            raise ParseError(_MALFORMED.get(head, f"malformed {head} declaration"), line=ln)
         if head == "field":
-            m = FIELD_RE.fullmatch(line)
-            if not m:
-                raise ParseError("expected `field Q` or `field Fp <prime>`", line=ln)
             spec = m.group(1)
             if spec in ("Z", "N"):
                 raise ParseError(
@@ -192,10 +204,7 @@ def parse_workspace(text):
                 )
             current = _domain_from_spec(spec, ln)
         elif head in ("base", "algebra"):
-            m = ALG_RE.fullmatch(line)
-            if not m:
-                raise ParseError(f"malformed {head} declaration", line=ln)
-            kind, name, over, vars_txt, rels_txt = m.groups()
+            kind, name, over, vars_txt, rels_txt = m.groups("")
             if kind == "base" and over:
                 raise ParseError("a base algebra cannot itself sit over a base", line=ln)
             _require_new(ws, name, ln)
@@ -215,16 +224,9 @@ def parse_workspace(text):
                     raise ParseError("declare a field before any algebra", line=ln)
                 dom = current
             full = present(dom, names, (), base=base).context
-            rels = []
-            if rels_txt is not None:
-                for part in _split_top(rels_txt, ln):
-                    if part.strip():
-                        rels.append(_parse_poly(part, full, dom, ln))
+            rels = [_parse_poly(part, full, dom, ln) for part in _items(rels_txt, ln)]
             ws.algebras[name] = present(dom, names, rels, base=base)
         elif head == "morphism":
-            m = MOR_RE.fullmatch(line)
-            if not m:
-                raise ParseError("malformed morphism declaration", line=ln)
             name, src_name, tgt_name, over, pairs_txt = m.groups()
             _require_new(ws, name, ln)
             src = _lookup(ws.algebras, "algebra", src_name, ln)
@@ -237,9 +239,7 @@ def parse_workspace(text):
                     )
             expected = [src.context.names[i] for i in src.covered(bool(over))]
             given = {}
-            for part in _split_top(pairs_txt, ln):
-                if not part.strip():
-                    continue
+            for part in _items(pairs_txt, ln):
                 if "->" not in part:
                     raise ParseError(f"expected `var -> polynomial` in {part!r}", line=ln)
                 lhs, rhs = part.split("->", 1)
@@ -269,9 +269,6 @@ def parse_workspace(text):
             ws.morphisms[name] = f
             ws.morphism_decls[name] = (src_name, tgt_name, over)
         elif head == "cdcmap":
-            m = CDC_RE.fullmatch(line)
-            if not m:
-                raise ParseError("malformed cdcmap declaration", line=ln)
             name, n_txt, m_txt, dom_spec, comps_txt = m.groups()
             _require_new(ws, name, ln)
             n, m_out = read_int(n_txt), read_int(m_txt)
@@ -279,38 +276,24 @@ def parse_workspace(text):
                 raise ResourceLimit(f"input arity {n} exceeds the limit of {MAX_ARITY}")
             dom = _domain_from_spec(dom_spec, ln)
             ctx = cdc_context(n)
-            if comps_txt.strip():
-                comps = [
-                    _parse_poly(part, ctx, dom, ln)
-                    for part in _split_top(comps_txt, ln)
-                ]
-            else:
-                comps = []
+            comps = [_parse_poly(part, ctx, dom, ln) for part in _items(comps_txt, ln)]
             if len(comps) != m_out:
                 raise ParseError(
                     f"declared {m_out} components but found {len(comps)}", line=ln
                 )
             ws.cdcmaps[name] = cdc_map(dom, n, comps, context=ctx)
-        elif head == "section":
-            m = SEC_RE.fullmatch(line)
-            if not m:
-                raise ParseError("malformed section declaration", line=ln)
+        else:  # section
             name, map_name, comps_txt = m.groups()
             _require_new(ws, name, ln)
             fmap = _lookup(ws.cdcmaps, "cdcmap", map_name, ln)
             ctx = section_context(fmap.arity_in, fmap.arity_out)
-            comps = [
-                _parse_poly(part, ctx, fmap.domain, ln)
-                for part in _split_top(comps_txt, ln)
-            ]
+            comps = [_parse_poly(part, ctx, fmap.domain, ln) for part in _items(comps_txt, ln)]
             s = CdcMap(fmap.domain, ctx, tuple(comps))
             try:
                 s = full_section(fmap, s)
             except TangentError as e:
                 raise ParseError(str(e), line=ln)
             ws.sections[name] = (map_name, s)
-        else:
-            raise ParseError(f"unknown declaration {head!r}", line=ln)
     return ws
 
 
@@ -489,22 +472,16 @@ def _cmd_cotangent(args):
     return 0
 
 
-def _within_degree_cap(components):
-    """Refuse polynomials above the degree cap with the Groebner engine's
-    message: cdc composition and differentiation would expand them in full."""
-    for c in components:
-        within_cap(c.degree())
-
-
 def _map_degree(fmap):
     """The largest component degree, at least 0: a zero component has degree -1."""
     return max([0] + [c.degree() for c in fmap.components])
 
 
 def _cdcmap(ws, name):
-    """A declared cdcmap whose components stay within the degree cap."""
+    """A declared cdcmap whose degree stays within the cap: cdc composition
+    and differentiation would expand it in full."""
     fmap = _lookup(ws.cdcmaps, "cdcmap", name)
-    _within_degree_cap(fmap.components)
+    within_cap(_map_degree(fmap))
     return fmap
 
 
@@ -539,7 +516,7 @@ def _cmd_cdc_linearize(args):
     for_name, s = _lookup(ws.sections, "section", args.section)
     if for_name != args.map:
         raise ParseError(f"section {args.section!r} was declared for {for_name!r}")
-    _within_degree_cap(s.components)
+    within_cap(_map_degree(s))
     result = linearize_section(f, s)
     linear = fibre_linear(result, f.arity_in)
     lines = [

@@ -484,14 +484,14 @@ def module_buchberger(vectors, rank, ctx, dom, order=GREVLEX, seed=None):
     """
     if seed is not None and (seed.rank, seed.context, seed.domain, seed.order) != (rank, ctx, dom, order):
         raise ShapeMismatch("the seed basis does not match the declared module shape")
-    vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
-    if not vectors:
-        return seed or ModuleGroebnerBasis([[] for _ in range(rank)], rank, order, ctx, dom)
     for v in vectors:
         if len(v) != rank:
             raise ShapeMismatch(f"a vector of rank {len(v)} in a module of rank {rank}")
         if any(c.context != ctx or c.domain != dom for c in v):
             raise ContextMismatch("a vector entry is not over the module's context and domain")
+    vectors = [tuple(v) for v in vectors if not vec_is_zero(v)]
+    if not vectors:
+        return seed or ModuleGroebnerBasis([[] for _ in range(rank)], rank, order, ctx, dom)
     if not dom.is_field:
         raise UnsupportedDomain("Groebner bases require a field domain")
     return _widening(lambda pk: _buchberger(vectors, rank, ctx, dom, order, pk, seed), len(ctx))

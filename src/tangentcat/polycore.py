@@ -714,12 +714,9 @@ class _PolyParser:
         kind, value, col = self.peek()
         if kind == "NAME":
             self.take()
-            i = None
-            if value in self.ctx.names:
-                i = self.ctx.names.index(value)
-            if i is None:
+            if value not in self.ctx.names:
                 raise ParseError(f"unknown variable {value!r}", column=col + 1)
-            return Polynomial.variable(self.ctx, self.domain, i)
+            return Polynomial.variable(self.ctx, self.domain, self.ctx.names.index(value))
         if kind == "INT":
             self.take()
             num = read_int(value)

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -200,6 +201,55 @@ class TestWorkspaceParsing:
                      "--map", "cube", "--section", "s"])
         assert code == 2
         assert capsys.readouterr().err == "tgc: parse error: section 's' was declared for 'tap'\n"
+
+    @pytest.mark.parametrize("stray, empty", [
+        ("field Q\nalgebra A = vars(x,)\n", "field Q\nalgebra A = vars()\n"),
+        ("field Q\nalgebra A = vars(x) / (,x^2 - x)\n", "field Q\nalgebra A = vars(x) / ()\n"),
+        ("field Q\nalgebra A = vars(t)\nmorphism f : A -> A = { t -> t,}\n",
+         "field Q\nalgebra A = vars()\nmorphism f : A -> A = { }\n"),
+        ("cdcmap c : 1 -> 1 over Q = (x1,)\n", "cdcmap c : 1 -> 0 over Q = ()\n"),
+        ("cdcmap c : 1 -> 1 over Q = (x1)\nsection s for c = (w1,)\n",
+         "cdcmap c : 0 -> 0 over Q = ()\nsection s for c = ()\n"),
+    ], ids=["variables", "relations", "images", "cdcmap", "section"])
+    def test_every_list_refuses_a_blank_item_and_reads_an_empty_list(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str], stray: str, empty: str
+    ) -> None:
+        """One rule for all five lists: a stray comma is a parse error on its
+        line, and an empty list has no items."""
+        ws = tmp_path / "ws.tgc"
+        ws.write_text(stray)
+        assert main(["kahler", "--workspace", str(ws), "--algebra", "A"]) == 2
+        last = stray.count("\n")
+        assert capsys.readouterr().err.startswith(f"tgc: parse error at line {last}")
+        parse_workspace(empty)
+
+    def test_the_empty_section_of_a_map_from_zero_to_zero_linearizes(
+        self, tmp_path: Path
+    ) -> None:
+        ws = tmp_path / "ws.tgc"
+        ws.write_text("field Q\ncdcmap c : 0 -> 0 over Q = ()\nsection s for c = ()\n")
+        code, out = run_cli(["cdc", "linearize", "--workspace", str(ws),
+                             "--map", "c", "--section", "s"])
+        assert code == 0
+        assert "section     : yes" in out
+
+    def test_field_fp_without_a_prime_is_a_malformed_field(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        ws = tmp_path / "ws.tgc"
+        ws.write_text("field Fp\n")
+        assert main(["kahler", "--workspace", str(ws), "--algebra", "A"]) == 2
+        assert capsys.readouterr().err == (
+            "tgc: parse error at line 1: expected `field Q` or `field Fp <prime>`\n"
+        )
+
+    def test_every_text_block_of_the_readme_parses(self) -> None:
+        """The README's workspace examples stay in step with the parser."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```text\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            parse_workspace(block)
 
 
 GOLDEN = [
@@ -706,6 +756,17 @@ class TestExitCodes:
         code, _ = run_cli(["cdc", "linearize", "--workspace", str(ws), "--map", "tap",
                            "--section", "s", "--degree-cap", "3"])
         assert code == 0
+
+    def test_the_cap_message_names_the_degree_of_the_whole_map(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        """The cap is checked once per map, on its largest component degree."""
+        ws = tmp_path / "ws.tgc"
+        ws.write_text("cdcmap f : 1 -> 2 over Q = (x1^5, x1^9)\n")
+        code, _ = run_cli(["cdc", "axioms", "--workspace", str(ws), "--map", "f",
+                           "--degree-cap", "4"])
+        assert code == 5
+        assert "polynomial degree 9 exceeds the degree cap 4" in capsys.readouterr().err
 
     def test_deeply_nested_parentheses_are_a_parse_error(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]

@@ -776,6 +776,15 @@ def test_a_vector_of_another_shape_is_refused():
                 module_buchberger(vectors, 2, XY, QQ)
 
 
+def test_a_zero_vector_of_another_shape_is_refused():
+    """Zero vectors are dropped only after every vector's shape is checked."""
+    x = qq("x")
+    with pytest.raises(ShapeMismatch):
+        module_buchberger([(x, x), (qq("0"),)], 2, XY, QQ)
+    with pytest.raises(ContextMismatch):
+        module_buchberger([(x,), (poly_parse("0", XY, prime_field(5)),)], 1, XY, QQ)
+
+
 def test_normal_form_divides_only_over_fields():
     from tangentcat.polycore import ZZ
 
